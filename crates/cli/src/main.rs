@@ -578,6 +578,9 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         let mut pool_opts = racesim_dist::PoolOptions::new(spec.workers, init);
         pool_opts.request_timeout =
             Duration::from_millis(parse_u64(flags, "worker-timeout", 120_000)?);
+        pool_opts.workloads = (0..n_instances)
+            .map(|i| stack.cost.name(i).to_string())
+            .collect();
         let fallback: Arc<dyn TryCostFn + Send + Sync> = match spec.timeout_ms {
             Some(ms) => Arc::new(Watchdog::new(
                 Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
@@ -1459,13 +1462,20 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     if flags.get("json").is_some() {
+        // Names reach the output verbatim: a platform name comes from a
+        // user's config file and may hold quotes or backslashes.
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            racesim_telemetry::json::escape_into(&mut out, s);
+            out
+        };
         let mut kernels = Vec::new();
         for p in &profiles {
             kernels.push(format!(
                 "{{\"name\":\"{}\",\"category\":\"{}\",\"wall_ns\":{},\"instructions\":{},\
                  \"cycles\":{},\"coverage\":{:.4},\"profile\":{}}}",
-                p.name,
-                p.category,
+                escaped(&p.name),
+                escaped(&p.category),
                 p.wall_ns,
                 p.instructions,
                 p.cycles,
@@ -1475,7 +1485,7 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         println!(
             "{{\"schema_version\":1,\"platform\":\"{}\",\"kernels\":[{}]}}",
-            platform.name,
+            escaped(&platform.name),
             kernels.join(",")
         );
     } else {

@@ -172,6 +172,150 @@ fn profile_json_and_folded_outputs() {
     let _ = std::fs::remove_file(&folded);
 }
 
+/// A strict recognizer for one RFC 8259 JSON document: `Err` names the
+/// byte offset where `text` stops being JSON.
+fn json_document(text: &str) -> Result<(), String> {
+    fn ws(b: &[u8], mut i: usize) -> usize {
+        while i < b.len() && b" \t\r\n".contains(&b[i]) {
+            i += 1;
+        }
+        i
+    }
+    fn string(b: &[u8], mut i: usize) -> Result<usize, usize> {
+        if b.get(i) != Some(&b'"') {
+            return Err(i);
+        }
+        i += 1;
+        loop {
+            match b.get(i) {
+                Some(b'"') => return Ok(i + 1),
+                Some(b'\\') => match b.get(i + 1) {
+                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
+                    Some(b'u')
+                        if b.len() > i + 5 && b[i + 2..i + 6].iter().all(u8::is_ascii_hexdigit) =>
+                    {
+                        i += 6
+                    }
+                    _ => return Err(i),
+                },
+                Some(c) if *c >= 0x20 => i += 1,
+                _ => return Err(i),
+            }
+        }
+    }
+    fn value(b: &[u8], i: usize) -> Result<usize, usize> {
+        let i = ws(b, i);
+        match b.get(i) {
+            Some(b'{') => {
+                let mut i = ws(b, i + 1);
+                if b.get(i) == Some(&b'}') {
+                    return Ok(i + 1);
+                }
+                loop {
+                    i = ws(b, string(b, ws(b, i))?);
+                    if b.get(i) != Some(&b':') {
+                        return Err(i);
+                    }
+                    i = ws(b, value(b, i + 1)?);
+                    match b.get(i) {
+                        Some(b',') => i += 1,
+                        Some(b'}') => return Ok(i + 1),
+                        _ => return Err(i),
+                    }
+                }
+            }
+            Some(b'[') => {
+                let mut i = ws(b, i + 1);
+                if b.get(i) == Some(&b']') {
+                    return Ok(i + 1);
+                }
+                loop {
+                    i = ws(b, value(b, i)?);
+                    match b.get(i) {
+                        Some(b',') => i += 1,
+                        Some(b']') => return Ok(i + 1),
+                        _ => return Err(i),
+                    }
+                }
+            }
+            Some(b'"') => string(b, i),
+            _ => {
+                for lit in [&b"true"[..], b"false", b"null"] {
+                    if b[i..].starts_with(lit) {
+                        return Ok(i + lit.len());
+                    }
+                }
+                let end = i + b[i..]
+                    .iter()
+                    .take_while(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
+                    .count();
+                match std::str::from_utf8(&b[i..end]).map(str::parse::<f64>) {
+                    Ok(Ok(_)) => Ok(end),
+                    _ => Err(i),
+                }
+            }
+        }
+    }
+    let b = text.as_bytes();
+    match value(b, 0).map(|end| ws(b, end)) {
+        Ok(end) if end == b.len() => Ok(()),
+        Ok(end) | Err(end) => Err(format!("not JSON at byte {end}: {text}")),
+    }
+}
+
+#[test]
+fn json_recognizer_rejects_what_it_must() {
+    assert!(json_document("{\"a\":[1,-2.5e3,true,null,\"q\\\"\\\\\"],\"b\":{}}\n").is_ok());
+    for bad in [
+        "{\"a\":\"x\"y\"}",
+        "{\"a\":\"\\q\"}",
+        "{\"a\":1,}",
+        "[1] 2",
+        "{\"a\" 1}",
+    ] {
+        assert!(json_document(bad).is_err(), "accepted {bad}");
+    }
+}
+
+#[test]
+fn profile_json_escapes_a_user_platform_name() {
+    let cfg = std::env::temp_dir().join(format!("racesim_quoted_{}.cfg", std::process::id()));
+    let out = racesim(&["config", "--platform", "a53"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).replace(
+        "name = a53-like",
+        "name = a53 \"tuned\" C:\\boards\\firefly",
+    );
+    assert!(
+        text.contains("\"tuned\""),
+        "platform name line not found:\n{text}"
+    );
+    std::fs::write(&cfg, text).expect("write config");
+    let cfg_s = cfg.display().to_string();
+    let out = racesim(&[
+        "profile",
+        "--platform",
+        &cfg_s,
+        "--workload",
+        "ED1",
+        "--scale",
+        "8192",
+        "--json",
+    ]);
+    let _ = std::fs::remove_file(&cfg);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = String::from_utf8_lossy(&out.stdout);
+    json_document(&json).unwrap();
+    assert!(
+        json.contains("\"platform\":\"a53 \\\"tuned\\\" C:\\\\boards\\\\firefly\""),
+        "{json}"
+    );
+}
+
 #[test]
 fn report_without_a_journal_is_a_clean_error() {
     let out = racesim(&["report"]);

@@ -80,6 +80,36 @@ fn run_campaign(scratch: &Scratch, tag: &str, extra: &[&str]) -> (String, String
     (ckpt, journal)
 }
 
+/// The first journal line of event `ev` carrying `"key":value` with
+/// `key` = `name`, or any line of `ev` when `name` is empty: the integer
+/// after `"field":` on it.
+fn journal_u64(journal: &str, ev: &str, name: &str, field: &str) -> u64 {
+    let tag = format!("\"ev\":\"{ev}\"");
+    let named = format!("\"name\":\"{name}\"");
+    let line = journal
+        .lines()
+        .find(|l| l.contains(&tag) && (name.is_empty() || l.contains(&named)))
+        .unwrap_or_else(|| panic!("journal has no {ev} {name} line"));
+    let key = format!("\"{field}\":");
+    let rest = &line[line.find(&key).expect("field present") + key.len()..];
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("integer field")
+}
+
+/// Number of `evaluation` events per workload.
+fn evaluations_by_workload(journal: &str) -> std::collections::BTreeMap<String, usize> {
+    let mut by = std::collections::BTreeMap::new();
+    for line in journal
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"evaluation\""))
+    {
+        let start = line.find("\"workload\":\"").expect("workload field") + 12;
+        let name = &line[start..start + line[start..].find('"').expect("closing quote")];
+        *by.entry(name.to_string()).or_insert(0) += 1;
+    }
+    by
+}
+
 fn checkpoint_bytes(path: &str) -> Vec<u8> {
     std::fs::read(path).unwrap_or_else(|e| panic!("read checkpoint {path}: {e}"))
 }
@@ -158,6 +188,30 @@ fn distributed_campaigns_are_bit_identical_to_sequential() {
         !dist_lines.contains("\"ev\":\"worker_failed\""),
         "healthy run must not record worker failures"
     );
+    // A pool that silently degraded to local evaluation would be fast and
+    // still byte-identical; the healthy run must have sent every
+    // evaluation to a worker and got every one back first time.
+    let evals = journal_u64(&dist_lines, "campaign_end", "", "evals");
+    assert!(evals > 0, "the campaign evaluated something");
+    assert_eq!(
+        journal_u64(&dist_lines, "counter", "dist.dispatched", "value"),
+        evals,
+        "every evaluation is dispatched to a worker"
+    );
+    for counter in ["dist.local_fallback", "dist.redispatched"] {
+        assert_eq!(
+            journal_u64(&dist_lines, "counter", counter, "value"),
+            0,
+            "healthy run: {counter}"
+        );
+    }
+    // Worker evidence is not dropped: the coordinator journals the same
+    // evaluations, workload by workload, as the in-process run.
+    let seq_lines = std::fs::read_to_string(&seq_journal).expect("seq journal");
+    let seq_evals = evaluations_by_workload(&seq_lines);
+    assert_eq!(seq_evals.values().sum::<usize>() as u64, evals);
+    assert_eq!(evaluations_by_workload(&dist_lines), seq_evals);
+
     let kill_lines = std::fs::read_to_string(&kill_journal).expect("kill journal");
     assert!(
         kill_lines.contains("\"ev\":\"worker_failed\""),

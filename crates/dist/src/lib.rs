@@ -19,10 +19,11 @@
 //!   in-process paths use, plus deterministic death hooks
 //!   (`--exit-after` / `--only-worker`) for fault-injection tests.
 //! - [`pool`] — the coordinator: a [`WorkerPool`] implementing the
-//!   racing loop's `EvalDispatch` seam with pull dispatch from a shared
-//!   queue, per-request timeouts, re-dispatch of tasks whose worker
-//!   died, quarantine of repeatedly failing slots, and a local fallback
-//!   so a campaign completes even with every worker gone.
+//!   racing loop's `EvalDispatch` seam with a completion-driven event
+//!   loop (two requests in flight per worker), per-request timeouts,
+//!   re-dispatch of tasks whose worker died, quarantine of repeatedly
+//!   failing slots, and a local fallback so a campaign completes even
+//!   with every worker gone.
 //!
 //! Determinism is the design constraint: results are reduced in
 //! canonical configuration order, so `racesim tune --workers N` produces

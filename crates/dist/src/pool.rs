@@ -3,12 +3,37 @@
 //!
 //! # Dispatch
 //!
-//! Each batch of `(configuration, instance)` evaluations goes into a
-//! shared queue; one coordinator thread per worker slot *pulls* tasks
-//! from it (work stealing degenerates to pulling from a single shared
-//! queue when tasks are homogeneous), round-trips each over the wire,
-//! and writes the classified outcome into its slot-indexed cell. The
-//! racing loop then classifies outcomes **in canonical configuration
+//! `eval_batch` is one event loop on the calling thread; nothing waits
+//! on a timer to learn that a batch has finished. Each worker connection
+//! has a reader thread that forwards every frame it reads into one
+//! merged reply channel, tagged with the slot and the connection's
+//! **generation** (a pool-wide spawn counter). Per batch the loop:
+//!
+//! 1. spawns every missing worker at once — launch each process, send
+//!    each `init` — and takes the `ready` replies off the merged channel
+//!    like any other frame, so first-batch spawn runs in parallel;
+//! 2. keeps up to two requests in flight per ready slot, filling the
+//!    least-loaded slot first: when a worker answers one request the
+//!    next is already waiting on its stdin, so it never idles for a
+//!    coordinator round trip;
+//! 3. blocks on the merged channel until the next frame or the earliest
+//!    deadline, stores each reply in its task's cell, hands that slot the
+//!    next queued task, and returns the moment the last cell is filled
+//!    and every handshake it started is done (so each worker it spawned
+//!    is journaled with it).
+//!
+//! Workers answer in order, so a reply must carry the id of the oldest
+//! request in flight on its connection. A frame whose generation is not
+//! the slot's live connection's was read from a connection already torn
+//! down and is dropped: a killed worker's last frames can never be taken
+//! for its replacement's.
+//!
+//! A request's deadline ([`PoolOptions::request_timeout`]) starts when
+//! the worker can begin it: at its send when nothing is ahead of it,
+//! otherwise at the reply to the request ahead. Pipelining therefore
+//! cannot make the timeout fire early on a healthy worker.
+//!
+//! The racing loop then classifies outcomes **in canonical configuration
 //! order**, exactly as it does for the sequential and in-process-thread
 //! backends — which worker answered which request, and in what order,
 //! cannot influence elimination decisions, checkpoint bytes, or the
@@ -22,9 +47,10 @@
 //! inventing a parallel one:
 //!
 //! - a dead or hung worker (process exit, torn frame, per-request
-//!   timeout, protocol violation) is killed and its in-flight task is
-//!   **re-queued** for any healthy worker — the evaluation itself is
-//!   presumed innocent, so its retry accounting is untouched;
+//!   timeout, protocol violation) is killed and every task it held in
+//!   flight is **re-queued** for any healthy worker — the evaluations
+//!   themselves are presumed innocent, so their retry accounting is
+//!   untouched;
 //! - a slot that fails [`PoolOptions::max_failures`] times is
 //!   **quarantined** — never respawned for the rest of the campaign —
 //!   mirroring how `Quarantine` retires faulty instances;
@@ -38,16 +64,18 @@
 //!
 //! Every spawn, failure, and quarantine is journaled
 //! ([`Event::WorkerSpawned`] / [`Event::WorkerFailed`] /
-//! [`Event::WorkerQuarantined`]) so `racesim report` and
+//! [`Event::WorkerQuarantined`]), and every successful remote evaluation
+//! is journaled as the [`Event::Evaluation`] an in-process run records,
+//! with the worker-measured wall time — so `racesim report` and
 //! `racesim replay` observe distributed runs.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use racesim_race::{
     eval_with_retry, Configuration, EvalDispatch, EvalError, ParamSpace, RetryPolicy, TryCostFn,
@@ -57,6 +85,10 @@ use racesim_telemetry::{Counter, Event, Telemetry};
 use crate::wire::{
     encode_config, read_response, write_request, InitSpec, Request, Response, WireError,
 };
+
+/// Requests kept in flight per worker: the one it is evaluating plus one
+/// queued behind it on its stdin.
+const PIPELINE_DEPTH: usize = 2;
 
 /// One classified evaluation outcome plus the retries it burned — the
 /// exact tuple `eval_with_retry` returns and `eval_batch` must fill
@@ -143,21 +175,25 @@ pub struct PoolOptions {
     /// Campaign context sent in each worker's `init` handshake; the
     /// `worker` field is overwritten with the slot index per spawn.
     pub init: InitSpec,
-    /// Per-request deadline; a worker that blows it is killed and its
-    /// task re-dispatched. The worker-side watchdog (`timeout_ms` in the
-    /// init spec) should be the tighter bound — this is the backstop
-    /// against a wedged process.
+    /// Per-request deadline, counted from when the worker can begin the
+    /// request; a worker that blows it is killed and its tasks
+    /// re-dispatched. The worker-side watchdog (`timeout_ms` in the init
+    /// spec) should be the tighter bound — this is the backstop against
+    /// a wedged process.
     pub request_timeout: Duration,
     /// Deadline for spawn + handshake (stack building includes latency
     /// estimation, so this is deliberately generous).
     pub spawn_timeout: Duration,
     /// Failures before a slot is quarantined for good.
     pub max_failures: u32,
+    /// Workload name per instance, for the `evaluation` events the pool
+    /// journals; instances past the end are named by index.
+    pub workloads: Vec<String>,
 }
 
 impl PoolOptions {
     /// Defaults: 2-minute request backstop, 5-minute spawn deadline,
-    /// quarantine after 3 failures.
+    /// quarantine after 3 failures, no workload names.
     pub fn new(workers: usize, init: InitSpec) -> PoolOptions {
         PoolOptions {
             workers: workers.max(1),
@@ -165,34 +201,66 @@ impl PoolOptions {
             request_timeout: Duration::from_secs(120),
             spawn_timeout: Duration::from_secs(300),
             max_failures: 3,
+            workloads: Vec::new(),
         }
     }
 }
 
-/// A live worker connection: the frame sink plus a channel fed by a
-/// dedicated reader thread, so every receive can carry a timeout.
+/// One frame a reader thread forwarded to the merged reply channel.
+struct Inbound {
+    /// The slot whose worker sent it.
+    slot: usize,
+    /// The generation of the connection it was read from.
+    generation: u64,
+    frame: Result<Response, WireError>,
+}
+
+/// Whether `frame` is the last a worker stream carries: `bye`, or a
+/// read error.
+fn ends_stream(frame: &Result<Response, WireError>) -> bool {
+    !matches!(frame, Ok(Response::Ready { .. } | Response::Eval { .. }))
+}
+
+/// A live worker connection: the frame sink, the process, and the
+/// requests it owes replies for. Its frames arrive on the merged reply
+/// channel, tagged with `generation`.
 struct Conn {
     writer: Box<dyn Write + Send>,
-    rx: Receiver<Result<Response, WireError>>,
     child: Option<Child>,
     pid: u64,
+    generation: u64,
+    /// Whether the worker has answered `init` with a matching `ready`.
+    ready: bool,
+    /// Requests sent and not yet answered, oldest first, as
+    /// `(request id, task index)`.
+    in_flight: VecDeque<(u64, usize)>,
+    /// When the frame the worker owes next (its `ready`, or the reply to
+    /// the oldest request in flight) became answerable.
+    since: Instant,
 }
 
 impl Conn {
-    /// Tears the connection down: closes the sink (EOF on the worker's
-    /// stdin), then kills and reaps the process if there is one.
-    fn kill(&mut self) {
-        self.writer = Box::new(std::io::sink());
-        if let Some(mut child) = self.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
+    /// When the worker is overdue, if it owes a frame at all.
+    fn deadline(&self, opts: &PoolOptions) -> Option<Instant> {
+        if !self.ready {
+            Some(self.since + opts.spawn_timeout)
+        } else if !self.in_flight.is_empty() {
+            Some(self.since + opts.request_timeout)
+        } else {
+            None
         }
     }
 }
 
 impl Drop for Conn {
+    /// Tears the connection down: closes the sink (EOF on the worker's
+    /// stdin), then kills and reaps the process if there is one.
     fn drop(&mut self) {
-        self.kill();
+        self.writer = Box::new(std::io::sink());
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
     }
 }
 
@@ -204,14 +272,40 @@ struct Slot {
     quarantined: bool,
 }
 
+/// Everything a batch mutates. Batches run one at a time; the lock is
+/// held for a whole batch.
+struct State {
+    slots: Vec<Slot>,
+    /// Cloned into every reader thread.
+    replies_tx: Sender<Inbound>,
+    /// The merged reply channel. The pool holds a sender, so it never
+    /// disconnects.
+    replies: Receiver<Inbound>,
+    next_id: u64,
+    next_generation: u64,
+}
+
+/// One batch's tasks and the progress made on them.
+struct Batch<'a> {
+    space: &'a ParamSpace,
+    tasks: &'a [&'a Configuration],
+    instance: usize,
+    retry: &'a RetryPolicy,
+    /// One outcome per task, filled as replies land.
+    cells: Vec<Option<EvalOutcome>>,
+    /// Tasks not yet sent, or re-queued after their worker failed.
+    queue: VecDeque<usize>,
+    /// Cells still empty.
+    left: usize,
+}
+
 /// A pool of evaluation workers implementing [`EvalDispatch`].
 pub struct WorkerPool {
     launcher: Box<dyn WorkerLauncher>,
     opts: PoolOptions,
     fallback: Arc<dyn TryCostFn + Send + Sync>,
     telemetry: Telemetry,
-    slots: Vec<Mutex<Slot>>,
-    next_id: AtomicU64,
+    state: Mutex<State>,
     m_dispatched: Counter,
     m_redispatched: Counter,
     m_fallback: Counter,
@@ -228,7 +322,7 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Creates a pool of `opts.workers` slots. Workers are spawned
-    /// lazily, on the first task each slot pulls. `fallback` is the
+    /// lazily, all at once on the first batch. `fallback` is the
     /// coordinator's own cost function, used only when every slot is
     /// quarantined.
     pub fn new(
@@ -237,9 +331,14 @@ impl WorkerPool {
         fallback: Arc<dyn TryCostFn + Send + Sync>,
         telemetry: Telemetry,
     ) -> WorkerPool {
-        let slots = (0..opts.workers)
-            .map(|_| Mutex::new(Slot::default()))
-            .collect();
+        let (replies_tx, replies) = mpsc::channel();
+        let state = State {
+            slots: (0..opts.workers).map(|_| Slot::default()).collect(),
+            replies_tx,
+            replies,
+            next_id: 1,
+            next_generation: 0,
+        };
         WorkerPool {
             launcher,
             m_dispatched: telemetry.counter("dist.dispatched"),
@@ -248,68 +347,64 @@ impl WorkerPool {
             opts,
             fallback,
             telemetry,
-            slots,
-            next_id: AtomicU64::new(1),
+            state: Mutex::new(state),
         }
     }
 
-    /// Spawns slot `w`'s worker and runs the init/ready handshake,
-    /// validating that the worker rebuilt the same parameter space.
-    fn spawn(&self, w: usize, n_params: usize) -> Result<Conn, String> {
+    /// Launches slot `w`'s worker, starts its reader thread and sends the
+    /// `init` handshake. The `ready` reply arrives on the merged channel.
+    fn launch(&self, w: usize, generation: u64, tx: &Sender<Inbound>) -> Result<Conn, String> {
         let link = self.launcher.launch(w)?;
-        let (tx, rx) = channel::unbounded();
         let mut reader = link.reader;
+        let mut conn = Conn {
+            writer: link.writer,
+            child: link.child,
+            pid: link.pid,
+            generation,
+            ready: false,
+            in_flight: VecDeque::new(),
+            since: Instant::now(),
+        };
+        let tx = tx.clone();
         std::thread::Builder::new()
             .name(format!("dist-rx-{w}"))
             .spawn(move || loop {
-                match read_response(&mut reader) {
-                    Ok(Response::Bye) => break,
-                    Ok(resp) => {
-                        if tx.send(Ok(resp)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
+                let frame = read_response(&mut reader);
+                let last = ends_stream(&frame);
+                let inbound = Inbound {
+                    slot: w,
+                    generation,
+                    frame,
+                };
+                if tx.send(inbound).is_err() || last {
+                    break;
                 }
             })
             .map_err(|e| format!("reader thread spawn failed: {e}"))?;
-        let mut conn = Conn {
-            writer: link.writer,
-            rx,
-            child: link.child,
-            pid: link.pid,
-        };
         let mut init = self.opts.init.clone();
         init.worker = w;
         write_request(&mut conn.writer, &Request::Init(init))
             .map_err(|e| format!("init handshake send failed: {e}"))?;
-        match conn.rx.recv_timeout(self.opts.spawn_timeout) {
-            Ok(Ok(Response::Ready {
-                n_params: theirs, ..
-            })) if theirs == n_params => Ok(conn),
-            Ok(Ok(Response::Ready {
-                n_params: theirs, ..
-            })) => Err(format!(
-                "space mismatch: worker has {theirs} parameters, coordinator has {n_params}"
-            )),
-            Ok(Ok(resp)) => Err(format!("handshake protocol violation: {resp:?}")),
-            Ok(Err(e)) => Err(format!("handshake failed: {e}")),
-            Err(RecvTimeoutError::Timeout) => Err(format!(
-                "handshake timed out after {}ms",
-                self.opts.spawn_timeout.as_millis()
-            )),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err("worker exited during handshake".to_string())
+        Ok(conn)
+    }
+
+    /// Launches every slot that has no worker and is not quarantined.
+    /// A launch failure counts against its slot, which is retried until
+    /// it launches or quarantines.
+    fn spawn_missing(&self, st: &mut State) {
+        for (w, slot) in st.slots.iter_mut().enumerate() {
+            while slot.conn.is_none() && !slot.quarantined {
+                st.next_generation += 1;
+                match self.launch(w, st.next_generation, &st.replies_tx) {
+                    Ok(conn) => slot.conn = Some(conn),
+                    Err(reason) => self.record_failure(slot, w, &reason),
+                }
             }
         }
     }
 
-    /// Records one failure on slot `w`, quarantining it at the
-    /// threshold. Returns whether the slot is now quarantined.
-    fn record_failure(&self, slot: &mut Slot, w: usize, reason: &str) -> bool {
+    /// Records one failure on slot `w`, quarantining it at the threshold.
+    fn record_failure(&self, slot: &mut Slot, w: usize, reason: &str) {
         slot.failures += 1;
         self.telemetry.emit(Event::WorkerFailed {
             worker: w,
@@ -322,128 +417,149 @@ impl WorkerPool {
                 failures: u64::from(slot.failures),
             });
         }
-        slot.quarantined
     }
 
-    /// Round-trips one evaluation over slot `w`, spawning its worker if
-    /// needed. `Err(quarantined)` means the task must be re-dispatched;
-    /// the flag tells the calling loop whether this slot is finished.
-    fn eval_on(
-        &self,
-        w: usize,
-        space: &ParamSpace,
-        cfg: &Configuration,
-        instance: usize,
-        retry: &RetryPolicy,
-    ) -> Result<EvalOutcome, bool> {
-        let mut slot = self.slots[w].lock();
-        if slot.quarantined {
-            return Err(true);
+    /// Kills slot `w`'s worker, re-queues every task it held in flight
+    /// and records the failure. The evaluations are presumed innocent of
+    /// the worker's death: their retry accounting is untouched.
+    fn fail(&self, slot: &mut Slot, w: usize, reason: &str, queue: &mut VecDeque<usize>) {
+        if let Some(conn) = slot.conn.take() {
+            for &(_, task) in &conn.in_flight {
+                self.m_redispatched.inc();
+                queue.push_back(task);
+            }
         }
-        if slot.conn.is_none() {
-            match self.spawn(w, space.len()) {
-                Ok(conn) => {
+        self.record_failure(slot, w, reason);
+    }
+
+    /// Sends queued tasks to ready workers, always to the one with the
+    /// fewest requests in flight, until every ready worker has
+    /// `PIPELINE_DEPTH` or the queue is empty.
+    fn feed(&self, st: &mut State, b: &mut Batch<'_>) {
+        while let Some(&task) = b.queue.front() {
+            let Some((w, slot)) = st
+                .slots
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, s)| {
+                    s.conn
+                        .as_ref()
+                        .is_some_and(|c| c.ready && c.in_flight.len() < PIPELINE_DEPTH)
+                })
+                .min_by_key(|(_, s)| s.conn.as_ref().map_or(0, |c| c.in_flight.len()))
+            else {
+                return;
+            };
+            b.queue.pop_front();
+            let id = st.next_id;
+            st.next_id += 1;
+            let req = Request::Eval {
+                id,
+                config: encode_config(b.space, b.tasks[task]),
+                instance: b.instance,
+                retry: *b.retry,
+            };
+            let conn = slot.conn.as_mut().expect("filtered to live connections");
+            if conn.in_flight.is_empty() {
+                conn.since = Instant::now();
+            }
+            conn.in_flight.push_back((id, task));
+            if let Err(e) = write_request(&mut conn.writer, &req) {
+                self.fail(slot, w, &format!("request send failed: {e}"), &mut b.queue);
+            }
+        }
+    }
+
+    /// Handles one frame from the merged channel.
+    fn on_frame(&self, st: &mut State, inbound: Inbound, b: &mut Batch<'_>) {
+        let w = inbound.slot;
+        let slot = &mut st.slots[w];
+        let Some(conn) = slot
+            .conn
+            .as_mut()
+            .filter(|c| c.generation == inbound.generation)
+        else {
+            return; // read on a connection already torn down
+        };
+        let reason = if !conn.ready {
+            let ours = b.space.len();
+            match inbound.frame {
+                Ok(Response::Ready { n_params, .. }) if n_params == ours => {
+                    conn.ready = true;
                     self.telemetry.emit(Event::WorkerSpawned {
                         worker: w,
                         pid: conn.pid,
                     });
-                    slot.conn = Some(conn);
+                    return;
                 }
-                Err(reason) => return Err(self.record_failure(&mut slot, w, &reason)),
-            }
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let req = Request::Eval {
-            id,
-            config: encode_config(space, cfg),
-            instance,
-            retry: *retry,
-        };
-        let fail = |slot: &mut Slot, reason: String| {
-            if let Some(conn) = slot.conn.as_mut() {
-                conn.kill();
-            }
-            slot.conn = None;
-            Err(self.record_failure(slot, w, &reason))
-        };
-        let sent = {
-            let conn = slot.conn.as_mut().expect("slot has a live connection");
-            write_request(&mut conn.writer, &req)
-        };
-        if let Err(e) = sent {
-            return fail(&mut slot, format!("request send failed: {e}"));
-        }
-        let reply = {
-            let conn = slot.conn.as_ref().expect("slot has a live connection");
-            conn.rx.recv_timeout(self.opts.request_timeout)
-        };
-        match reply {
-            Ok(Ok(Response::Eval {
-                id: rid,
-                outcome,
-                retries,
-            })) if rid == id => {
-                self.m_dispatched.inc();
-                Ok((outcome.into_result(), retries))
-            }
-            Ok(Ok(resp)) => fail(
-                &mut slot,
-                format!("protocol violation: unexpected {resp:?}"),
-            ),
-            Ok(Err(WireError::Closed)) => fail(&mut slot, "worker exited mid-request".to_string()),
-            Ok(Err(e)) => fail(&mut slot, format!("wire fault: {e}")),
-            Err(RecvTimeoutError::Timeout) => fail(
-                &mut slot,
-                format!(
-                    "request timed out after {}ms",
-                    self.opts.request_timeout.as_millis()
+                Ok(Response::Ready { n_params, .. }) => format!(
+                    "space mismatch: worker has {n_params} parameters, coordinator has {ours}"
                 ),
-            ),
-            Err(RecvTimeoutError::Disconnected) => {
-                fail(&mut slot, "worker reader thread exited".to_string())
+                Ok(resp) => format!("handshake protocol violation: {resp:?}"),
+                Err(WireError::Closed) => "worker exited during handshake".to_string(),
+                Err(e) => format!("handshake failed: {e}"),
             }
+        } else {
+            match inbound.frame {
+                Ok(Response::Eval {
+                    id,
+                    outcome,
+                    retries,
+                    micros,
+                }) if conn.in_flight.front().is_some_and(|&(head, _)| head == id) => {
+                    let (_, task) = conn.in_flight.pop_front().expect("matched the head");
+                    conn.since = Instant::now();
+                    self.m_dispatched.inc();
+                    let result = outcome.into_result();
+                    if let Ok(cost) = result {
+                        self.journal_evaluation(b.instance, micros, cost);
+                    }
+                    b.cells[task] = Some((result, retries));
+                    b.left -= 1;
+                    return;
+                }
+                Ok(resp) => format!("protocol violation: unexpected {resp:?}"),
+                Err(WireError::Closed) => "worker exited mid-request".to_string(),
+                Err(e) => format!("wire fault: {e}"),
+            }
+        };
+        self.fail(slot, w, &reason, &mut b.queue);
+    }
+
+    /// Journals a remote evaluation as the `evaluation` event an
+    /// in-process run records for it.
+    fn journal_evaluation(&self, instance: usize, micros: u64, cost: f64) {
+        if self.telemetry.is_enabled() {
+            let workload = match self.opts.workloads.get(instance) {
+                Some(name) => name.clone(),
+                None => format!("instance {instance}"),
+            };
+            self.telemetry.emit(Event::Evaluation {
+                workload,
+                micros,
+                cost,
+            });
         }
     }
 
-    /// One slot's pull loop: drain tasks from the shared queue until the
-    /// batch completes or this slot is quarantined.
-    #[allow(clippy::too_many_arguments)]
-    fn pull_loop(
-        &self,
-        w: usize,
-        queue_tx: &channel::Sender<usize>,
-        queue_rx: &Receiver<usize>,
-        space: &ParamSpace,
-        tasks: &[&Configuration],
-        instance: usize,
-        retry: &RetryPolicy,
-        results: &Mutex<Vec<Option<EvalOutcome>>>,
-        pending: &AtomicUsize,
-    ) {
-        loop {
-            if pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            let task = match queue_rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(task) => task,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            match self.eval_on(w, space, tasks[task], instance, retry) {
-                Ok(outcome) => {
-                    results.lock()[task] = Some(outcome);
-                    pending.fetch_sub(1, Ordering::AcqRel);
-                }
-                Err(quarantined) => {
-                    // The evaluation is presumed innocent of the
-                    // worker's death: back into the queue, retry
-                    // accounting untouched.
-                    self.m_redispatched.inc();
-                    let _ = queue_tx.send(task);
-                    if quarantined {
-                        return;
-                    }
-                }
+    /// Fails every worker whose handshake or oldest request is overdue.
+    fn expire(&self, st: &mut State, queue: &mut VecDeque<usize>) {
+        let now = Instant::now();
+        for (w, slot) in st.slots.iter_mut().enumerate() {
+            let Some(conn) = &slot.conn else { continue };
+            if conn.deadline(&self.opts).is_some_and(|d| d <= now) {
+                let reason = if conn.ready {
+                    format!(
+                        "request timed out after {}ms",
+                        self.opts.request_timeout.as_millis()
+                    )
+                } else {
+                    format!(
+                        "handshake timed out after {}ms",
+                        self.opts.spawn_timeout.as_millis()
+                    )
+                };
+                self.fail(slot, w, &reason, queue);
             }
         }
     }
@@ -457,40 +573,67 @@ impl EvalDispatch for WorkerPool {
         instance: usize,
         retry: &RetryPolicy,
     ) -> Vec<EvalOutcome> {
-        let n = tasks.len();
-        let results: Mutex<Vec<Option<EvalOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
-        let pending = AtomicUsize::new(n);
-        let (queue_tx, queue_rx) = channel::unbounded();
-        for task in 0..n {
-            queue_tx.send(task).expect("queue is open");
-        }
-        let pullers = self.opts.workers.min(n.max(1));
-        crossbeam::scope(|scope| {
-            for w in 0..pullers {
-                let (queue_tx, queue_rx) = (&queue_tx, &queue_rx);
-                let (results, pending) = (&results, &pending);
-                scope.spawn(move |_| {
-                    self.pull_loop(
-                        w, queue_tx, queue_rx, space, tasks, instance, retry, results, pending,
-                    );
-                });
+        let mut b = Batch {
+            space,
+            tasks,
+            instance,
+            retry,
+            cells: (0..tasks.len()).map(|_| None).collect(),
+            queue: (0..tasks.len()).collect(),
+            left: tasks.len(),
+        };
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        loop {
+            if b.left > 0 {
+                self.spawn_missing(st);
+                if st.slots.iter().all(|s| s.quarantined) {
+                    // Every slot quarantined with work left: degrade to
+                    // the local path so the campaign still completes (and
+                    // still exits 0). Nothing is in flight on a
+                    // quarantined slot.
+                    for task in b.queue.drain(..) {
+                        self.m_fallback.inc();
+                        b.cells[task] = Some(eval_with_retry(
+                            self.fallback.as_ref(),
+                            tasks[task],
+                            space,
+                            instance,
+                            retry,
+                        ));
+                    }
+                    break;
+                }
+                self.feed(st, &mut b);
             }
-        })
-        .expect("pool dispatch threads do not panic");
-        // Every slot quarantined with work left: degrade to the local
-        // path so the campaign still completes (and still exits 0).
-        while pending.load(Ordering::Acquire) > 0 {
-            let task = queue_rx
-                .try_recv()
-                .expect("unfinished tasks are always queued");
-            self.m_fallback.inc();
-            let outcome =
-                eval_with_retry(self.fallback.as_ref(), tasks[task], space, instance, retry);
-            results.lock()[task] = Some(outcome);
-            pending.fetch_sub(1, Ordering::AcqRel);
+            // Wait for the next frame or the earliest deadline. A batch
+            // also waits out the handshakes it started, so every worker
+            // it spawned is ready, and journaled, when it returns.
+            let Some(deadline) = st
+                .slots
+                .iter()
+                .filter_map(|s| s.conn.as_ref()?.deadline(&self.opts))
+                .min()
+            else {
+                if b.left == 0 {
+                    break;
+                }
+                // A send just failed and left nothing in flight: go
+                // round again to respawn.
+                continue;
+            };
+            match st
+                .replies
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            {
+                Ok(inbound) => self.on_frame(st, inbound, &mut b),
+                Err(RecvTimeoutError::Timeout) => self.expire(st, &mut b.queue),
+                Err(RecvTimeoutError::Disconnected) => {
+                    unreachable!("the pool holds a sender of its reply channel")
+                }
+            }
         }
-        results
-            .into_inner()
+        b.cells
             .into_iter()
             .map(|cell| cell.expect("every task has an outcome"))
             .collect()
@@ -499,14 +642,27 @@ impl EvalDispatch for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        for slot in &self.slots {
-            let mut slot = slot.lock();
-            if let Some(mut conn) = slot.conn.take() {
-                // Orderly goodbye first; the kill in Conn::drop is the
-                // backstop for workers that ignore it.
-                if write_request(&mut conn.writer, &Request::Shutdown).is_ok() {
-                    let _ = conn.rx.recv_timeout(Duration::from_millis(500));
-                }
+        let st = self.state.get_mut();
+        // Orderly goodbye to every worker at once; the kill in
+        // Conn::drop is the backstop for workers that ignore it.
+        let mut awaiting: Vec<Option<u64>> = st
+            .slots
+            .iter_mut()
+            .map(|slot| {
+                let conn = slot.conn.as_mut()?;
+                write_request(&mut conn.writer, &Request::Shutdown)
+                    .is_ok()
+                    .then_some(conn.generation)
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_millis(500);
+        while awaiting.iter().any(Option::is_some) {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let Ok(inbound) = st.replies.recv_timeout(wait) else {
+                break;
+            };
+            if ends_stream(&inbound.frame) && awaiting[inbound.slot] == Some(inbound.generation) {
+                awaiting[inbound.slot] = None;
             }
         }
     }
@@ -517,6 +673,7 @@ mod tests {
     use super::*;
     use crate::worker::{serve, WorkerOptions, WorkerStack};
     use std::os::unix::net::UnixStream;
+    use std::sync::atomic::Ordering;
 
     struct LinearCost;
     impl TryCostFn for LinearCost {
@@ -526,7 +683,10 @@ mod tests {
             space: &ParamSpace,
             instance: usize,
         ) -> Result<f64, EvalError> {
-            Ok(cfg.integer(space, "x") as f64 + instance as f64 * 0.125)
+            match instance {
+                3 => Err(EvalError::Transient("flaky board".to_string())),
+                _ => Ok(cfg.integer(space, "x") as f64 + instance as f64 * 0.125),
+            }
         }
     }
 
@@ -548,33 +708,99 @@ mod tests {
         }
     }
 
-    /// Serves the synthetic stack over a socketpair in a thread.
+    /// Sleeps before every evaluation, then costs like [`LinearCost`].
+    struct SlowCost(Duration);
+    impl TryCostFn for SlowCost {
+        fn try_cost(
+            &self,
+            cfg: &Configuration,
+            space: &ParamSpace,
+            instance: usize,
+        ) -> Result<f64, EvalError> {
+            std::thread::sleep(self.0);
+            LinearCost.try_cost(cfg, space, instance)
+        }
+    }
+
+    /// Serves a synthetic stack evaluating with `cost` over a socketpair,
+    /// in a thread.
+    fn serve_in_thread(
+        opts: WorkerOptions,
+        cost: Arc<dyn TryCostFn + Send + Sync>,
+    ) -> Result<WorkerLink, String> {
+        let (coord, work) = UnixStream::pair().map_err(|e| e.to_string())?;
+        std::thread::spawn(move || {
+            let mut reader = work.try_clone().expect("clone socket");
+            let mut writer = work;
+            let _ = serve(&mut reader, &mut writer, &opts, |_| {
+                Ok(WorkerStack {
+                    space: space(),
+                    cost,
+                    n_instances: 4,
+                })
+            });
+        });
+        let reader = coord.try_clone().map_err(|e| e.to_string())?;
+        Ok(WorkerLink {
+            writer: Box::new(coord),
+            reader: Box::new(reader),
+            pid: 0,
+            child: None,
+        })
+    }
+
+    /// Serves [`LinearCost`] workers.
     struct Loopback {
         opts: WorkerOptions,
     }
 
     impl WorkerLauncher for Loopback {
         fn launch(&self, _worker: usize) -> Result<WorkerLink, String> {
-            let (coord, work) = UnixStream::pair().map_err(|e| e.to_string())?;
-            let opts = self.opts.clone();
-            std::thread::spawn(move || {
-                let mut reader = work.try_clone().expect("clone socket");
-                let mut writer = work;
-                let _ = serve(&mut reader, &mut writer, &opts, |_| {
-                    Ok(WorkerStack {
-                        space: space(),
-                        cost: Arc::new(LinearCost),
-                        n_instances: 4,
-                    })
-                });
-            });
-            let reader = coord.try_clone().map_err(|e| e.to_string())?;
-            Ok(WorkerLink {
-                writer: Box::new(coord),
-                reader: Box::new(reader),
-                pid: 0,
-                child: None,
-            })
+            serve_in_thread(self.opts.clone(), Arc::new(LinearCost))
+        }
+    }
+
+    /// Serves [`SlowCost`] workers.
+    struct Slow(Duration);
+
+    impl WorkerLauncher for Slow {
+        fn launch(&self, _worker: usize) -> Result<WorkerLink, String> {
+            serve_in_thread(WorkerOptions::default(), Arc::new(SlowCost(self.0)))
+        }
+    }
+
+    /// Serves like [`Loopback`], except that slot 0's first worker dies
+    /// on its first evaluation request, with everything it held unanswered.
+    struct KillFirst {
+        launches: std::sync::atomic::AtomicUsize,
+    }
+
+    impl WorkerLauncher for KillFirst {
+        fn launch(&self, worker: usize) -> Result<WorkerLink, String> {
+            let first = self.launches.fetch_add(1, Ordering::Relaxed) == 0;
+            let opts = WorkerOptions {
+                exit_after: (first && worker == 0).then_some(1),
+                only_worker: None,
+            };
+            Loopback { opts }.launch(worker)
+        }
+    }
+
+    /// Serves [`LinearCost`] workers, except that the first one launched
+    /// takes 400 ms per evaluation.
+    struct SlowFirst {
+        launches: std::sync::atomic::AtomicUsize,
+    }
+
+    impl WorkerLauncher for SlowFirst {
+        fn launch(&self, _worker: usize) -> Result<WorkerLink, String> {
+            let cost: Arc<dyn TryCostFn + Send + Sync> =
+                if self.launches.fetch_add(1, Ordering::Relaxed) == 0 {
+                    Arc::new(SlowCost(Duration::from_millis(400)))
+                } else {
+                    Arc::new(LinearCost)
+                };
+            serve_in_thread(WorkerOptions::default(), cost)
         }
     }
 
@@ -627,6 +853,229 @@ mod tests {
             );
             assert_eq!(*retries, expect.1);
         }
+    }
+
+    /// Asserts `got` equals the local `eval_with_retry` path task by
+    /// task: costs bit for bit, errors and retry counts exactly.
+    fn assert_matches_local(
+        got: &[EvalOutcome],
+        tasks: &[&Configuration],
+        space: &ParamSpace,
+        instance: usize,
+        retry: &RetryPolicy,
+    ) {
+        assert_eq!(got.len(), tasks.len());
+        for (slot, (result, retries)) in got.iter().enumerate() {
+            let (want, want_retries) =
+                eval_with_retry(&LinearCost, tasks[slot], space, instance, retry);
+            assert_eq!(
+                result.clone().map(f64::to_bits),
+                want.map(f64::to_bits),
+                "slot {slot} diverged"
+            );
+            assert_eq!(*retries, want_retries, "slot {slot} retries diverged");
+        }
+    }
+
+    #[test]
+    fn many_small_batches_finish_without_waiting_on_a_timer() {
+        // A poll-driven pool idles a timer tick at every batch tail; 100
+        // batches of 3 trivial tasks on 2 slots would take seconds.
+        let space = space();
+        let pool = WorkerPool::new(
+            Box::new(Loopback {
+                opts: WorkerOptions::default(),
+            }),
+            PoolOptions::new(2, init_spec()),
+            Arc::new(LinearCost),
+            Telemetry::disabled(),
+        );
+        let retry = RetryPolicy::immediate(1);
+        // Spawn and handshake happen in the first batch; time the rest.
+        let cfgs = configs(&space, &[5, 2, 7]);
+        let tasks: Vec<&Configuration> = cfgs.iter().collect();
+        assert_matches_local(
+            &pool.eval_batch(&space, &tasks, 0, &retry),
+            &tasks,
+            &space,
+            0,
+            &retry,
+        );
+        let started = Instant::now();
+        for round in 0..100u16 {
+            let cfgs = configs(&space, &[round % 8, (round + 3) % 8, (round * 5) % 8]);
+            let tasks: Vec<&Configuration> = cfgs.iter().collect();
+            let instance = usize::from(round % 3);
+            let got = pool.eval_batch(&space, &tasks, instance, &retry);
+            assert_matches_local(&got, &tasks, &space, instance, &retry);
+        }
+        let wall = started.elapsed();
+        assert!(
+            wall < Duration::from_secs(1),
+            "100 batches of 3 tasks took {wall:?}"
+        );
+    }
+
+    #[test]
+    fn a_worker_killed_with_two_requests_in_flight_has_both_requeued() {
+        let telemetry = Telemetry::in_memory();
+        // One slot, so both tasks go to the doomed worker together.
+        let pool = WorkerPool::new(
+            Box::new(KillFirst {
+                launches: std::sync::atomic::AtomicUsize::new(0),
+            }),
+            PoolOptions::new(1, init_spec()),
+            Arc::new(LinearCost),
+            telemetry.clone(),
+        );
+        let space = space();
+        let cfgs = configs(&space, &[6, 1]);
+        let tasks: Vec<&Configuration> = cfgs.iter().collect();
+        // Instance 3 fails transiently every time: both outcomes are
+        // escalations whose retry counts must equal the local path's.
+        let retry = RetryPolicy::immediate(3);
+        let got = pool.eval_batch(&space, &tasks, 3, &retry);
+        assert_matches_local(&got, &tasks, &space, 3, &retry);
+        assert!(got.iter().all(|(r, retries)| r.is_err() && *retries == 2));
+        assert_eq!(telemetry.counter("dist.redispatched").get(), 2);
+        assert_eq!(telemetry.counter("dist.dispatched").get(), 2);
+        assert_eq!(telemetry.counter("dist.local_fallback").get(), 0);
+        let journal = telemetry.lines();
+        let count = |ev: &str| journal.iter().filter(|l| l.contains(ev)).count();
+        assert_eq!(count("\"ev\":\"worker_failed\""), 1, "{journal:#?}");
+        assert_eq!(count("\"ev\":\"worker_spawned\""), 2, "respawned once");
+        assert_eq!(count("\"ev\":\"worker_quarantined\""), 0);
+    }
+
+    #[test]
+    fn a_queued_request_waits_out_its_predecessor_before_its_deadline_starts() {
+        // 150 ms per evaluation against a 250 ms deadline: every request
+        // is answered within 250 ms of the worker being able to start
+        // it, but the second of a pipelined pair is answered ~300 ms
+        // after its send. Timing it from the send would kill a healthy
+        // worker.
+        let telemetry = Telemetry::in_memory();
+        let pool = WorkerPool::new(
+            Box::new(Slow(Duration::from_millis(150))),
+            PoolOptions {
+                request_timeout: Duration::from_millis(250),
+                ..PoolOptions::new(1, init_spec())
+            },
+            Arc::new(LinearCost),
+            telemetry.clone(),
+        );
+        let space = space();
+        let cfgs = configs(&space, &[2, 4, 6]);
+        let tasks: Vec<&Configuration> = cfgs.iter().collect();
+        let retry = RetryPolicy::immediate(1);
+        let got = pool.eval_batch(&space, &tasks, 1, &retry);
+        assert_matches_local(&got, &tasks, &space, 1, &retry);
+        assert_eq!(telemetry.counter("dist.dispatched").get(), 3);
+        let journal = telemetry.lines();
+        assert!(
+            !journal
+                .iter()
+                .any(|l| l.contains("\"ev\":\"worker_failed\"")),
+            "{journal:#?}"
+        );
+    }
+
+    #[test]
+    fn a_hung_worker_times_out_and_its_requests_run_locally() {
+        let telemetry = Telemetry::in_memory();
+        let pool = WorkerPool::new(
+            Box::new(Slow(Duration::from_secs(30))),
+            PoolOptions {
+                request_timeout: Duration::from_millis(100),
+                max_failures: 1,
+                ..PoolOptions::new(1, init_spec())
+            },
+            Arc::new(LinearCost),
+            telemetry.clone(),
+        );
+        let space = space();
+        let cfgs = configs(&space, &[7, 0, 3]);
+        let tasks: Vec<&Configuration> = cfgs.iter().collect();
+        let retry = RetryPolicy::immediate(1);
+        let started = Instant::now();
+        let got = pool.eval_batch(&space, &tasks, 2, &retry);
+        assert!(started.elapsed() < Duration::from_secs(10), "hung batch");
+        assert_matches_local(&got, &tasks, &space, 2, &retry);
+        assert_eq!(telemetry.counter("dist.redispatched").get(), 2);
+        assert_eq!(telemetry.counter("dist.local_fallback").get(), 3);
+        let journal = telemetry.lines();
+        assert!(
+            journal
+                .iter()
+                .any(|l| l.contains("\"ev\":\"worker_failed\"") && l.contains("request timed out")),
+            "{journal:#?}"
+        );
+    }
+
+    #[test]
+    fn a_late_reply_from_a_killed_worker_is_not_taken_for_its_replacements() {
+        // The first worker times out at 100 ms and is replaced, but still
+        // answers at 400 ms on the connection the pool gave up on. That
+        // frame must be dropped, not charged to the replacement.
+        let telemetry = Telemetry::in_memory();
+        let pool = WorkerPool::new(
+            Box::new(SlowFirst {
+                launches: std::sync::atomic::AtomicUsize::new(0),
+            }),
+            PoolOptions {
+                request_timeout: Duration::from_millis(100),
+                ..PoolOptions::new(1, init_spec())
+            },
+            Arc::new(LinearCost),
+            telemetry.clone(),
+        );
+        let space = space();
+        let cfgs = configs(&space, &[1, 5]);
+        let tasks: Vec<&Configuration> = cfgs.iter().collect();
+        let retry = RetryPolicy::immediate(1);
+        let got = pool.eval_batch(&space, &tasks, 0, &retry);
+        assert_matches_local(&got, &tasks, &space, 0, &retry);
+        // Let the late reply land, then make the pool read it.
+        std::thread::sleep(Duration::from_millis(500));
+        let got = pool.eval_batch(&space, &tasks, 1, &retry);
+        assert_matches_local(&got, &tasks, &space, 1, &retry);
+        let journal = telemetry.lines();
+        let failed: Vec<&String> = journal
+            .iter()
+            .filter(|l| l.contains("\"ev\":\"worker_failed\""))
+            .collect();
+        assert_eq!(failed.len(), 1, "{failed:#?}");
+        assert!(failed[0].contains("request timed out"), "{failed:#?}");
+    }
+
+    #[test]
+    fn remote_evaluations_are_journaled_like_local_ones() {
+        let telemetry = Telemetry::in_memory();
+        let pool = WorkerPool::new(
+            Box::new(Loopback {
+                opts: WorkerOptions::default(),
+            }),
+            PoolOptions {
+                workloads: vec!["MD".to_string(), "MC".to_string()],
+                ..PoolOptions::new(2, init_spec())
+            },
+            Arc::new(LinearCost),
+            telemetry.clone(),
+        );
+        let space = space();
+        let cfgs = configs(&space, &[0, 3, 4]);
+        let tasks: Vec<&Configuration> = cfgs.iter().collect();
+        let retry = RetryPolicy::immediate(1);
+        pool.eval_batch(&space, &tasks, 1, &retry);
+        // Failed evaluations journal no `evaluation` event, as in-process.
+        pool.eval_batch(&space, &tasks, 3, &retry);
+        let evals: Vec<String> = telemetry
+            .lines()
+            .into_iter()
+            .filter(|l| l.contains("\"ev\":\"evaluation\""))
+            .collect();
+        assert_eq!(evals.len(), 3, "{evals:#?}");
+        assert!(evals.iter().all(|l| l.contains("\"workload\":\"MC\"")));
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! Every frame is a 4-byte big-endian length prefix followed by exactly
 //! that many bytes of UTF-8: one flat JSON object (the same codec the
 //! telemetry journal uses, [`racesim_telemetry::json`]). The protocol is
-//! strictly request/response over an ordered byte stream — stdin/stdout
-//! for spawned workers, any `Read`/`Write` pair for tests:
+//! request/response over an ordered byte stream — stdin/stdout for
+//! spawned workers, any `Read`/`Write` pair for tests. A worker answers
+//! requests one at a time, in the order they arrive, so the coordinator
+//! may send the next `eval` before the previous reply lands:
 //!
 //! ```text
 //! coordinator                          worker
 //!     | -- init {core,scale,faults,...} -> |   (once, on spawn)
 //!     | <- ready {worker,n_instances,...}  |
-//!     | -- eval {id,cfg,inst,retry...} --> |   (repeated)
-//!     | <- eval {id,outcome,retries} ----- |
+//!     | -- eval {id,cfg,inst,retry...} --> |   (repeated, pipelined)
+//!     | <- eval {id,outcome,retries,us} -- |
 //!     | -- shutdown ---------------------> |
 //!     | <- bye --------------------------- |
 //! ```
@@ -229,6 +231,9 @@ pub enum Response {
         outcome: Outcome,
         /// Transient retries the worker consumed producing it.
         retries: u64,
+        /// Wall time the worker spent on the evaluation, retries
+        /// included, in microseconds.
+        micros: u64,
     },
     /// Orderly-teardown acknowledgement.
     Bye,
@@ -389,6 +394,7 @@ impl Response {
                 id,
                 outcome,
                 retries,
+                micros,
             } => {
                 o.str("kind", "eval").u64("id", *id);
                 match outcome {
@@ -405,7 +411,7 @@ impl Response {
                         o.str("outcome", "config").str("reason", reason);
                     }
                 }
-                o.u64("retries", *retries);
+                o.u64("retries", *retries).u64("micros", *micros);
             }
             Response::Bye => {
                 o.str("kind", "bye");
@@ -452,6 +458,8 @@ impl Response {
                     id: f.u64("id")?,
                     outcome,
                     retries: f.u64("retries")?,
+                    // Absent in frames from workers that predate it.
+                    micros: f.u64_or("micros", 0)?,
                 })
             }
             "bye" => Ok(Response::Bye),
@@ -551,6 +559,7 @@ mod tests {
             id: 7,
             outcome: Outcome::Cost(0.25f64.to_bits()),
             retries: 1,
+            micros: 1234,
         };
         write_response(&mut buf, &resp).unwrap();
         let mut r = &buf[..];
@@ -580,6 +589,21 @@ mod tests {
             Request::Init(spec) => assert!(!spec.static_bounds),
             other => panic!("expected init, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn eval_replies_without_micros_decode_as_zero() {
+        let legacy = "{\"kind\":\"eval\",\"id\":3,\"outcome\":\"cost\",\
+                      \"bits\":0,\"retries\":2}";
+        assert_eq!(
+            Response::decode(legacy).unwrap(),
+            Response::Eval {
+                id: 3,
+                outcome: Outcome::Cost(0),
+                retries: 2,
+                micros: 0,
+            }
+        );
     }
 
     #[test]
@@ -622,6 +646,7 @@ mod tests {
                 id: 1,
                 outcome: Outcome::Cost(bad.to_bits()),
                 retries: 0,
+                micros: 0,
             }
             .encode();
             assert!(matches!(

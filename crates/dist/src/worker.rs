@@ -23,7 +23,7 @@
 
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use racesim_core::CampaignSpec;
 use racesim_hw::FaultPlan;
@@ -137,6 +137,7 @@ pub fn serve(
                 if lethal && opts.exit_after == Some(served) {
                     return Ok(ServeEnd::Killed);
                 }
+                let started = Instant::now();
                 let (outcome, retries) = match decode_config(&stack.space, &config) {
                     Ok(cfg) => {
                         let (result, retries) = eval_with_retry(
@@ -159,6 +160,7 @@ pub fn serve(
                         id,
                         outcome,
                         retries,
+                        micros: started.elapsed().as_micros() as u64,
                     },
                 )?;
             }
@@ -347,23 +349,22 @@ mod tests {
                 n_params: 1
             }
         );
-        // x = 5 (index 4): (5-3)^2 + instance.
-        assert_eq!(
-            read_response(&mut r).unwrap(),
-            Response::Eval {
-                id: 1,
-                outcome: Outcome::Cost(6.0f64.to_bits()),
-                retries: 0
+        // x = 5 (index 4): (5-3)^2 + instance. `micros` is wall time.
+        for (want_id, want_cost) in [(1, 6.0f64), (2, 4.0)] {
+            match read_response(&mut r).unwrap() {
+                Response::Eval {
+                    id,
+                    outcome,
+                    retries,
+                    ..
+                } => {
+                    assert_eq!(id, want_id);
+                    assert_eq!(outcome, Outcome::Cost(want_cost.to_bits()));
+                    assert_eq!(retries, 0);
+                }
+                other => panic!("expected an eval reply, got {other:?}"),
             }
-        );
-        assert_eq!(
-            read_response(&mut r).unwrap(),
-            Response::Eval {
-                id: 2,
-                outcome: Outcome::Cost(4.0f64.to_bits()),
-                retries: 0
-            }
-        );
+        }
         assert_eq!(read_response(&mut r).unwrap(), Response::Bye);
     }
 

@@ -119,13 +119,14 @@ fn any_response() -> BoxedStrategy<Response> {
                 n_params,
             }
         }),
-        (any::<u64>(), any_outcome(), 0..1_000u64).prop_map(|(id, outcome, retries)| {
-            Response::Eval {
+        (any::<u64>(), any_outcome(), 0..1_000u64, any::<u64>()).prop_map(
+            |(id, outcome, retries, micros)| Response::Eval {
                 id,
                 outcome,
                 retries,
+                micros,
             }
-        }),
+        ),
         Just(Response::Bye),
     ]
     .boxed()
@@ -199,6 +200,7 @@ proptest! {
             id: 1,
             outcome: Outcome::Cost(bits),
             retries: 0,
+            micros: 0,
         }
         .encode();
         prop_assert!(matches!(
