@@ -27,6 +27,7 @@ use crate::ir::KernelProfile;
 use crate::param::parameter_is_live;
 use racesim_race::{Configuration, ParamSpace};
 use racesim_sim::Platform;
+use racesim_telemetry::json::quoted;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -293,7 +294,7 @@ impl CoverageMatrix {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&crate::diag::json_string(k));
+            out.push_str(&quoted(k));
         }
         out.push_str("],\"params\":[");
         for (i, p) in self.params.iter().enumerate() {
@@ -303,8 +304,8 @@ impl CoverageMatrix {
             let _ = write!(
                 out,
                 "{{\"name\":{},\"requirement\":{},\"observers\":[",
-                crate::diag::json_string(&p.name),
-                crate::diag::json_string(&p.requirement.describe()),
+                quoted(&p.name),
+                quoted(&p.requirement.describe()),
             );
             let mut first = true;
             for (o, k) in p.observers.iter().zip(&self.kernels) {
@@ -313,7 +314,7 @@ impl CoverageMatrix {
                         out.push(',');
                     }
                     first = false;
-                    out.push_str(&crate::diag::json_string(k));
+                    out.push_str(&quoted(k));
                 }
             }
             out.push_str("]}");

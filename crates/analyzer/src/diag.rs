@@ -7,6 +7,7 @@
 //! kernel static analysis, `RA3xx` measurement effects, `RA4xx` kernel IR
 //! and campaign coverage, `RA5xx` determinism audit.
 
+use racesim_telemetry::json::quoted;
 use std::fmt;
 
 /// How bad a finding is.
@@ -373,46 +374,26 @@ impl Report {
             }
             out.push_str(&format!(
                 "{{\"code\":{},\"lint\":{},\"severity\":{},\"message\":{},\"context\":{{",
-                json_string(d.lint.code()),
-                json_string(d.lint.name()),
-                json_string(d.severity.label()),
-                json_string(&d.message)
+                quoted(d.lint.code()),
+                quoted(d.lint.name()),
+                quoted(d.severity.label()),
+                quoted(&d.message)
             ));
             for (j, (k, v)) in d.context.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("{}:{}", json_string(k), json_string(v)));
+                out.push_str(&format!("{}:{}", quoted(k), quoted(v)));
             }
             out.push_str("}}");
         }
         out.push(']');
         for (key, value) in sections {
-            out.push_str(&format!(",{}:{value}", json_string(key)));
+            out.push_str(&format!(",{}:{value}", quoted(key)));
         }
         out.push('}');
         out
     }
-}
-
-/// Escapes a string per RFC 8259 (shared by the report and the coverage
-/// matrix rendering).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -33,7 +33,6 @@
 use racesim_bench::{banner, validate, ExperimentConfig};
 use racesim_core::{CampaignSpec, Revision};
 use racesim_kernels::{microbench_suite, Scale};
-use racesim_race::{RacingTuner, TryCostFn};
 use racesim_sim::{Platform, Simulator};
 use racesim_telemetry::{Profiler, Telemetry};
 use racesim_uarch::CoreKind;
@@ -194,7 +193,7 @@ fn measure_dist_tune(cfg: &ExperimentConfig, workers: usize) -> (f64, f64) {
         let telemetry = Telemetry::disabled();
         let stack = spec.build_stack(&telemetry).expect("campaign stack");
         let n_instances = stack.cost.len();
-        let mut tuner = RacingTuner::new(spec.tuner_settings());
+        let mut tuner = spec.tuner(&stack, &telemetry).expect("campaign tuner");
         if pool_workers > 0 {
             let exe = std::env::current_exe().expect("own binary path");
             let argv = vec![exe.display().to_string(), "--dist-worker".to_string()];
@@ -210,13 +209,13 @@ fn measure_dist_tune(cfg: &ExperimentConfig, workers: usize) -> (f64, f64) {
             let pool = racesim_dist::WorkerPool::new(
                 Box::new(racesim_dist::ProcessLauncher::new(argv)),
                 racesim_dist::PoolOptions::new(pool_workers, init),
-                Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
+                Arc::clone(&stack.eval),
                 telemetry.clone(),
             );
             tuner = tuner.with_dispatch(Arc::new(pool));
         }
         let t0 = Instant::now();
-        let result = tuner.try_tune(&stack.space, &*stack.cost, n_instances);
+        let result = tuner.try_tune(&stack.space, &*stack.eval, n_instances);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert!(
             result.best_cost.is_finite(),

@@ -23,14 +23,13 @@
 
 #![warn(missing_docs)]
 
-use racesim_core::validator::PreparedSuite;
+use racesim_core::validator::{evaluate_platform, PreparedSuite};
 use racesim_core::{Revision, ValidationOutcome, Validator, ValidatorSettings};
 use racesim_decoder::Decoder;
 use racesim_hw::{HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{spec_suite, Scale};
 use racesim_race::TunerSettings;
-use racesim_sim::{run_batch, Platform, SimOptions, Simulator};
-use racesim_stats::abs_pct_error;
+use racesim_sim::Platform;
 use racesim_uarch::CoreKind;
 use std::path::PathBuf;
 
@@ -119,25 +118,11 @@ pub fn spec_errors(
     board: &dyn HardwarePlatform,
     scale: Scale,
 ) -> Vec<(String, f64)> {
-    let suite = spec_suite(scale);
-    let prepared = PreparedSuite::prepare(&suite, board).expect("SPEC proxies measurable");
-    let sim = Simulator::with_decoder(platform.clone(), Decoder::new(), SimOptions::default());
-    let jobs: Vec<_> = prepared
-        .traces
-        .iter()
-        .map(|t| (sim.clone(), std::sync::Arc::clone(t)))
-        .collect();
-    let results = run_batch(&jobs, ExperimentConfig::from_env().threads);
-    results
+    let prepared =
+        PreparedSuite::prepare(&spec_suite(scale), board).expect("SPEC proxies measurable");
+    evaluate_platform(platform, Decoder::new(), &prepared)
         .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let stats = r.expect("trace replays");
-            (
-                prepared.names[i].clone(),
-                abs_pct_error(stats.cpi(), prepared.hw[i].cpi()),
-            )
-        })
+        .map(|r| (r.name.clone(), r.error_pct()))
         .collect()
 }
 
@@ -147,6 +132,8 @@ pub mod perturbation {
     use racesim_core::perturb::worst_within_one_step_multistart;
     use racesim_core::report;
     use racesim_race::{Configuration, ParamSpace};
+    use racesim_sim::{SimOptions, Simulator};
+    use racesim_stats::abs_pct_error;
 
     /// Runs the close-to-optimum worst-case experiment for one core kind
     /// and prints/saves the resulting SPEC error profile.

@@ -24,8 +24,9 @@ use racesim_core::{
 use racesim_hw::{FaultPlan, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{microbench_suite, probes, spec_suite, Scale, Workload};
 use racesim_race::replay::{compare, RecordedCampaign, Verdict};
-use racesim_race::{RaceSettings, RacingTuner, TryCostFn, TunerSettings, Value, Watchdog};
+use racesim_race::{RaceSettings, TunerSettings, Value};
 use racesim_sim::{config_text, Platform, Simulator};
+use racesim_telemetry::json::quoted;
 use racesim_telemetry::{parse_journal, read_journal_lossy, Event, JournalEntry, Telemetry};
 use racesim_uarch::CoreKind;
 use std::collections::{BTreeMap, HashMap};
@@ -487,10 +488,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
     let stack = spec.build_stack(&telemetry)?;
     let n_instances = stack.cost.len();
 
-    let mut tuner = RacingTuner::new(spec.tuner_settings()).with_telemetry(telemetry.clone());
-
     if let Some(b) = &stack.bounds {
-        tuner = tuner.with_static_bounds(Arc::clone(b) as _);
         println!(
             "static CPI bounds active over {} kernels: dominated configurations \
              are eliminated before simulation",
@@ -526,9 +524,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         })
         .collect();
     spec.set_frozen(&stack.space, &frozen);
-    if !frozen.is_empty() {
-        tuner = tuner.with_frozen(frozen);
-    }
+    let mut tuner = spec.tuner(&stack, &telemetry)?;
 
     // Record the campaign's deterministic inputs so `racesim replay` can
     // rebuild the exact stack from the journal alone. Every segment
@@ -581,17 +577,10 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         pool_opts.workloads = (0..n_instances)
             .map(|i| stack.cost.name(i).to_string())
             .collect();
-        let fallback: Arc<dyn TryCostFn + Send + Sync> = match spec.timeout_ms {
-            Some(ms) => Arc::new(Watchdog::new(
-                Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-                Duration::from_millis(ms),
-            )),
-            None => Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-        };
         let pool = racesim_dist::WorkerPool::new(
             Box::new(racesim_dist::ProcessLauncher::new(argv)),
             pool_opts,
-            fallback,
+            Arc::clone(&stack.eval),
             telemetry.clone(),
         );
         tuner = tuner.with_dispatch(Arc::new(pool));
@@ -605,16 +594,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         "tuning the {} model over {n_instances} benchmarks (budget {}, seed {:#x}) ...",
         spec.kind, spec.budget, spec.seed
     );
-    let result = match spec.timeout_ms {
-        Some(ms) => {
-            let dog = Watchdog::new(
-                Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-                Duration::from_millis(ms),
-            );
-            tuner.try_tune(&stack.space, &dog, n_instances)
-        }
-        None => tuner.try_tune(&stack.space, &*stack.cost, n_instances),
-    };
+    let result = tuner.try_tune(&stack.space, &*stack.eval, n_instances);
 
     for w in &result.warnings {
         eprintln!("warning: {w}");
@@ -1071,40 +1051,26 @@ impl CampaignSummary {
     }
 
     fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
         fn num(v: f64) -> String {
             if v.is_finite() {
                 format!("{v}")
             } else {
-                esc(&v.to_string())
+                quoted(&v.to_string())
             }
         }
         fn map_u64(m: &BTreeMap<String, u64>) -> String {
-            let body: Vec<String> = m.iter().map(|(k, v)| format!("{}:{v}", esc(k))).collect();
+            let body: Vec<String> = m
+                .iter()
+                .map(|(k, v)| format!("{}:{v}", quoted(k)))
+                .collect();
             format!("{{{}}}", body.join(","))
         }
         let mut parts = Vec::new();
         match &self.config {
             Some((core, scale, faults, fault_seed)) => {
-                parts.push(format!("\"core\":{}", esc(core)));
+                parts.push(format!("\"core\":{}", quoted(core)));
                 parts.push(format!("\"scale\":{scale}"));
-                parts.push(format!("\"faults\":{}", esc(faults)));
+                parts.push(format!("\"faults\":{}", quoted(faults)));
                 parts.push(format!("\"fault_seed\":{fault_seed}"));
             }
             None => parts.push("\"core\":null".to_string()),
@@ -1112,7 +1078,7 @@ impl CampaignSummary {
         let frozen: Vec<String> = self
             .frozen
             .iter()
-            .map(|(p, c)| format!("{}:{}", esc(p), esc(c)))
+            .map(|(p, c)| format!("{}:{}", quoted(p), quoted(c)))
             .collect();
         parts.push(format!("\"frozen\":{{{}}}", frozen.join(",")));
         match self.start {
@@ -1164,7 +1130,7 @@ impl CampaignSummary {
             .map(|(w, (count, cost_sum, us))| {
                 format!(
                     "{}:{{\"count\":{count},\"mean_cost\":{},\"total_us\":{us}}}",
-                    esc(w),
+                    quoted(w),
                     num(cost_sum / (*count).max(1) as f64)
                 )
             })
@@ -1179,7 +1145,7 @@ impl CampaignSummary {
             .map(|(name, (count, sum, p50, p90, p99, max))| {
                 format!(
                     "{}:{{\"count\":{count},\"sum\":{sum},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99},\"max\":{max}}}",
-                    esc(name)
+                    quoted(name)
                 )
             })
             .collect();
@@ -1462,20 +1428,15 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     if flags.get("json").is_some() {
-        // Names reach the output verbatim: a platform name comes from a
-        // user's config file and may hold quotes or backslashes.
-        let escaped = |s: &str| {
-            let mut out = String::new();
-            racesim_telemetry::json::escape_into(&mut out, s);
-            out
-        };
+        // Names are escaped: a platform name comes from a user's config
+        // file and may hold quotes or backslashes.
         let mut kernels = Vec::new();
         for p in &profiles {
             kernels.push(format!(
-                "{{\"name\":\"{}\",\"category\":\"{}\",\"wall_ns\":{},\"instructions\":{},\
+                "{{\"name\":{},\"category\":{},\"wall_ns\":{},\"instructions\":{},\
                  \"cycles\":{},\"coverage\":{:.4},\"profile\":{}}}",
-                escaped(&p.name),
-                escaped(&p.category),
+                quoted(&p.name),
+                quoted(&p.category),
                 p.wall_ns,
                 p.instructions,
                 p.cycles,
@@ -1484,8 +1445,8 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
             ));
         }
         println!(
-            "{{\"schema_version\":1,\"platform\":\"{}\",\"kernels\":[{}]}}",
-            escaped(&platform.name),
+            "{{\"schema_version\":1,\"platform\":{},\"kernels\":[{}]}}",
+            quoted(&platform.name),
             kernels.join(",")
         );
     } else {

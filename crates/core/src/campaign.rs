@@ -66,7 +66,6 @@ pub struct CampaignSpec {
 /// The assembled evaluation stack of a campaign: the tunable space, the
 /// latency-estimated base platform, and the (possibly fault-injected)
 /// lazy suite cost function.
-#[derive(Debug)]
 pub struct CampaignStack {
     /// The tunable parameter space for the spec's core.
     pub space: ParamSpace,
@@ -79,6 +78,21 @@ pub struct CampaignStack {
     /// The static bounds engine, when the spec enables it. Built against
     /// the clean reference board so elimination decisions are replayable.
     pub bounds: Option<Arc<CampaignBounds>>,
+    /// What the race evaluates: `cost`, behind a [`Watchdog`] when the
+    /// spec sets a timeout. `tune`, `replay`, the worker pool's local
+    /// fallback and the workers themselves all cost through this.
+    pub eval: Arc<dyn TryCostFn + Send + Sync>,
+}
+
+impl std::fmt::Debug for CampaignStack {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CampaignStack")
+            .field("space", &self.space)
+            .field("base", &self.base)
+            .field("cost", &self.cost)
+            .field("bounds", &self.bounds)
+            .finish_non_exhaustive()
+    }
 }
 
 impl CampaignSpec {
@@ -235,7 +249,8 @@ impl CampaignSpec {
 
     /// Assembles the evaluation stack: board (fault-injected if the spec
     /// says so), latency-estimated base platform, parameter space, and
-    /// the lazy suite cost — all threaded through `telemetry`.
+    /// the lazy suite cost — all threaded through `telemetry` — wrapped
+    /// in the spec's watchdog.
     ///
     /// # Errors
     ///
@@ -278,12 +293,21 @@ impl CampaignSpec {
             // static interval (debug builds assert; see fallible.rs).
             cost = cost.with_bounds_check(b.kernels().to_vec());
         }
+        let cost = Arc::new(cost);
+        let eval: Arc<dyn TryCostFn + Send + Sync> = match self.timeout_ms {
+            Some(ms) => Arc::new(Watchdog::new(
+                Arc::clone(&cost) as _,
+                Duration::from_millis(ms),
+            )),
+            None => Arc::clone(&cost) as _,
+        };
         Ok(CampaignStack {
             space,
             base,
             suite,
-            cost: Arc::new(cost),
+            cost,
             bounds,
+            eval,
         })
     }
 
@@ -302,6 +326,31 @@ impl CampaignSpec {
             .collect()
     }
 
+    /// The campaign's tuner over `stack`: the spec's settings,
+    /// `telemetry`, the static bounds engine when enabled, and the frozen
+    /// dimensions. `tune` (after [`CampaignSpec::set_frozen`]) and
+    /// `replay` both race with it, so replay verifies the code `tune`
+    /// runs.
+    ///
+    /// # Errors
+    ///
+    /// Rejects frozen codes that do not decode against `stack.space`.
+    pub fn tuner(
+        &self,
+        stack: &CampaignStack,
+        telemetry: &Telemetry,
+    ) -> Result<RacingTuner, String> {
+        let mut tuner = RacingTuner::new(self.tuner_settings()).with_telemetry(telemetry.clone());
+        if let Some(b) = &stack.bounds {
+            tuner = tuner.with_static_bounds(Arc::clone(b) as _);
+        }
+        let frozen = self.decode_frozen(&stack.space)?;
+        if !frozen.is_empty() {
+            tuner = tuner.with_frozen(frozen);
+        }
+        Ok(tuner)
+    }
+
     /// Runs the campaign this spec describes from scratch and returns
     /// the tuner result. Used by `racesim replay` to produce the fresh
     /// journal that is verified against the recording.
@@ -311,26 +360,8 @@ impl CampaignSpec {
     /// Propagates stack-assembly failures and bad frozen codes.
     pub fn run(&self, telemetry: &Telemetry) -> Result<TuneResult, String> {
         let stack = self.build_stack(telemetry)?;
-        let n_instances = stack.cost.len();
-        let mut tuner = RacingTuner::new(self.tuner_settings()).with_telemetry(telemetry.clone());
-        if let Some(b) = &stack.bounds {
-            tuner = tuner.with_static_bounds(Arc::clone(b) as _);
-        }
-        let frozen = self.decode_frozen(&stack.space)?;
-        if !frozen.is_empty() {
-            tuner = tuner.with_frozen(frozen);
-        }
-        let result = match self.timeout_ms {
-            Some(ms) => {
-                let dog = Watchdog::new(
-                    Arc::clone(&stack.cost) as Arc<dyn TryCostFn + Send + Sync>,
-                    Duration::from_millis(ms),
-                );
-                tuner.try_tune(&stack.space, &dog, n_instances)
-            }
-            None => tuner.try_tune(&stack.space, &*stack.cost, n_instances),
-        };
-        Ok(result)
+        let tuner = self.tuner(&stack, telemetry)?;
+        Ok(tuner.try_tune(&stack.space, &*stack.eval, stack.cost.len()))
     }
 }
 

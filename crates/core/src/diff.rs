@@ -15,6 +15,7 @@ use racesim_hw::ReferenceBoard;
 use racesim_kernels::{Scale, Workload};
 use racesim_race::TunerSettings;
 use racesim_sim::{Platform, SimOptions, Simulator};
+use racesim_telemetry::json::quoted;
 use racesim_uarch::CoreKind;
 use std::fmt::Write as _;
 
@@ -321,29 +322,12 @@ impl CpiDiff {
 
     /// Machine-readable report (stable `schema_version: 1`).
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
         fn num(v: f64) -> String {
             if v.is_finite() {
                 format!("{v}")
             } else {
                 // JSON has no Infinity; the marker matches the journal's.
-                esc(if v > 0.0 { "inf" } else { "-inf" })
+                quoted(if v > 0.0 { "inf" } else { "-inf" })
             }
         }
         let rows: Vec<String> = self
@@ -352,7 +336,7 @@ impl CpiDiff {
             .map(|r| {
                 format!(
                     "{{\"kernel\":{},\"cpi_a\":{},\"cpi_b\":{},\"rel_pct\":{},\"diverged\":{}}}",
-                    esc(&r.name),
+                    quoted(&r.name),
                     num(r.cpi_a),
                     num(r.cpi_b),
                     num(r.rel_pct),
@@ -360,12 +344,12 @@ impl CpiDiff {
                 )
             })
             .collect();
-        let names = |xs: &[String]| xs.iter().map(|n| esc(n)).collect::<Vec<_>>().join(",");
+        let names = |xs: &[String]| xs.iter().map(|n| quoted(n)).collect::<Vec<_>>().join(",");
         format!(
             "{{\"schema_version\":1,\"label_a\":{},\"label_b\":{},\"tolerance_pct\":{},\
              \"kernels\":[{}],\"only_a\":[{}],\"only_b\":[{}],\"diverged\":{}}}",
-            esc(&self.label_a),
-            esc(&self.label_b),
+            quoted(&self.label_a),
+            quoted(&self.label_b),
             num(self.tolerance_pct),
             rows.join(","),
             names(&self.only_a),

@@ -1,11 +1,14 @@
-//! Fault-tolerant cost evaluation against a live board.
+//! The cost function every race uses: `validate`, `tune`, `replay`, the
+//! distributed workers and the benchmark all cost a configuration through
+//! [`LazySuiteCost`].
 //!
-//! [`PreparedSuite`](crate::PreparedSuite) measures every benchmark up
-//! front, so a single board fault kills the whole validation before the
-//! race even starts. [`LazySuiteCost`] instead records the traces eagerly
-//! (pure CPU work, no board involved) and measures each benchmark **on
-//! first use inside the race**, translating board pathologies into the
-//! racing layer's failure taxonomy:
+//! It holds one recorded trace per benchmark (generated once, shared by
+//! `Arc`) and one measurement slot per benchmark. `validate` builds it
+//! from a [`PreparedSuite`] with every slot already filled, so it never
+//! touches a board. `tune` builds it with empty slots and measures each
+//! benchmark **on first use inside the race**, so a board fault costs one
+//! benchmark instead of the whole campaign; board pathologies are
+//! translated into the racing layer's failure taxonomy:
 //!
 //! * [`MeasureError::Transient`] → [`EvalError::Transient`] — the race
 //!   retries with bounded backoff;
@@ -19,7 +22,7 @@
 //! discipline, extended to the measurements themselves.
 
 use crate::params::apply;
-use crate::validator::CostMetric;
+use crate::validator::{CostMetric, PreparedSuite};
 use racesim_analyzer::bounds::KernelBounds;
 use racesim_decoder::Decoder;
 use racesim_hw::{HardwarePlatform, MeasureError, PerfCounters};
@@ -38,7 +41,8 @@ pub struct LazySuiteCost {
     base: Platform,
     decoder: Decoder,
     metric: CostMetric,
-    board: Arc<dyn HardwarePlatform>,
+    // `None` for a pre-measured suite, whose slots are all filled.
+    board: Option<Arc<dyn HardwarePlatform>>,
     names: Vec<String>,
     categories: Vec<racesim_kernels::Category>,
     traces: Vec<Arc<TraceBuffer>>,
@@ -84,7 +88,7 @@ impl LazySuiteCost {
             base,
             decoder,
             metric,
-            board,
+            board: Some(board),
             names,
             categories,
             traces,
@@ -93,6 +97,30 @@ impl LazySuiteCost {
             telemetry: Telemetry::disabled(),
             bounds: None,
         })
+    }
+
+    /// The cost over a suite [`PreparedSuite::prepare`] has already
+    /// recorded and measured: the traces are shared and every
+    /// measurement slot is filled, so no board is ever consulted.
+    pub(crate) fn from_prepared(
+        suite: &PreparedSuite,
+        base: Platform,
+        decoder: Decoder,
+        metric: CostMetric,
+    ) -> LazySuiteCost {
+        LazySuiteCost {
+            base,
+            decoder,
+            metric,
+            board: None,
+            names: suite.names.clone(),
+            categories: suite.categories.clone(),
+            traces: suite.traces.clone(),
+            uninit: vec![false; suite.len()],
+            hw: Mutex::new(suite.hw.iter().copied().map(Some).collect()),
+            telemetry: Telemetry::disabled(),
+            bounds: None,
+        }
     }
 
     /// Attaches instance-aligned static CPI bounds: in debug builds,
@@ -157,8 +185,12 @@ impl LazySuiteCost {
         if let Some(c) = slots[instance] {
             return Ok(c);
         }
+        let board = self
+            .board
+            .as_ref()
+            .expect("a pre-measured suite has every slot filled");
         let sw = self.telemetry.stopwatch();
-        let outcome = self.board.measure_trace(
+        let outcome = board.measure_trace(
             &self.names[instance],
             &self.traces[instance],
             self.uninit[instance],

@@ -98,9 +98,9 @@ fn parallel_costs(
     }
     let out: Vec<AtomicU64> = (0..cands.len()).map(|_| AtomicU64::new(0)).collect();
     let next = AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(cands.len()) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let k = next.fetch_add(1, Ordering::Relaxed);
                 if k >= cands.len() {
                     break;
@@ -110,8 +110,7 @@ fn parallel_costs(
                 out[k].store(c.to_bits(), Ordering::Relaxed);
             });
         }
-    })
-    .expect("perturbation worker panicked");
+    });
     out.into_iter()
         .map(|a| f64::from_bits(a.into_inner()))
         .collect()

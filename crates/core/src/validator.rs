@@ -1,14 +1,13 @@
 //! The end-to-end validation flow (Figure 1).
 
+use crate::fallible::LazySuiteCost;
 use crate::latency::{apply_estimates, estimate_latencies};
 use crate::params::{apply, best_guess, build_space, Revision};
 use racesim_analyzer::{Diagnostic, Severity};
 use racesim_decoder::{Decoder, Quirks};
 use racesim_hw::{HardwarePlatform, MeasureError, PerfCounters};
 use racesim_kernels::{microbench_suite, microbench_suite_initialized, Category, Scale, Workload};
-use racesim_race::{
-    Configuration, EvalError, ParamSpace, Pruner, RacingTuner, TryCostFn, TuneResult, TunerSettings,
-};
+use racesim_race::{Configuration, ParamSpace, Pruner, RacingTuner, TuneResult, TunerSettings};
 use racesim_sim::{Platform, SimOptions, Simulator};
 use racesim_stats::abs_pct_error;
 use racesim_trace::TraceBuffer;
@@ -269,50 +268,6 @@ impl PreparedSuite {
     }
 }
 
-/// The cost function handed to the tuner: absolute CPI error of one
-/// benchmark under the candidate configuration.
-struct CpiErrorCost<'a> {
-    base: Platform,
-    suite: &'a PreparedSuite,
-    decoder: Decoder,
-    metric: CostMetric,
-}
-
-impl TryCostFn for CpiErrorCost<'_> {
-    fn try_cost(
-        &self,
-        cfg: &Configuration,
-        space: &ParamSpace,
-        instance: usize,
-    ) -> Result<f64, EvalError> {
-        let platform = apply(space, cfg, &self.base);
-        let sim = Simulator::with_decoder(platform, self.decoder, SimOptions::default());
-        // An unrunnable configuration is a config-side fault: the race
-        // eliminates the candidate with a logged reason instead of
-        // letting a sentinel cost poison the rank statistics.
-        let stats = sim.run(&self.suite.traces[instance]).map_err(|e| {
-            EvalError::Config(format!(
-                "simulator rejected the configuration on {}: {e}",
-                self.suite.names[instance]
-            ))
-        })?;
-        let cost = self.metric.evaluate(
-            stats.cpi(),
-            self.suite.hw[instance].cpi(),
-            stats.core.branch_mpki(),
-            self.suite.hw[instance].branch_mpki(),
-        );
-        if cost.is_finite() {
-            Ok(cost)
-        } else {
-            Err(EvalError::Config(format!(
-                "non-finite cost on {}",
-                self.suite.names[instance]
-            )))
-        }
-    }
-}
-
 /// Simulates one platform over a prepared suite, producing per-benchmark
 /// results (used by the figure-regeneration binaries as well as the
 /// validator itself).
@@ -410,15 +365,13 @@ impl<'hw> Validator<'hw> {
         lint_platform(&untuned)?;
         let untuned_results = evaluate_platform(&untuned, decoder, &suite);
 
-        // Step 4: racing. Sampled configurations that produce an
-        // unrealisable platform are pruned before costing a single
-        // simulation; the race only ever sees realisable candidates.
-        let cost = CpiErrorCost {
-            base: base.clone(),
-            suite: &suite,
-            decoder,
-            metric: self.settings.metric,
-        };
+        // Step 4: racing, through the same cost function `tune` uses,
+        // with every measurement already taken. Sampled configurations
+        // that produce an unrealisable platform are pruned before costing
+        // a single simulation; the race only ever sees realisable
+        // candidates.
+        let cost =
+            LazySuiteCost::from_prepared(&suite, base.clone(), decoder, self.settings.metric);
         let pruner: Pruner = {
             let space = space.clone();
             let base = base.clone();

@@ -23,12 +23,12 @@
 
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use racesim_core::CampaignSpec;
 use racesim_hw::FaultPlan;
 use racesim_kernels::Scale;
-use racesim_race::{eval_with_retry, ParamSpace, TryCostFn, Watchdog};
+use racesim_race::{eval_with_retry, ParamSpace, TryCostFn};
 use racesim_telemetry::Telemetry;
 use racesim_uarch::CoreKind;
 
@@ -178,10 +178,10 @@ pub fn serve(
 }
 
 /// Builds the evaluation stack a spawned worker serves: the campaign's
-/// own `build_stack`, with telemetry disabled (the coordinator journals;
-/// workers stay silent) and the fault seed re-keyed per worker slot via
-/// [`FaultPlan::worker_seed`] so concurrent workers draw distinct,
-/// deterministic fault schedules.
+/// own `build_stack` and its (watchdog-wrapped) `eval`, with telemetry
+/// disabled (the coordinator journals; workers stay silent) and the
+/// fault seed re-keyed per worker slot via [`FaultPlan::worker_seed`] so
+/// concurrent workers draw distinct, deterministic fault schedules.
 ///
 /// # Errors
 ///
@@ -208,15 +208,10 @@ pub fn campaign_stack(init: &InitSpec) -> Result<WorkerStack, String> {
         static_bounds: init.static_bounds,
     };
     let stack = spec.build_stack(&Telemetry::disabled())?;
-    let n_instances = stack.cost.len();
-    let cost: Arc<dyn TryCostFn + Send + Sync> = match spec.timeout_ms {
-        Some(ms) => Arc::new(Watchdog::new(stack.cost, Duration::from_millis(ms))),
-        None => stack.cost,
-    };
     Ok(WorkerStack {
+        n_instances: stack.cost.len(),
         space: stack.space,
-        cost,
-        n_instances,
+        cost: stack.eval,
     })
 }
 

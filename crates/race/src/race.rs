@@ -315,9 +315,11 @@ fn evaluate_block(
     } else {
         let next = std::sync::atomic::AtomicUsize::new(0);
         let slots = parking_lot::Mutex::new(&mut results);
-        crossbeam::scope(|scope| {
+        // Workers cannot panic: evaluation panics are caught in
+        // `eval_one` and classified as config faults.
+        std::thread::scope(|scope| {
             for _ in 0..ctx.threads.min(todo.len()) {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if k >= todo.len() {
                         break;
@@ -327,10 +329,7 @@ fn evaluate_block(
                     slots.lock()[k] = Some(r);
                 });
             }
-        })
-        // Workers cannot panic: evaluation panics are caught in
-        // `eval_one` and classified as config faults.
-        .expect("race evaluation worker cannot panic");
+        });
     }
 
     let mut retries = 0u64;

@@ -29,6 +29,7 @@
 //! `iteration_end` is discarded (the tuner discards that work too), and
 //! quarantines are deduplicated by instance.
 
+use racesim_telemetry::json::quoted;
 use racesim_telemetry::{Event, JournalEntry};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -612,23 +613,6 @@ impl ReplayReport {
 
     /// Machine-readable rendering (stable schema, `schema_version` 1).
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
         let bits = |b: Option<u64>| match b {
             Some(b) => format!("\"{b:016x}\""),
             None => "null".to_string(),
@@ -637,13 +621,13 @@ impl ReplayReport {
             None => "null".to_string(),
             Some(d) => format!(
                 "{{\"location\":{},\"field\":{},\"recorded\":{},\"replayed\":{}}}",
-                esc(&d.location),
-                esc(&d.field),
-                esc(&d.recorded),
-                esc(&d.replayed)
+                quoted(&d.location),
+                quoted(&d.field),
+                quoted(&d.recorded),
+                quoted(&d.replayed)
             ),
         };
-        let notes: Vec<String> = self.notes.iter().map(|n| esc(n)).collect();
+        let notes: Vec<String> = self.notes.iter().map(|n| quoted(n)).collect();
         format!(
             "{{\"schema_version\":1,\"verdict\":\"{}\",\"segments\":{},\
              \"iterations_recorded\":{},\"iterations_replayed\":{},\

@@ -32,11 +32,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 pub mod config_text;
 mod platform;
 mod simulator;
 
-pub use batch::run_batch;
 pub use platform::Platform;
 pub use simulator::{SimError, SimOptions, SimStats, Simulator};

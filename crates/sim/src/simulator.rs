@@ -110,8 +110,8 @@ pub struct Simulator {
 ///     core           per-cause stall cycles from the core model
 /// ```
 ///
-/// The unprofiled path is untouched: `run_records` branches once on
-/// [`SimProf::on`] and otherwise runs the exact pre-profiler loop.
+/// Profiled and unprofiled runs share one replay loop; only the clock
+/// reads and the core's phase accounting depend on [`SimProf::on`].
 #[derive(Debug, Clone, Default)]
 struct SimProf {
     profiler: Profiler,
@@ -150,10 +150,10 @@ impl SimProf {
     }
 }
 
-/// Records per timing chunk in the profiled path: two clock reads per
-/// chunk keep the timing overhead amortised to well under a nanosecond
-/// per instruction.
-const PROFILE_CHUNK: usize = 2048;
+/// Records decoded per replay chunk. When profiling, two clock reads
+/// per chunk keep the timing overhead amortised to well under a
+/// nanosecond per instruction.
+const REPLAY_CHUNK: usize = 2048;
 
 /// Telemetry handles resolved once at attach time, so each run pays only
 /// the atomic updates (or nothing, when telemetry is disabled).
@@ -214,11 +214,11 @@ impl Simulator {
         self
     }
 
-    /// Attaches a self-profiler: runs switch to a chunked, per-phase
-    /// timed replay that attributes wall time to `simulate` → `fetch` /
-    /// `decode` / `execute` / `mem` phases and feeds the core model's
-    /// stall-cycle attribution into a `core` sub-tree. With a disabled
-    /// `profiler` the pre-profiler replay loop runs unchanged.
+    /// Attaches a self-profiler: runs time each replay chunk and
+    /// attribute wall time to `simulate` → `fetch` / `decode` / `execute`
+    /// / `mem` phases, and feed the core model's stall-cycle attribution
+    /// into a `core` sub-tree. With a disabled `profiler` the same loop
+    /// runs without reading the clock.
     pub fn with_profiler(mut self, profiler: Profiler) -> Simulator {
         self.prof = if profiler.is_enabled() {
             SimProf::new(profiler)
@@ -277,11 +277,7 @@ impl Simulator {
             });
         }
 
-        if profiled {
-            self.replay_profiled(core.as_mut(), &mut mem, records)?;
-        } else {
-            self.replay(core.as_mut(), &mut mem, records)?;
-        }
+        self.replay(core.as_mut(), &mut mem, records)?;
         let stats = SimStats {
             core: core.stats(),
             mem: mem.stats(),
@@ -328,44 +324,23 @@ impl Simulator {
         }
     }
 
-    /// The unprofiled replay loop: byte-for-byte the pre-profiler hot
-    /// path (the `decode` timer inside `decode_cached` is dead here).
+    /// The replay loop. Each [`REPLAY_CHUNK`]-record chunk is decoded
+    /// into a reused `DynInst` buffer (fetch), then consumed by the core
+    /// (execute); the per-record decode/consume order, and so every
+    /// counter, is the same as a record-at-a-time walk. The clock is read
+    /// only when a profiler is attached, twice per chunk.
     fn replay(
         &self,
         core: &mut dyn CoreModel,
         mem: &mut MemoryHierarchy,
         records: &[TraceRecord],
     ) -> Result<(), SimError> {
+        let profiled = self.prof.on();
+        let clock = || profiled.then(Instant::now);
         let mut decode_cache: HashMap<EncodedInst, StaticInst> = HashMap::new();
-        for r in records {
-            let stat = self.decode_cached(&mut decode_cache, r)?;
-            let dyn_inst = DynInst {
-                pc: r.pc(),
-                stat,
-                ea: r.ea().unwrap_or(0),
-                taken: r.taken(),
-                target: r.target().unwrap_or(0),
-            };
-            core.consume(&dyn_inst, mem);
-        }
-        core.finish(mem);
-        Ok(())
-    }
-
-    /// The profiled replay loop: identical simulation semantics (same
-    /// per-record decode/consume order), but fetch and execute are
-    /// timed per [`PROFILE_CHUNK`]-record chunk so clock reads amortise
-    /// to a negligible per-instruction cost.
-    fn replay_profiled(
-        &self,
-        core: &mut dyn CoreModel,
-        mem: &mut MemoryHierarchy,
-        records: &[TraceRecord],
-    ) -> Result<(), SimError> {
-        let mut decode_cache: HashMap<EncodedInst, StaticInst> = HashMap::new();
-        let mut dyn_insts: Vec<DynInst> = Vec::with_capacity(PROFILE_CHUNK);
-        for chunk in records.chunks(PROFILE_CHUNK) {
-            let t0 = Instant::now();
+        let mut dyn_insts: Vec<DynInst> = Vec::with_capacity(REPLAY_CHUNK.min(records.len()));
+        for chunk in records.chunks(REPLAY_CHUNK) {
+            let t0 = clock();
             dyn_insts.clear();
             for r in chunk {
                 let stat = self.decode_cached(&mut decode_cache, r)?;
@@ -377,21 +352,26 @@ impl Simulator {
                     target: r.target().unwrap_or(0),
                 });
             }
-            self.prof
-                .fetch
-                .add(chunk.len() as u64, t0.elapsed().as_nanos() as u64);
-            let t1 = Instant::now();
+            lap(&self.prof.fetch, chunk.len(), t0);
+            let t1 = clock();
             for dyn_inst in &dyn_insts {
                 core.consume(dyn_inst, mem);
             }
-            self.prof
-                .execute
-                .add(chunk.len() as u64, t1.elapsed().as_nanos() as u64);
+            lap(&self.prof.execute, chunk.len(), t1);
         }
-        let t2 = Instant::now();
+        let t2 = clock();
         core.finish(mem);
-        self.prof.execute.add(0, t2.elapsed().as_nanos() as u64);
+        lap(&self.prof.execute, 0, t2);
         Ok(())
+    }
+}
+
+/// Records `count` invocations into `timer` lasting since `start`, when
+/// the clock was read at all.
+#[inline]
+fn lap(timer: &PhaseTimer, count: usize, start: Option<Instant>) {
+    if let Some(t) = start {
+        timer.add(count as u64, t.elapsed().as_nanos() as u64);
     }
 }
 

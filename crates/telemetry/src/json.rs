@@ -25,6 +25,15 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
+/// `s` as a quoted JSON string literal.
+pub fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(&mut out, s);
+    out.push('"');
+    out
+}
+
 /// Formats an `f64` as a JSON value. Finite values use Rust's shortest
 /// round-trip decimal rendering; non-finite values (invalid JSON numbers)
 /// are encoded as the strings `"NaN"`, `"inf"` and `"-inf"`.

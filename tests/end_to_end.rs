@@ -107,3 +107,24 @@ fn analysis_of_untuned_initial_model_recommends_the_papers_fixes() {
         report.overall_error
     );
 }
+
+#[test]
+fn quick_a53_validation_is_pinned_bit_for_bit() {
+    // Recorded from the quick A53 validation before `validate` raced on
+    // the campaign's cost function: any change to the cost path, the
+    // replay loop or the race that moves a single bit shows up here.
+    let board = ReferenceBoard::firefly_a53();
+    let settings = ValidatorSettings::quick(CoreKind::InOrder);
+    let outcome = Validator::new(&board, settings).run().expect("pipeline");
+    assert_eq!(
+        outcome.tune.best_cost.to_bits(),
+        0x4044_b047_e7bf_c591,
+        "best cost {}",
+        outcome.tune.best_cost
+    );
+    assert_eq!(outcome.tune.evals_used, 593);
+    assert_eq!(
+        racesim::sim::config_text::to_text(&outcome.tuned),
+        include_str!("fixtures/validate_quick_a53.cfg")
+    );
+}
