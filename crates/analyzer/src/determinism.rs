@@ -122,7 +122,6 @@ fn adversarial_checkpoint(space: &ParamSpace) -> TunerCheckpoint {
         next_iteration: 3,
         budget_remaining: 1234,
         evals_used: 766,
-        pruned: 9,
         retries: 2,
         failed_configs: 1,
         seed: 0xBADC_AB1E,

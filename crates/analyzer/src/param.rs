@@ -115,8 +115,8 @@ fn degenerate(name: &str, n: usize) -> Diagnostic {
 /// default; callers usually add their best-guess). Invariant violations
 /// *at* an anchor are errors — the space's home region is broken.
 /// Violations reached by changing a single parameter away from an anchor
-/// are warnings: the configuration is sampleable, so the race must prune
-/// it, but the space as shipped is usable.
+/// are warnings: the configuration is sampleable and still simulates, so
+/// the race merely costs it; the space as shipped is usable.
 pub fn check_model(
     space: &ParamSpace,
     anchors: &[(&str, Configuration)],
@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn one_d_sweep_finds_reachable_latency_inversion() {
         // The space admits l1d.latency=16 while l2 stays at its default
-        // 15: a sampleable inversion, reported as prunable (Warn).
+        // 15: a sampleable inversion, reported as a warning.
         let mut s = ParamSpace::new();
         s.add_integer("l1d.latency", &[3, 10, 16]);
         s.add_integer("l2.latency", &[15, 18]);
@@ -524,7 +524,7 @@ mod tests {
         assert_eq!(
             d.severity,
             Severity::Warn,
-            "reachable-but-prunable is a warning"
+            "reachable-but-sampleable is a warning"
         );
         assert!(d
             .context

@@ -5,9 +5,10 @@
 //! increasing memory latencies, pipeline structures no smaller than the
 //! widths that feed them, non-zero resources and latencies, power-of-two
 //! predictor tables. It is the shared gate behind the CLI's `lint`
-//! subcommand, `racesim-core`'s validator (which refuses to spend
-//! simulation budget on an unrealisable platform), and the tuner-side
-//! configuration pruner.
+//! subcommand and `racesim-core`'s validator, which refuses to spend
+//! simulation budget on an unrealisable base or best-guess platform.
+//! Sampled configurations are not gated: a flagged sample still
+//! simulates, so the race simply costs it like any other.
 
 use crate::diag::{Diagnostic, Lint, Severity};
 use racesim_sim::Platform;
@@ -36,8 +37,8 @@ pub fn check_into(platform: &Platform, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// True when the platform carries no error-severity violation: the cheap
-/// yes/no form the tuner's pruner uses.
+/// True when the platform carries no error-severity violation: the
+/// yes/no form of [`check`].
 pub fn is_realisable(platform: &Platform) -> bool {
     !check(platform)
         .iter()

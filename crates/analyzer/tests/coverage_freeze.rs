@@ -1,8 +1,8 @@
-//! Acceptance fixture for coverage-based pruning: a seeded space with a
+//! Acceptance fixture for coverage-based freezing: a seeded space with a
 //! dimension no kernel in the (fixture) suite can observe. The coverage
 //! matrix must identify it, and feeding the result into
 //! `RacingTuner::with_frozen` must keep the dimension pinned in every
-//! configuration the tuner ever evaluates — the dead dimension is pruned
+//! configuration the tuner ever evaluates — the dead dimension is frozen
 //! *before* simulation, not raced over.
 
 use racesim_analyzer::coverage::CoverageMatrix;

@@ -26,7 +26,7 @@
 use racesim_core::validator::{evaluate_platform, PreparedSuite};
 use racesim_core::{Revision, ValidationOutcome, Validator, ValidatorSettings};
 use racesim_decoder::Decoder;
-use racesim_hw::{HardwarePlatform, ReferenceBoard};
+use racesim_hw::HardwarePlatform;
 use racesim_kernels::{spec_suite, Scale};
 use racesim_race::TunerSettings;
 use racesim_sim::Platform;
@@ -89,13 +89,7 @@ impl ExperimentConfig {
     }
 }
 
-/// The board for a core kind.
-pub fn board_for(kind: CoreKind) -> ReferenceBoard {
-    match kind {
-        CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-        CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-    }
-}
+pub use racesim_core::board_for;
 
 /// Runs the full validation for a core kind and revision.
 ///

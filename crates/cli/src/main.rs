@@ -19,7 +19,8 @@
 //! ```
 
 use racesim_core::{
-    analysis, diff, latency, report, CampaignSpec, Revision, Validator, ValidatorSettings,
+    analysis, board_for, diff, latency, report, unobserved_dimensions, CampaignSpec, Revision,
+    Validator, ValidatorSettings,
 };
 use racesim_hw::{FaultPlan, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{microbench_suite, probes, spec_suite, Scale, Workload};
@@ -290,36 +291,15 @@ fn cmd_config(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let kind = match flags.get("core").map(String::as_str) {
-        Some("a53") | None => CoreKind::InOrder,
-        Some("a72") => CoreKind::OutOfOrder,
-        Some(v) => return Err(format!("unknown core {v:?} (use a53 or a72)")),
-    };
-    let board = match kind {
-        CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-        CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-    };
-    let budget = flags
-        .get("budget")
-        .map(|v| v.parse().map_err(|_| format!("invalid --budget {v:?}")))
-        .transpose()?
-        .unwrap_or(2_000u64);
-    let threads = flags
-        .get("threads")
-        .map(|v| v.parse().map_err(|_| format!("invalid --threads {v:?}")))
-        .transpose()?
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        });
+    let kind = core_of(flags)?;
+    let board = board_for(kind);
     let settings = ValidatorSettings {
         kind,
         revision: Revision::Fixed,
         scale: scale_of(flags)?,
         tuner: TunerSettings {
-            budget,
-            threads,
+            budget: parse_u64(flags, "budget", 2_000)?,
+            threads: threads_of(flags)?,
             ..TunerSettings::default()
         },
         metric: racesim_core::CostMetric::CpiError,
@@ -399,6 +379,16 @@ fn parse_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result
         .map(|v| v.unwrap_or(default))
 }
 
+/// `--threads`; absent or 0 means every available core.
+fn threads_of(flags: &HashMap<String, String>) -> Result<usize, String> {
+    Ok(match parse_u64(flags, "threads", 0)? {
+        0 => std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4),
+        n => n as usize,
+    })
+}
+
 fn fault_plan_of(flags: &HashMap<String, String>) -> Result<Option<FaultPlan>, String> {
     let seed = parse_u64(flags, "fault-seed", 1)?;
     let profile = flags.get("faults").map_or("none", String::as_str);
@@ -429,12 +419,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         scale: scale_of(flags)?,
         budget: parse_u64(flags, "budget", 2_000)?,
         seed: parse_u64(flags, "seed", TunerSettings::default().seed)?,
-        threads: match parse_u64(flags, "threads", 0)? {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4),
-            n => n as usize,
-        },
+        threads: threads_of(flags)?,
         workers: parse_u64(flags, "workers", 0)? as usize,
         max_iterations: flags
             .get("max-iterations")
@@ -496,33 +481,18 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
 
-    // Coverage-based pruning: a dimension no benchmark in the suite can
-    // statically observe cannot move the cost, so pin it to its default
-    // before any budget is spent. The dimension stays in the space (the
-    // model applier reads every parameter and checkpoint fingerprints
-    // must stay valid) — the sampler just never varies it.
-    let profiles: Vec<_> = stack
-        .suite
-        .iter()
-        .map(|w| racesim_analyzer::ir::profile(&w.name, &w.program))
-        .collect();
-    let matrix =
-        racesim_analyzer::coverage::CoverageMatrix::build(&stack.space, &profiles, &stack.base);
-    let defaults = stack.space.default_configuration();
-    let frozen: Vec<(usize, Value)> = matrix
-        .params
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.count() == 0)
-        .map(|(i, p)| {
-            println!(
-                "freezing `{}` at its default: no benchmark observes it (needs {})",
-                p.name,
-                p.requirement.describe()
-            );
-            (i, defaults.value(i))
-        })
-        .collect();
+    let frozen: Vec<(usize, Value)> =
+        unobserved_dimensions(&stack.space, &stack.suite, &stack.base)
+            .into_iter()
+            .map(|d| {
+                println!(
+                    "freezing `{}` at its default: no benchmark observes it (needs {})",
+                    stack.space.params()[d.index].name,
+                    d.needs
+                );
+                (d.index, d.value)
+            })
+            .collect();
     spec.set_frozen(&stack.space, &frozen);
     let mut tuner = spec.tuner(&stack, &telemetry)?;
 
@@ -651,8 +621,8 @@ struct CampaignSummary {
     frozen: Vec<(String, String)>,
     /// seed, budget, instances, params — from the first `campaign_start`.
     start: Option<(u64, usize, usize, usize)>,
-    /// best_cost, evals, retries, failed, pruned, aborted — last `campaign_end`.
-    end: Option<(f64, usize, usize, usize, usize, bool)>,
+    /// best_cost, evals, retries, failed, aborted — last `campaign_end`.
+    end: Option<(f64, usize, usize, usize, bool)>,
     /// Wall time summed over every segment.
     wall_us: u64,
     /// iteration → configs entering the race (last occurrence wins: a
@@ -780,18 +750,10 @@ impl CampaignSummary {
                     evals,
                     retries,
                     failed_configs,
-                    pruned,
                     aborted,
                     micros,
                 } => {
-                    s.end = Some((
-                        *best_cost,
-                        *evals,
-                        *retries,
-                        *failed_configs,
-                        *pruned,
-                        *aborted,
-                    ));
+                    s.end = Some((*best_cost, *evals, *retries, *failed_configs, *aborted));
                     s.wall_us += micros;
                 }
                 Event::CounterFinal { name, value } => {
@@ -846,12 +808,11 @@ impl CampaignSummary {
         rows.push(kv("resumes", self.resumes.to_string()));
         rows.push(kv("iterations", self.iterations.len().to_string()));
         rows.push(kv("checkpoints", self.checkpoints.to_string()));
-        if let Some((best, evals, retries, failed, pruned, aborted)) = self.end {
+        if let Some((best, evals, retries, failed, aborted)) = self.end {
             rows.push(kv("best cost", format!("{best:.4}")));
             rows.push(kv("evaluations", evals.to_string()));
             rows.push(kv("retries", retries.to_string()));
             rows.push(kv("failed configs", failed.to_string()));
-            rows.push(kv("pruned", pruned.to_string()));
             rows.push(kv("aborted", aborted.to_string()));
         }
         rows.push(kv("quarantined", self.quarantines.len().to_string()));
@@ -1095,12 +1056,11 @@ impl CampaignSummary {
         parts.push(format!("\"iterations\":{}", self.iterations.len()));
         parts.push(format!("\"checkpoints\":{}", self.checkpoints));
         match self.end {
-            Some((best, evals, retries, failed, pruned, aborted)) => {
+            Some((best, evals, retries, failed, aborted)) => {
                 parts.push(format!("\"best_cost\":{}", num(best)));
                 parts.push(format!("\"evals\":{evals}"));
                 parts.push(format!("\"retries\":{retries}"));
                 parts.push(format!("\"failed_configs\":{failed}"));
-                parts.push(format!("\"pruned\":{pruned}"));
                 parts.push(format!("\"aborted\":{aborted}"));
             }
             None => parts.push("\"best_cost\":null".to_string()),
@@ -1254,10 +1214,7 @@ fn diff_side(
         // A platform config: simulate the fixed-revision suite on it.
         let platform =
             config_text::from_text(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let board = match kind {
-            CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-            CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-        };
+        let board = board_for(kind);
         let settings = ValidatorSettings {
             kind,
             revision: Revision::Fixed,

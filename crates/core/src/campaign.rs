@@ -9,11 +9,16 @@
 //! metric) is derived from those deterministically, the same way on both
 //! sides. The model revision is pinned to [`Revision::Fixed`] — `tune`
 //! always drives the fixed model.
+//!
+//! The race recipe itself — tuner settings, coverage-frozen dimensions,
+//! telemetry and static bounds — is `racing_tuner`, shared by
+//! `validate` ([`Validator::run`]) and every campaign driver here.
 
 use crate::bounds::CampaignBounds;
 use crate::fallible::LazySuiteCost;
 use crate::params::{build_space, Revision};
 use crate::validator::{CostMetric, Validator, ValidatorSettings};
+use racesim_analyzer::coverage::CoverageMatrix;
 use racesim_hw::{FaultPlan, FaultyBoard, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{Scale, Workload};
 use racesim_race::replay::{decode_value, encode_value};
@@ -25,6 +30,73 @@ use racesim_telemetry::{Event, JournalEntry, Telemetry};
 use racesim_uarch::CoreKind;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The reference board for a core.
+pub fn board_for(kind: CoreKind) -> ReferenceBoard {
+    match kind {
+        CoreKind::InOrder => ReferenceBoard::firefly_a53(),
+        CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
+    }
+}
+
+/// A dimension no benchmark in the suite can statically observe, pinned
+/// at its default value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FrozenDim {
+    /// Index of the dimension in the parameter space.
+    pub index: usize,
+    /// The value it is pinned at (the space's default).
+    pub value: Value,
+    /// What a benchmark would need to observe it.
+    pub needs: String,
+}
+
+/// Coverage-based freezing: a dimension no benchmark in `suite` can
+/// statically observe on `base` cannot move the cost, so it is pinned to
+/// its default before any budget is spent. The dimension stays in the
+/// space (the model applier reads every parameter and checkpoint
+/// fingerprints must stay valid) — the sampler just never varies it.
+pub fn unobserved_dimensions(
+    space: &ParamSpace,
+    suite: &[Workload],
+    base: &Platform,
+) -> Vec<FrozenDim> {
+    let profiles: Vec<_> = suite
+        .iter()
+        .map(|w| racesim_analyzer::ir::profile(&w.name, &w.program))
+        .collect();
+    let matrix = CoverageMatrix::build(space, &profiles, base);
+    let defaults = space.default_configuration();
+    matrix
+        .params
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.count() == 0)
+        .map(|(index, p)| FrozenDim {
+            index,
+            value: defaults.value(index),
+            needs: p.requirement.describe(),
+        })
+        .collect()
+}
+
+/// The race recipe: a tuner with `settings`, the `frozen` dimensions
+/// pinned, journaling to `telemetry`, and pre-eliminating against
+/// `bounds` when given. `validate`, `tune` and `replay` all race with it.
+pub(crate) fn racing_tuner(
+    settings: TunerSettings,
+    frozen: Vec<(usize, Value)>,
+    telemetry: &Telemetry,
+    bounds: Option<&Arc<CampaignBounds>>,
+) -> RacingTuner {
+    let tuner = RacingTuner::new(settings)
+        .with_telemetry(telemetry.clone())
+        .with_frozen(frozen);
+    match bounds {
+        Some(b) => tuner.with_static_bounds(Arc::clone(b) as _),
+        None => tuner,
+    }
+}
 
 /// Everything a campaign's outcome deterministically depends on.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,10 +292,7 @@ impl CampaignSpec {
 
     /// The reference board for the spec's core.
     pub fn board(&self) -> ReferenceBoard {
-        match self.kind {
-            CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-            CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-        }
+        board_for(self.kind)
     }
 
     fn validator_settings(&self) -> ValidatorSettings {
@@ -326,11 +395,11 @@ impl CampaignSpec {
             .collect()
     }
 
-    /// The campaign's tuner over `stack`: the spec's settings,
-    /// `telemetry`, the static bounds engine when enabled, and the frozen
-    /// dimensions. `tune` (after [`CampaignSpec::set_frozen`]) and
-    /// `replay` both race with it, so replay verifies the code `tune`
-    /// runs.
+    /// The campaign's tuner over `stack`: the race recipe with the
+    /// spec's settings and frozen dimensions, `telemetry`, and the static
+    /// bounds engine when enabled. `tune` (after
+    /// [`CampaignSpec::set_frozen`]) and `replay` both race with it, so
+    /// replay verifies the code `tune` runs.
     ///
     /// # Errors
     ///
@@ -340,15 +409,12 @@ impl CampaignSpec {
         stack: &CampaignStack,
         telemetry: &Telemetry,
     ) -> Result<RacingTuner, String> {
-        let mut tuner = RacingTuner::new(self.tuner_settings()).with_telemetry(telemetry.clone());
-        if let Some(b) = &stack.bounds {
-            tuner = tuner.with_static_bounds(Arc::clone(b) as _);
-        }
-        let frozen = self.decode_frozen(&stack.space)?;
-        if !frozen.is_empty() {
-            tuner = tuner.with_frozen(frozen);
-        }
-        Ok(tuner)
+        Ok(racing_tuner(
+            self.tuner_settings(),
+            self.decode_frozen(&stack.space)?,
+            telemetry,
+            stack.bounds.as_ref(),
+        ))
     }
 
     /// Runs the campaign this spec describes from scratch and returns

@@ -9,9 +9,9 @@
 //! the current build against it, which is how the CI perf/correctness
 //! gate detects a model change that silently shifts kernel timing.
 
+use crate::campaign::board_for;
 use crate::params::Revision;
 use crate::validator::{CostMetric, Validator, ValidatorSettings};
-use racesim_hw::ReferenceBoard;
 use racesim_kernels::{Scale, Workload};
 use racesim_race::TunerSettings;
 use racesim_sim::{Platform, SimOptions, Simulator};
@@ -90,10 +90,7 @@ pub fn capture_revision(
     revision: Revision,
     scale: Scale,
 ) -> Result<Vec<KernelCpi>, String> {
-    let board = match kind {
-        CoreKind::InOrder => ReferenceBoard::firefly_a53(),
-        CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
-    };
+    let board = board_for(kind);
     let settings = ValidatorSettings {
         kind,
         revision,

@@ -39,7 +39,7 @@ pub mod report;
 pub mod validator;
 
 pub use bounds::CampaignBounds;
-pub use campaign::{CampaignSpec, CampaignStack};
+pub use campaign::{board_for, unobserved_dimensions, CampaignSpec, CampaignStack, FrozenDim};
 pub use diff::{diff_records, CpiDiff, DiffRow, KernelCpi};
 pub use fallible::LazySuiteCost;
 pub use params::Revision;

@@ -1,5 +1,6 @@
 //! The end-to-end validation flow (Figure 1).
 
+use crate::campaign::{racing_tuner, unobserved_dimensions};
 use crate::fallible::LazySuiteCost;
 use crate::latency::{apply_estimates, estimate_latencies};
 use crate::params::{apply, best_guess, build_space, Revision};
@@ -7,9 +8,10 @@ use racesim_analyzer::{Diagnostic, Severity};
 use racesim_decoder::{Decoder, Quirks};
 use racesim_hw::{HardwarePlatform, MeasureError, PerfCounters};
 use racesim_kernels::{microbench_suite, microbench_suite_initialized, Category, Scale, Workload};
-use racesim_race::{Configuration, ParamSpace, Pruner, RacingTuner, TuneResult, TunerSettings};
+use racesim_race::{Configuration, ParamSpace, TuneResult, TunerSettings};
 use racesim_sim::{Platform, SimOptions, Simulator};
 use racesim_stats::abs_pct_error;
+use racesim_telemetry::Telemetry;
 use racesim_trace::TraceBuffer;
 use racesim_uarch::CoreKind;
 use std::fmt;
@@ -359,30 +361,23 @@ impl<'hw> Validator<'hw> {
         let decoder = self.decoder();
 
         // Record and measure every micro-benchmark once.
-        let suite = PreparedSuite::prepare(&self.suite(), self.board)?;
+        let workloads = self.suite();
+        let suite = PreparedSuite::prepare(&workloads, self.board)?;
 
         let untuned = apply(&space, &guess, &base);
         lint_platform(&untuned)?;
         let untuned_results = evaluate_platform(&untuned, decoder, &suite);
 
-        // Step 4: racing, through the same cost function `tune` uses,
-        // with every measurement already taken. Sampled configurations
-        // that produce an unrealisable platform are pruned before costing
-        // a single simulation; the race only ever sees realisable
-        // candidates.
+        // Step 4: racing, with the recipe and cost function `tune` uses
+        // (every measurement already taken), so both end on the same
+        // tuned model.
         let cost =
             LazySuiteCost::from_prepared(&suite, base.clone(), decoder, self.settings.metric);
-        let pruner: Pruner = {
-            let space = space.clone();
-            let base = base.clone();
-            Arc::new(move |cfg: &Configuration| {
-                racesim_analyzer::platform::check(&apply(&space, cfg, &base))
-                    .into_iter()
-                    .find(|d| d.severity == Severity::Error)
-                    .map(|d| d.lint.code().to_string())
-            })
-        };
-        let tuner = RacingTuner::new(self.settings.tuner).with_pruner(pruner);
+        let frozen = unobserved_dimensions(&space, &workloads, &base)
+            .into_iter()
+            .map(|d| (d.index, d.value))
+            .collect();
+        let tuner = racing_tuner(self.settings.tuner, frozen, &Telemetry::disabled(), None);
         let tune = tuner.try_tune(&space, &cost, suite.len());
         let best = tune.best.clone();
 

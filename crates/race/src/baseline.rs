@@ -82,7 +82,6 @@ impl Tuner for RandomSearch {
             best_cost,
             elites: vec![(best, best_cost)],
             evals_used: evals,
-            pruned: 0,
             history: Vec::new(),
             quarantined: Vec::new(),
             failed_configs: 0,
@@ -162,7 +161,6 @@ impl Tuner for GridSearch {
             best_cost,
             elites: vec![(best, best_cost)],
             evals_used: evals,
-            pruned: 0,
             history: Vec::new(),
             quarantined: Vec::new(),
             failed_configs: 0,

@@ -56,8 +56,6 @@ pub struct TunerCheckpoint {
     pub budget_remaining: u64,
     /// Fresh evaluations consumed so far.
     pub evals_used: u64,
-    /// Configurations rejected by the pruner so far.
-    pub pruned: u64,
     /// Transient-fault retries so far.
     pub retries: u64,
     /// Configurations eliminated by evaluation failure so far.
@@ -250,7 +248,6 @@ impl TunerCheckpoint {
         out.push_str(&format!("next_iteration = {}\n", self.next_iteration));
         out.push_str(&format!("budget_remaining = {}\n", self.budget_remaining));
         out.push_str(&format!("evals_used = {}\n", self.evals_used));
-        out.push_str(&format!("pruned = {}\n", self.pruned));
         out.push_str(&format!("retries = {}\n", self.retries));
         out.push_str(&format!("failed_configs = {}\n\n", self.failed_configs));
 
@@ -498,7 +495,6 @@ impl TunerCheckpoint {
             next_iteration: parse_usize(get("next_iteration")?)?,
             budget_remaining: parse_u64(get("budget_remaining")?)?,
             evals_used: parse_u64(get("evals_used")?)?,
-            pruned: parse_u64(get("pruned")?)?,
             retries: parse_u64(get("retries")?)?,
             failed_configs: parse_u64(get("failed_configs")?)?,
             seed: parse_hex_u64(get("seed")?)?,
@@ -575,7 +571,6 @@ mod tests {
             next_iteration: 2,
             budget_remaining: 1234,
             evals_used: 766,
-            pruned: 9,
             retries: 3,
             failed_configs: 1,
             seed: 0xBADC_AB1E,
@@ -623,6 +618,52 @@ mod tests {
         assert_eq!(back.quarantine, cp.quarantine);
         assert_eq!(back.history.len(), 1);
         assert_eq!(back.history[0].eliminations, cp.history[0].eliminations);
+    }
+
+    #[test]
+    fn legacy_checkpoint_with_a_pruned_line_parses_and_resumes() {
+        use crate::tuner::{CostFn, RacingTuner, Tuner};
+        struct Bowl;
+        impl CostFn for Bowl {
+            fn cost(&self, cfg: &Configuration, space: &ParamSpace, instance: usize) -> f64 {
+                let rob = cfg.integer(space, "rob") as f64;
+                (rob - 64.0).abs() + f64::from(cfg.flag(space, "prefetch")) + instance as f64
+            }
+        }
+        let s = space();
+        let settings = |max_iterations| TunerSettings {
+            budget: 400,
+            seed: 5,
+            max_iterations,
+            ..TunerSettings::default()
+        };
+        let full = RacingTuner::new(settings(None)).tune(&s, &Bowl, 6);
+        assert!(full.history.len() >= 2, "the resume has work left to do");
+
+        // Checkpoints written while the tuner still had a pruner carry a
+        // `pruned = N` line in `[tuner]`; it is ignored on load.
+        let dir = std::env::temp_dir().join("racesim-checkpoint-legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cp.txt");
+        let _ = std::fs::remove_file(&path);
+        RacingTuner::new(settings(Some(1)))
+            .with_checkpoint(&path)
+            .tune(&s, &Bowl, 6);
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        let legacy = text.replacen("retries = ", "pruned = 9\nretries = ", 1);
+        assert!(legacy.contains("\npruned = 9\n"), "{legacy}");
+        std::fs::write(&path, &legacy).unwrap();
+        let cp = TunerCheckpoint::parse(&s, &legacy).expect("legacy text parses");
+        assert_eq!(cp.render(), text, "the pruned line is the only difference");
+
+        let resumed = RacingTuner::new(settings(None))
+            .with_resume(&path)
+            .tune(&s, &Bowl, 6);
+        assert!(resumed.warnings.is_empty(), "{:?}", resumed.warnings);
+        assert_eq!(resumed.best, full.best);
+        assert_eq!(resumed.best_cost.to_bits(), full.best_cost.to_bits());
+        assert_eq!(resumed.evals_used, full.evals_used);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

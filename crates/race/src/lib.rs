@@ -76,6 +76,6 @@ pub use replay::{
     ReplayReport, Verdict,
 };
 pub use tuner::{
-    CostFn, IterationSummary, Pruner, RacingTuner, StaticBounds, TryCostFn, TuneResult, Tuner,
+    CostFn, IterationSummary, RacingTuner, StaticBounds, TryCostFn, TuneResult, Tuner,
     TunerSettings,
 };

@@ -11,7 +11,7 @@
 //! * elimination order within each iteration (configuration, kind,
 //!   blocks survived, reason);
 //! * quarantined instances;
-//! * campaign totals: best cost bits, evaluations, failed and pruned
+//! * campaign totals: best cost bits, evaluations and failed
 //!   configurations.
 //!
 //! What is deliberately **not** compared: wall-clock fields (`micros`,
@@ -85,7 +85,7 @@ pub fn decode_value(space: &ParamSpace, param: &str, code: &str) -> Result<Value
 pub struct EliminationRecord {
     /// Rendered configuration.
     pub config: String,
-    /// `statistical`, `failed`, `pruned` or `static`.
+    /// `statistical`, `failed` or `static`.
     pub kind: String,
     /// Instance blocks survived before elimination.
     pub after_blocks: usize,
@@ -121,8 +121,6 @@ pub struct EndRecord {
     pub retries: usize,
     /// Configurations eliminated by persistent failures.
     pub failed_configs: usize,
-    /// Configurations pruned before racing.
-    pub pruned: usize,
     /// Whether the segment ended by cancellation.
     pub aborted: bool,
 }
@@ -272,7 +270,6 @@ impl RecordedCampaign {
                     evals,
                     retries,
                     failed_configs,
-                    pruned,
                     aborted,
                     ..
                 } => {
@@ -282,7 +279,6 @@ impl RecordedCampaign {
                         evals: *evals,
                         retries: *retries,
                         failed_configs: *failed_configs,
-                        pruned: *pruned,
                         aborted: *aborted,
                     });
                 }
@@ -547,7 +543,6 @@ pub fn compare(recorded: &RecordedCampaign, replayed: &RecordedCampaign) -> Repl
         for (field, a, b) in [
             ("evals", rec.evals, rep.evals),
             ("failed_configs", rec.failed_configs, rep.failed_configs),
-            ("pruned", rec.pruned, rep.pruned),
         ] {
             if a != b {
                 let d = diverged("campaign_end", field, a.to_string(), b.to_string());
@@ -694,7 +689,6 @@ mod tests {
             evals: 20,
             retries: 1,
             failed_configs: 0,
-            pruned: 0,
             aborted: false,
             micros: 5,
         })

@@ -174,9 +174,6 @@ pub struct TuneResult {
     pub elites: Vec<(Configuration, f64)>,
     /// Fresh evaluations actually used.
     pub evals_used: u64,
-    /// Sampled configurations rejected by the pruner before any
-    /// simulation was spent on them.
-    pub pruned: u64,
     /// Per-iteration summaries.
     pub history: Vec<IterationSummary>,
     /// Instances quarantined as unmeasurable, with reasons.
@@ -212,12 +209,6 @@ impl TuneResult {
     }
 }
 
-/// A predicate that rejects statically unrealisable configurations before
-/// the tuner spends simulation budget on them. Returns the name of the
-/// violated invariant (typically a lint code from `racesim-analyzer`), or
-/// `None` if the configuration is admissible.
-pub type Pruner = std::sync::Arc<dyn Fn(&Configuration) -> Option<String> + Send + Sync>;
-
 /// Anything that can search a parameter space against a cost function —
 /// implemented by [`RacingTuner`] and the baselines.
 pub trait Tuner {
@@ -230,7 +221,6 @@ pub trait Tuner {
 #[derive(Clone)]
 pub struct RacingTuner {
     settings: TunerSettings,
-    pruner: Option<Pruner>,
     frozen: Vec<(usize, Value)>,
     checkpoint: Option<PathBuf>,
     resume: Option<PathBuf>,
@@ -245,7 +235,6 @@ impl std::fmt::Debug for RacingTuner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RacingTuner")
             .field("settings", &self.settings)
-            .field("pruner", &self.pruner.as_ref().map(|_| "<fn>"))
             .field("frozen", &self.frozen)
             .field("checkpoint", &self.checkpoint)
             .field("resume", &self.resume)
@@ -265,7 +254,6 @@ impl RacingTuner {
     pub fn new(settings: TunerSettings) -> RacingTuner {
         RacingTuner {
             settings,
-            pruner: None,
             frozen: Vec::new(),
             checkpoint: None,
             resume: None,
@@ -300,9 +288,9 @@ impl RacingTuner {
     }
 
     /// Freezes dimensions to fixed values: every sampled configuration
-    /// has each `(index, value)` pair applied *before* pruning,
-    /// deduplication and racing, so no simulation budget is ever spent
-    /// exploring a frozen dimension. The parameter stays in the space
+    /// has each `(index, value)` pair applied *before* deduplication and
+    /// racing, so no simulation budget is ever spent exploring a frozen
+    /// dimension. The parameter stays in the space
     /// (apply functions and checkpoint fingerprints still see it); only
     /// its sampling freedom is removed.
     ///
@@ -310,13 +298,6 @@ impl RacingTuner {
     /// matrix proves no kernel in the suite can observe.
     pub fn with_frozen(mut self, frozen: Vec<(usize, Value)>) -> RacingTuner {
         self.frozen = frozen;
-        self
-    }
-
-    /// Installs a pruner: sampled configurations it rejects are dropped
-    /// (and counted in [`TuneResult::pruned`]) instead of being raced.
-    pub fn with_pruner(mut self, pruner: Pruner) -> RacingTuner {
-        self.pruner = Some(pruner);
         self
     }
 
@@ -399,7 +380,6 @@ impl RacingTuner {
         let mut elites: Vec<(Configuration, f64)> = Vec::new();
         let mut history = Vec::new();
         let mut evals_total = 0u64;
-        let mut pruned_total = 0u64;
         let mut retries_total = 0u64;
         let mut failed_total = 0u64;
         let mut static_total = 0u64;
@@ -429,7 +409,6 @@ impl RacingTuner {
         let m_failed = tel.counter("tuner.failed_configs");
         let m_eliminations = tel.counter("tuner.eliminations");
         let m_quarantined = tel.counter("tuner.quarantined");
-        let m_pruned = tel.counter("tuner.pruned");
         let m_static = tel.counter("tuner.static_eliminated");
         let g_budget = tel.gauge("tuner.budget_remaining");
         let h_iter_us = tel.histogram("tuner.iteration_us");
@@ -441,7 +420,6 @@ impl RacingTuner {
                         first_iter = cp.next_iteration;
                         budget = cp.budget_remaining;
                         evals_total = cp.evals_used;
-                        pruned_total = cp.pruned;
                         retries_total = cp.retries;
                         failed_total = cp.failed_configs;
                         rng = StdRng::from_state(cp.rng_state);
@@ -521,17 +499,10 @@ impl RacingTuner {
                         ((w * w) * elites.len() as f64).floor() as usize % elites.len();
                     model.sample_around(space, &elites[parent_idx].0, &mut rng)
                 };
-                // Frozen dimensions are pinned before pruning and dedup:
+                // Frozen dimensions are pinned before dedup:
                 // a dimension the suite cannot observe never costs budget.
                 for &(i, v) in &self.frozen {
                     c.set_value(i, v);
-                }
-                if let Some(p) = &self.pruner {
-                    if p(&c).is_some() {
-                        pruned_total += 1;
-                        m_pruned.inc();
-                        continue;
-                    }
                 }
                 if !configs.contains(&c) {
                     configs.push(c);
@@ -706,7 +677,6 @@ impl RacingTuner {
                     next_iteration: iter + 1,
                     budget_remaining: budget,
                     evals_used: evals_total,
-                    pruned: pruned_total,
                     retries: retries_total,
                     failed_configs: failed_total,
                     seed: st.seed,
@@ -754,7 +724,6 @@ impl RacingTuner {
             evals: evals_total as usize,
             retries: retries_total as usize,
             failed_configs: failed_total as usize,
-            pruned: pruned_total as usize,
             aborted,
             micros: campaign_sw.elapsed_us(),
         });
@@ -764,7 +733,6 @@ impl RacingTuner {
             best_cost,
             elites,
             evals_used: evals_total,
-            pruned: pruned_total,
             history,
             quarantined: quarantine.entries(),
             failed_configs: failed_total,
@@ -964,53 +932,6 @@ mod tests {
         assert!(r.failed_configs > 0, "NaN configs were raced and removed");
         assert_ne!(r.best.categorical(&s, "mode"), "awful");
         assert!(r.quarantined.is_empty(), "config faults never quarantine");
-    }
-
-    #[test]
-    fn pruner_keeps_rejected_configurations_out_of_the_race() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-
-        // A cost function that records every distinct configuration it is
-        // asked to simulate.
-        struct Recording {
-            seen: Mutex<HashSet<String>>,
-        }
-        impl CostFn for Recording {
-            fn cost(&self, cfg: &Configuration, space: &ParamSpace, instance: usize) -> f64 {
-                self.seen.lock().unwrap().insert(cfg.render(space));
-                Bowl.cost(cfg, space, instance)
-            }
-        }
-        let run = |prune: bool| {
-            let s = space();
-            let mut tuner = RacingTuner::new(TunerSettings {
-                budget: 2_000,
-                seed: 17,
-                ..TunerSettings::default()
-            });
-            if prune {
-                tuner = tuner.with_pruner(std::sync::Arc::new(move |c: &Configuration| {
-                    let s = space();
-                    (c.categorical(&s, "mode") == "awful").then(|| "RA-awful".to_string())
-                }));
-            }
-            let cost = Recording {
-                seen: Mutex::new(HashSet::new()),
-            };
-            let r = tuner.tune(&s, &cost, 12);
-            let simulated = cost.seen.into_inner().unwrap();
-            let awful = simulated.iter().filter(|c| c.contains("awful")).count();
-            (r, simulated.len(), awful)
-        };
-
-        let (free, _, awful_free) = run(false);
-        let (pruned, _, awful_pruned) = run(true);
-        assert_eq!(free.pruned, 0);
-        assert!(awful_free > 0, "unpruned run explores invalid configs");
-        assert_eq!(awful_pruned, 0, "pruned run never simulates them");
-        assert!(pruned.pruned > 0, "the pruner actually rejected samples");
-        assert!(pruned.best_cost.is_finite());
     }
 
     #[test]

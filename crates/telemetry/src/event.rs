@@ -121,7 +121,7 @@ pub enum Event {
     Elimination {
         /// Configuration identifier (parameter summary).
         config: String,
-        /// Why it was eliminated (`statistical`, `failed`, `pruned`).
+        /// Why it was eliminated (`statistical`, `failed`).
         kind: String,
         /// Instance blocks it survived before elimination.
         after_blocks: usize,
@@ -166,8 +166,6 @@ pub enum Event {
         retries: usize,
         /// Configurations eliminated by persistent failures.
         failed_configs: usize,
-        /// Configurations pruned before racing.
-        pruned: usize,
         /// Whether the campaign was aborted by cancellation.
         aborted: bool,
         /// Wall time of this segment in microseconds.
@@ -508,7 +506,6 @@ impl JournalEntry {
                 evals,
                 retries,
                 failed_configs,
-                pruned,
                 aborted,
                 micros,
             } => {
@@ -516,7 +513,6 @@ impl JournalEntry {
                     .u64("evals", *evals as u64)
                     .u64("retries", *retries as u64)
                     .u64("failed_configs", *failed_configs as u64)
-                    .u64("pruned", *pruned as u64)
                     .bool("aborted", *aborted)
                     .u64("micros", *micros);
             }
@@ -643,7 +639,6 @@ impl JournalEntry {
                 evals: f.usize("evals")?,
                 retries: f.usize("retries")?,
                 failed_configs: f.usize("failed_configs")?,
-                pruned: f.usize("pruned")?,
                 aborted: f.bool("aborted")?,
                 micros: f.u64("micros")?,
             },
@@ -776,7 +771,6 @@ mod tests {
             evals: 600,
             retries: 4,
             failed_configs: 1,
-            pruned: 2,
             aborted: true,
             micros: 1_234_567,
         });
@@ -809,6 +803,24 @@ mod tests {
             p99: 255,
             max: 201,
         });
+    }
+
+    #[test]
+    fn campaign_end_with_a_legacy_pruned_key_parses() {
+        // The exact shape journals recorded while the tuner had a pruner.
+        let line = r#"{"t":5912859,"ev":"campaign_end","best_cost":24.479248065843425,"evals":598,"retries":9,"failed_configs":0,"pruned":0,"aborted":false,"micros":1463141}"#;
+        let e = JournalEntry::parse(line).expect("old journals stay parseable");
+        assert_eq!(
+            e.event,
+            Event::CampaignEnd {
+                best_cost: 24.479248065843425,
+                evals: 598,
+                retries: 9,
+                failed_configs: 0,
+                aborted: false,
+                micros: 1_463_141,
+            }
+        );
     }
 
     #[test]

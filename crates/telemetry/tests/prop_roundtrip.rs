@@ -138,18 +138,16 @@ fn any_event() -> BoxedStrategy<Event> {
             0..10_000usize,
             0..1_000usize,
             0..100usize,
-            0..100usize,
             any::<bool>(),
             any::<u64>()
         )
             .prop_map(
-                |(best_cost, evals, retries, failed_configs, pruned, aborted, micros)| {
+                |(best_cost, evals, retries, failed_configs, aborted, micros)| {
                     Event::CampaignEnd {
                         best_cost,
                         evals,
                         retries,
                         failed_configs,
-                        pruned,
                         aborted,
                         micros,
                     }

@@ -128,3 +128,53 @@ fn quick_a53_validation_is_pinned_bit_for_bit() {
         include_str!("fixtures/validate_quick_a53.cfg")
     );
 }
+
+#[test]
+fn validate_and_tune_race_identically() {
+    // `validate` and `tune` share one race recipe (settings plus the
+    // coverage-frozen dimensions), so on the same core, scale, budget and
+    // seed they end on the same tuned model.
+    let board = ReferenceBoard::firefly_a53();
+    let outcome = Validator::new(&board, ValidatorSettings::quick(CoreKind::InOrder))
+        .run()
+        .expect("validation runs");
+
+    let mut spec = CampaignSpec {
+        kind: CoreKind::InOrder,
+        scale: Scale::TINY,
+        budget: 600,
+        seed: TunerSettings::default().seed,
+        threads: 2,
+        workers: 0,
+        max_iterations: None,
+        static_bounds: false,
+        timeout_ms: None,
+        fault_profile: "none".to_string(),
+        fault_seed: 1,
+        frozen: Vec::new(),
+    };
+    let telemetry = racesim::telemetry::Telemetry::disabled();
+    let stack = spec.build_stack(&telemetry).expect("stack builds");
+    // What `racesim tune` freezes before racing.
+    let frozen: Vec<_> =
+        racesim::core::unobserved_dimensions(&stack.space, &stack.suite, &stack.base)
+            .into_iter()
+            .map(|d| (d.index, d.value))
+            .collect();
+    assert!(!frozen.is_empty(), "the quick suite leaves dimensions dead");
+    spec.set_frozen(&stack.space, &frozen);
+    let tune = spec.run(&telemetry).expect("campaign runs");
+
+    assert_eq!(
+        outcome.tune.best_cost.to_bits(),
+        tune.best_cost.to_bits(),
+        "validate {} vs tune {}",
+        outcome.tune.best_cost,
+        tune.best_cost
+    );
+    assert_eq!(outcome.tune.evals_used, tune.evals_used);
+    assert_eq!(
+        params::apply(&stack.space, &tune.best, &stack.base),
+        outcome.tuned
+    );
+}
