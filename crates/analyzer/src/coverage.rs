@@ -27,7 +27,7 @@ use crate::ir::KernelProfile;
 use crate::param::parameter_is_live;
 use racesim_race::{Configuration, ParamSpace};
 use racesim_sim::Platform;
-use racesim_telemetry::json::quoted;
+use racesim_telemetry::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -288,39 +288,24 @@ impl CoverageMatrix {
     /// JSON rendering, suitable for a `Report::render_json_with` section:
     /// `{"kernels": [...], "params": [{"name", "requirement",
     /// "observers": [names...]}]}`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"kernels\":[");
-        for (i, k) in self.kernels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&quoted(k));
-        }
-        out.push_str("],\"params\":[");
-        for (i, p) in self.params.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"requirement\":{},\"observers\":[",
-                quoted(&p.name),
-                quoted(&p.requirement.describe()),
-            );
-            let mut first = true;
-            for (o, k) in p.observers.iter().zip(&self.kernels) {
-                if *o {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&quoted(k));
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Value {
+        let params = self.params.iter().map(|p| {
+            let observers = p
+                .observers
+                .iter()
+                .zip(&self.kernels)
+                .filter(|(o, _)| **o)
+                .map(|(_, k)| k);
+            Value::obj([
+                ("name", p.name.as_str().into()),
+                ("requirement", p.requirement.describe().into()),
+                ("observers", Value::arr(observers)),
+            ])
+        });
+        Value::obj([
+            ("kernels", Value::arr(&self.kernels)),
+            ("params", Value::arr(params)),
+        ])
     }
 }
 
@@ -515,7 +500,7 @@ mod tests {
             p.summary.class_counts[idx(racesim_isa::InstClass::IntMul)] = 1;
         })];
         let m = CoverageMatrix::build(&space, &profiles, &base);
-        let json = m.render_json();
+        let json = m.to_json().to_string();
         assert!(json.starts_with("{\"kernels\":[\"mul\"]"));
         assert!(json.contains("\"observers\":[\"mul\"]"));
         assert_eq!(

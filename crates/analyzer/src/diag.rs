@@ -7,7 +7,7 @@
 //! kernel static analysis, `RA3xx` measurement effects, `RA4xx` kernel IR
 //! and campaign coverage, `RA5xx` determinism audit.
 
-use racesim_telemetry::json::quoted;
+use racesim_telemetry::json::Value;
 use std::fmt;
 
 /// How bad a finding is.
@@ -357,42 +357,33 @@ impl Report {
     }
 
     /// Like [`Report::render_json`], but appends extra top-level sections
-    /// after `"diagnostics"`. Each `(key, value)` pair becomes
-    /// `"key":value`, with `value` pre-rendered JSON (the `--suite` path
-    /// uses this to embed the parameter-coverage matrix).
-    pub fn render_json_with(&self, sections: &[(&str, String)]) -> String {
-        let mut out = String::from("{\"version\":2,\"summary\":{");
-        out.push_str(&format!(
-            "\"error\":{},\"warn\":{},\"info\":{}}},\"diagnostics\":[",
-            self.count(Severity::Error),
-            self.count(Severity::Warn),
-            self.count(Severity::Info)
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"lint\":{},\"severity\":{},\"message\":{},\"context\":{{",
-                quoted(d.lint.code()),
-                quoted(d.lint.name()),
-                quoted(d.severity.label()),
-                quoted(&d.message)
-            ));
-            for (j, (k, v)) in d.context.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", quoted(k), quoted(v)));
-            }
-            out.push_str("}}");
-        }
-        out.push(']');
-        for (key, value) in sections {
-            out.push_str(&format!(",{}:{value}", quoted(key)));
-        }
-        out.push('}');
-        out
+    /// after `"diagnostics"`, in order (the `--suite` path uses this to
+    /// embed the parameter-coverage matrix and the static bounds).
+    pub fn render_json_with(&self, sections: &[(&str, Value)]) -> String {
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Value::obj([
+                ("code", d.lint.code().into()),
+                ("lint", d.lint.name().into()),
+                ("severity", d.severity.label().into()),
+                ("message", d.message.as_str().into()),
+                (
+                    "context",
+                    Value::obj(d.context.iter().map(|(k, v)| (k.as_str(), v.into()))),
+                ),
+            ])
+        });
+        let head = [
+            ("version", Value::from(2u64)),
+            (
+                "summary",
+                Value::obj(
+                    [Severity::Error, Severity::Warn, Severity::Info]
+                        .map(|s| (s.label(), self.count(s).into())),
+                ),
+            ),
+            ("diagnostics", Value::arr(diagnostics)),
+        ];
+        Value::obj(head.into_iter().chain(sections.iter().cloned())).to_string()
     }
 }
 

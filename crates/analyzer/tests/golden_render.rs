@@ -7,6 +7,7 @@
 //! `UPDATE_GOLDENS=1 cargo test -p racesim-analyzer --test golden_render`
 
 use racesim_analyzer::{Diagnostic, Lint, Report};
+use racesim_telemetry::json::{self, Value};
 
 /// A fixed report touching every severity, context, escaping, and the
 /// sort order.
@@ -71,7 +72,7 @@ fn json_rendering_matches_golden() {
 
 /// A report exercising the `--suite` additions: RA4xx/RA5xx codes and an
 /// appended `coverage` section rendered through `render_json_with`.
-fn sample_suite_report() -> (Report, String) {
+fn sample_suite_report() -> (Report, Value) {
     let mut r = Report::new();
     r.push(
         Diagnostic::new(
@@ -110,9 +111,8 @@ fn sample_suite_report() -> (Report, String) {
         "{\"name\":\"lat.fp_sqrt\",\"requirement\":\"fp square root site(s)\",\"observers\":[]},",
         "{\"name\":\"width\",\"requirement\":\"any kernel\",\"observers\":[\"chain\",\"looped\"]}",
         "]}}"
-    )
-    .to_string();
-    (r, coverage)
+    );
+    (r, json::parse(coverage).expect("coverage section parses"))
 }
 
 #[test]

@@ -34,6 +34,7 @@ use racesim_bench::{banner, validate, ExperimentConfig};
 use racesim_core::{CampaignSpec, Revision};
 use racesim_kernels::{microbench_suite, Scale};
 use racesim_sim::{Platform, Simulator};
+use racesim_telemetry::json::{self, Value};
 use racesim_telemetry::{Profiler, Telemetry};
 use racesim_uarch::CoreKind;
 use std::collections::BTreeMap;
@@ -43,70 +44,6 @@ use std::time::Instant;
 /// Throughput-measurement repetitions; the best (max) run is recorded so
 /// the snapshot tracks the machine's capability, not its noise.
 const REPS: usize = 3;
-
-struct Snapshot {
-    scale: u64,
-    /// category → best instructions per second.
-    throughput: BTreeMap<String, f64>,
-    tune_wall_ms: f64,
-    /// One staged racing iteration, evaluated in process.
-    dist_seq_wall_ms: f64,
-    /// The same iteration sharded over two spawned workers.
-    dist_tune_wall_ms: f64,
-    /// Percent of fresh evaluations the static bounds engine avoided on
-    /// the pinned elimination scenario (bounds-off evals vs bounds-on).
-    static_elim_pct: f64,
-    /// phase path → percent of profiled wall (self time).
-    phases: BTreeMap<String, f64>,
-}
-
-impl Snapshot {
-    fn render_json(&self) -> String {
-        let map = |m: &BTreeMap<String, f64>| {
-            let body: Vec<String> = m.iter().map(|(k, v)| format!("\"{k}\":{v:.1}")).collect();
-            format!("{{{}}}", body.join(","))
-        };
-        format!(
-            "{{\"schema_version\":1,\"scale\":{},\"throughput\":{},\
-             \"tune_wall_ms\":{:.1},\"dist_seq_wall_ms\":{:.1},\
-             \"dist_tune_wall_ms\":{:.1},\"static_elim_pct\":{:.2},\
-             \"phases\":{}}}\n",
-            self.scale,
-            map(&self.throughput),
-            self.tune_wall_ms,
-            self.dist_seq_wall_ms,
-            self.dist_tune_wall_ms,
-            self.static_elim_pct,
-            map(&self.phases)
-        )
-    }
-}
-
-/// Extracts the flat `"name":number` pairs of one named JSON object from
-/// a snapshot file this binary wrote earlier. Purpose-built for the
-/// schema above, not a general JSON parser.
-fn parse_flat_object(json: &str, key: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let marker = format!("\"{key}\":{{");
-    let Some(start) = json.find(&marker) else {
-        return out;
-    };
-    let body = &json[start + marker.len()..];
-    let Some(end) = body.find('}') else {
-        return out;
-    };
-    for pair in body[..end].split(',') {
-        let mut it = pair.splitn(2, ':');
-        let (Some(name), Some(value)) = (it.next(), it.next()) else {
-            continue;
-        };
-        let name = name.trim().trim_matches('"');
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.insert(name.to_string(), v);
-        }
-    }
-    out
-}
 
 fn measure_throughput(cfg: &ExperimentConfig) -> BTreeMap<String, f64> {
     // insts and best wall per category, summed over each category's
@@ -339,31 +276,38 @@ fn main() {
     let static_elim_pct = measure_static_elim();
     println!("  {static_elim_pct:.2}% of fresh evaluations avoided");
 
-    let snapshot = Snapshot {
-        scale: std::env::var("RACESIM_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(512),
-        throughput,
-        tune_wall_ms,
-        dist_seq_wall_ms,
-        dist_tune_wall_ms,
-        static_elim_pct,
-        phases,
-    };
-    std::fs::write(&out_path, snapshot.render_json()).expect("write snapshot");
+    let scale: u64 = std::env::var("RACESIM_SCALE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(512);
+    let map = |m: &BTreeMap<String, f64>| Value::obj(m.iter().map(|(k, v)| (k, (*v).into())));
+    let snapshot = Value::obj([
+        ("schema_version", Value::from(1u64)),
+        ("scale", scale.into()),
+        ("throughput", map(&throughput)),
+        ("tune_wall_ms", tune_wall_ms.into()),
+        ("dist_seq_wall_ms", dist_seq_wall_ms.into()),
+        ("dist_tune_wall_ms", dist_tune_wall_ms.into()),
+        ("static_elim_pct", static_elim_pct.into()),
+        ("phases", map(&phases)),
+    ]);
+    std::fs::write(&out_path, format!("{snapshot}\n")).expect("write snapshot");
     println!("snapshot written to {out_path}");
 
     if let Some(baseline_path) = gate {
         let baseline = std::fs::read_to_string(&baseline_path).expect("read baseline");
-        let base = parse_flat_object(&baseline, "throughput");
-        assert!(
-            !base.is_empty(),
-            "baseline {baseline_path} has no throughput"
-        );
+        let baseline = json::parse(&baseline)
+            .unwrap_or_else(|e| panic!("baseline {baseline_path} is not JSON: {e}"));
+        let base = match baseline.get("throughput") {
+            Some(Value::Obj(fields)) if !fields.is_empty() => fields,
+            _ => panic!("baseline {baseline_path} has no throughput"),
+        };
         let mut regressed = false;
-        for (category, &base_ips) in &base {
-            let now = snapshot.throughput.get(category).copied().unwrap_or(0.0);
+        for (category, v) in base {
+            let base_ips = v
+                .as_f64()
+                .unwrap_or_else(|| panic!("baseline throughput {category:?} is not a number"));
+            let now = throughput.get(category).copied().unwrap_or(0.0);
             let floor = base_ips * (1.0 - tolerance);
             let verdict = if now < floor {
                 regressed = true;

@@ -25,9 +25,9 @@ use racesim_core::{
 use racesim_hw::{FaultPlan, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{microbench_suite, probes, spec_suite, Scale, Workload};
 use racesim_race::replay::{compare, RecordedCampaign, Verdict};
-use racesim_race::{RaceSettings, TunerSettings, Value};
+use racesim_race::{RaceSettings, TunerSettings};
 use racesim_sim::{config_text, Platform, Simulator};
-use racesim_telemetry::json::quoted;
+use racesim_telemetry::json::Value;
 use racesim_telemetry::{parse_journal, read_journal_lossy, Event, JournalEntry, Telemetry};
 use racesim_uarch::CoreKind;
 use std::collections::{BTreeMap, HashMap};
@@ -363,6 +363,14 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
+/// The two shipped cores: label, core model, and preset platform.
+fn cores() -> [(&'static str, CoreKind, Platform); 2] {
+    [
+        ("a53", CoreKind::InOrder, Platform::a53_like()),
+        ("a72", CoreKind::OutOfOrder, Platform::a72_like()),
+    ]
+}
+
 fn core_of(flags: &HashMap<String, String>) -> Result<CoreKind, String> {
     match flags.get("core").map(String::as_str) {
         Some("a53") | None => Ok(CoreKind::InOrder),
@@ -481,7 +489,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
 
-    let frozen: Vec<(usize, Value)> =
+    let frozen: Vec<(usize, racesim_race::Value)> =
         unobserved_dimensions(&stack.space, &stack.suite, &stack.base)
             .into_iter()
             .map(|d| {
@@ -1012,105 +1020,99 @@ impl CampaignSummary {
     }
 
     fn render_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                quoted(&v.to_string())
-            }
+        fn map_u64(m: &BTreeMap<String, u64>) -> Value {
+            Value::obj(m.iter().map(|(k, v)| (k.as_str(), (*v).into())))
         }
-        fn map_u64(m: &BTreeMap<String, u64>) -> String {
-            let body: Vec<String> = m
-                .iter()
-                .map(|(k, v)| format!("{}:{v}", quoted(k)))
-                .collect();
-            format!("{{{}}}", body.join(","))
-        }
-        let mut parts = Vec::new();
+        let mut fields: Vec<(&str, Value)> = Vec::new();
         match &self.config {
-            Some((core, scale, faults, fault_seed)) => {
-                parts.push(format!("\"core\":{}", quoted(core)));
-                parts.push(format!("\"scale\":{scale}"));
-                parts.push(format!("\"faults\":{}", quoted(faults)));
-                parts.push(format!("\"fault_seed\":{fault_seed}"));
-            }
-            None => parts.push("\"core\":null".to_string()),
+            Some((core, scale, faults, fault_seed)) => fields.extend([
+                ("core", core.into()),
+                ("scale", (*scale).into()),
+                ("faults", faults.into()),
+                ("fault_seed", (*fault_seed).into()),
+            ]),
+            None => fields.push(("core", Value::Null)),
         }
-        let frozen: Vec<String> = self
-            .frozen
-            .iter()
-            .map(|(p, c)| format!("{}:{}", quoted(p), quoted(c)))
-            .collect();
-        parts.push(format!("\"frozen\":{{{}}}", frozen.join(",")));
+        let frozen = self.frozen.iter().map(|(p, c)| (p.as_str(), c.into()));
+        fields.push(("frozen", Value::obj(frozen)));
         match self.start {
-            Some((seed, budget, instances, params)) => {
-                parts.push(format!("\"seed\":{seed}"));
-                parts.push(format!("\"budget\":{budget}"));
-                parts.push(format!("\"instances\":{instances}"));
-                parts.push(format!("\"params\":{params}"));
-            }
-            None => parts.push("\"seed\":null".to_string()),
+            Some((seed, budget, instances, params)) => fields.extend([
+                ("seed", seed.into()),
+                ("budget", budget.into()),
+                ("instances", instances.into()),
+                ("params", params.into()),
+            ]),
+            None => fields.push(("seed", Value::Null)),
         }
-        parts.push(format!("\"segments\":{}", self.segments));
-        parts.push(format!("\"resumes\":{}", self.resumes));
-        parts.push(format!("\"iterations\":{}", self.iterations.len()));
-        parts.push(format!("\"checkpoints\":{}", self.checkpoints));
+        fields.extend([
+            ("segments", self.segments.into()),
+            ("resumes", self.resumes.into()),
+            ("iterations", self.iterations.len().into()),
+            ("checkpoints", self.checkpoints.into()),
+        ]);
         match self.end {
-            Some((best, evals, retries, failed, aborted)) => {
-                parts.push(format!("\"best_cost\":{}", num(best)));
-                parts.push(format!("\"evals\":{evals}"));
-                parts.push(format!("\"retries\":{retries}"));
-                parts.push(format!("\"failed_configs\":{failed}"));
-                parts.push(format!("\"aborted\":{aborted}"));
-            }
-            None => parts.push("\"best_cost\":null".to_string()),
+            Some((best, evals, retries, failed, aborted)) => fields.extend([
+                ("best_cost", best.into()),
+                ("evals", evals.into()),
+                ("retries", retries.into()),
+                ("failed_configs", failed.into()),
+                ("aborted", aborted.into()),
+            ]),
+            None => fields.push(("best_cost", Value::Null)),
         }
-        parts.push(format!("\"wall_us\":{}", self.wall_us));
-        parts.push(format!("\"quarantined\":{}", self.quarantines.len()));
-        parts.push(format!(
-            "\"workers\":{{\"spawned\":{},\"failed\":{},\"quarantined\":{}}}",
-            self.worker_spawns,
-            self.worker_failures.len(),
-            self.worker_quarantines.len()
-        ));
-        let elim: BTreeMap<String, u64> = self
+        let elim = self
             .eliminations_by_kind()
             .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        parts.push(format!("\"eliminations\":{}", map_u64(&elim)));
-        parts.push(format!("\"faults\":{}", map_u64(&self.faults)));
-        parts.push(format!(
-            "\"measurements\":{{\"ok\":{},\"failed\":{}}}",
-            self.meas_ok, self.meas_failed
-        ));
-        let evals: Vec<String> = self
-            .evals
-            .iter()
-            .map(|(w, (count, cost_sum, us))| {
-                format!(
-                    "{}:{{\"count\":{count},\"mean_cost\":{},\"total_us\":{us}}}",
-                    quoted(w),
-                    num(cost_sum / (*count).max(1) as f64)
-                )
-            })
-            .collect();
-        parts.push(format!("\"evaluations\":{{{}}}", evals.join(",")));
-        parts.push(format!("\"events\":{}", map_u64(&self.events)));
-        parts.push(format!("\"counters\":{}", map_u64(&self.counters)));
-        parts.push(format!("\"gauges\":{}", map_u64(&self.gauges)));
-        let hists: Vec<String> = self
+            .map(|(k, v)| (k, v.into()));
+        let evals = self.evals.iter().map(|(w, (count, cost_sum, us))| {
+            let stats = Value::obj([
+                ("count", (*count).into()),
+                ("mean_cost", (cost_sum / (*count).max(1) as f64).into()),
+                ("total_us", (*us).into()),
+            ]);
+            (w.as_str(), stats)
+        });
+        let hists = self
             .histograms
             .iter()
-            .map(|(name, (count, sum, p50, p90, p99, max))| {
-                format!(
-                    "{}:{{\"count\":{count},\"sum\":{sum},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99},\"max\":{max}}}",
-                    quoted(name)
-                )
-            })
-            .collect();
-        parts.push(format!("\"histograms\":{{{}}}", hists.join(",")));
-        format!("{{{}}}", parts.join(","))
+            .map(|(name, &(count, sum, p50, p90, p99, max))| {
+                let stats = [
+                    ("count", count),
+                    ("sum", sum),
+                    ("p50", p50),
+                    ("p90", p90),
+                    ("p99", p99),
+                    ("max", max),
+                ];
+                (name.as_str(), Value::obj(stats.map(|(k, v)| (k, v.into()))))
+            });
+        fields.extend([
+            ("wall_us", self.wall_us.into()),
+            ("quarantined", self.quarantines.len().into()),
+            (
+                "workers",
+                Value::obj([
+                    ("spawned", self.worker_spawns.into()),
+                    ("failed", self.worker_failures.len().into()),
+                    ("quarantined", self.worker_quarantines.len().into()),
+                ]),
+            ),
+            ("eliminations", Value::obj(elim)),
+            ("faults", map_u64(&self.faults)),
+            (
+                "measurements",
+                Value::obj([
+                    ("ok", self.meas_ok.into()),
+                    ("failed", self.meas_failed.into()),
+                ]),
+            ),
+            ("evaluations", Value::obj(evals)),
+            ("events", map_u64(&self.events)),
+            ("counters", map_u64(&self.counters)),
+            ("gauges", map_u64(&self.gauges)),
+            ("histograms", Value::obj(hists)),
+        ]);
+        Value::obj(fields).to_string()
     }
 }
 
@@ -1385,27 +1387,23 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     if flags.get("json").is_some() {
-        // Names are escaped: a platform name comes from a user's config
-        // file and may hold quotes or backslashes.
-        let mut kernels = Vec::new();
-        for p in &profiles {
-            kernels.push(format!(
-                "{{\"name\":{},\"category\":{},\"wall_ns\":{},\"instructions\":{},\
-                 \"cycles\":{},\"coverage\":{:.4},\"profile\":{}}}",
-                quoted(&p.name),
-                quoted(&p.category),
-                p.wall_ns,
-                p.instructions,
-                p.cycles,
-                p.coverage(),
-                p.snapshot.render_json()
-            ));
-        }
-        println!(
-            "{{\"schema_version\":1,\"platform\":{},\"kernels\":[{}]}}",
-            quoted(&platform.name),
-            kernels.join(",")
-        );
+        let kernels = profiles.iter().map(|p| {
+            Value::obj([
+                ("name", p.name.as_str().into()),
+                ("category", p.category.as_str().into()),
+                ("wall_ns", p.wall_ns.into()),
+                ("instructions", p.instructions.into()),
+                ("cycles", p.cycles.into()),
+                ("coverage", p.coverage().into()),
+                ("profile", p.snapshot.to_json()),
+            ])
+        });
+        let doc = Value::obj([
+            ("schema_version", Value::from(1u64)),
+            ("platform", platform.name.as_str().into()),
+            ("kernels", Value::arr(kernels)),
+        ]);
+        println!("{doc}");
     } else {
         println!("platform: {}", platform.name);
         for p in &profiles {
@@ -1430,11 +1428,11 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
 /// view for "why was configuration X dropped".
 fn cmd_bounds(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
-    let (label, base) = match flags.get("core").map(String::as_str) {
-        Some("a53") | None => ("a53", Platform::a53_like()),
-        Some("a72") => ("a72", Platform::a72_like()),
-        Some(v) => return Err(format!("unknown core {v:?} (use a53 or a72)")),
-    };
+    let kind = core_of(flags)?;
+    let (label, _, base) = cores()
+        .into_iter()
+        .find(|c| c.1 == kind)
+        .expect("every core kind is listed");
     let mut suite = racesim_kernels::microbench_suite_initialized(scale);
     suite.extend(spec_suite(scale));
     if let Some(name) = flags.get("workload") {
@@ -1456,31 +1454,26 @@ fn cmd_bounds(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     };
     if flags.get("json").is_some() {
-        let kernels: Vec<String> = sb
-            .kernels
-            .iter()
-            .map(|kb| {
-                let iv = kb.cpi_interval(&base);
-                format!(
-                    "{{\"kernel\":\"{}\",\"insts_lo\":{},\"insts_hi\":{},\
-                     \"residency\":\"{}\",\"chains\":{},\"cycles\":{},\
-                     \"cpi_lo\":{},\"cpi_hi\":{}}}",
-                    kb.name,
-                    kb.dyn_insts.lo,
-                    kb.dyn_insts.hi,
-                    residency_label(kb),
-                    kb.chains.len(),
-                    kb.cycles.len(),
-                    iv.lo,
-                    iv.hi
-                )
-            })
-            .collect();
-        println!(
-            "{{\"schema_version\":1,\"core\":\"{label}\",\"scale\":{},\"kernels\":[{}]}}",
-            scale.divisor(),
-            kernels.join(",")
-        );
+        let kernels = sb.kernels.iter().map(|kb| {
+            let iv = kb.cpi_interval(&base);
+            Value::obj([
+                ("kernel", kb.name.as_str().into()),
+                ("insts_lo", kb.dyn_insts.lo.into()),
+                ("insts_hi", kb.dyn_insts.hi.into()),
+                ("residency", residency_label(kb).into()),
+                ("chains", kb.chains.len().into()),
+                ("cycles", kb.cycles.len().into()),
+                ("cpi_lo", iv.lo.into()),
+                ("cpi_hi", iv.hi.into()),
+            ])
+        });
+        let doc = Value::obj([
+            ("schema_version", Value::from(1u64)),
+            ("core", label.into()),
+            ("scale", scale.divisor().into()),
+            ("kernels", Value::arr(kernels)),
+        ]);
+        println!("{doc}");
     } else {
         let rows: Vec<Vec<String>> = sb
             .kernels
@@ -1527,11 +1520,7 @@ fn cmd_bounds(flags: &HashMap<String, String>) -> Result<(), String> {
 /// Exits non-zero when any Error-severity diagnostic is found (and, with
 /// `--deny-warnings`, when any warning is).
 fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    let revision = match flags.get("revision").map(String::as_str) {
-        Some("fixed") | None => Revision::Fixed,
-        Some("initial") => Revision::Initial,
-        Some(v) => return Err(format!("unknown revision {v:?} (use fixed or initial)")),
-    };
+    let revision = revision_of(flags, "revision")?;
     let scale = scale_of(flags)?;
     let mut report = racesim_analyzer::Report::new();
 
@@ -1539,16 +1528,14 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     match flags.get("platform") {
         Some(_) => report.extend(racesim_analyzer::platform::check(&platform_of(flags)?)),
         None => {
-            report.extend(racesim_analyzer::platform::check(&Platform::a53_like()));
-            report.extend(racesim_analyzer::platform::check(&Platform::a72_like()));
+            for (_, _, base) in cores() {
+                report.extend(racesim_analyzer::platform::check(&base));
+            }
         }
     }
 
     // 2. Parameter-space lints for both cores.
-    for (label, kind, base) in [
-        ("a53", CoreKind::InOrder, Platform::a53_like()),
-        ("a72", CoreKind::OutOfOrder, Platform::a72_like()),
-    ] {
+    for (label, kind, base) in cores() {
         let space = racesim_core::params::build_space(kind, revision);
         let anchors = [
             ("default", space.default_configuration()),
@@ -1596,7 +1583,7 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     // 5. Whole-campaign analysis (--suite): kernel IR lints, the
     //    parameter-coverage matrix per core space, and the determinism
     //    audit.
-    let mut sections: Vec<(&str, String)> = Vec::new();
+    let mut sections: Vec<(&str, Value)> = Vec::new();
     let mut coverage_text = String::new();
     if flags.get("suite").is_some() {
         let mut all = suite.clone();
@@ -1611,11 +1598,8 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             profiles.push(racesim_analyzer::ir::profile(&w.name, &w.program));
         }
 
-        let mut coverage_json = String::from("{");
-        for (label, kind, base) in [
-            ("a53", CoreKind::InOrder, Platform::a53_like()),
-            ("a72", CoreKind::OutOfOrder, Platform::a72_like()),
-        ] {
+        let mut coverage_json = Vec::new();
+        for (label, kind, base) in cores() {
             let space = racesim_core::params::build_space(kind, revision);
             let matrix =
                 racesim_analyzer::coverage::CoverageMatrix::build(&space, &profiles, &base);
@@ -1630,13 +1614,9 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
                 "\nparameter coverage [{label}]:\n{}",
                 matrix.render_text()
             ));
-            if label != "a53" {
-                coverage_json.push(',');
-            }
-            coverage_json.push_str(&format!("\"{label}\":{}", matrix.render_json()));
+            coverage_json.push((label, matrix.to_json()));
         }
-        coverage_json.push('}');
-        sections.push(("coverage", coverage_json));
+        sections.push(("coverage", Value::obj(coverage_json)));
 
         let build = || racesim_core::params::build_space(CoreKind::InOrder, revision);
         for mut d in racesim_analyzer::determinism::check(&build) {
@@ -1652,11 +1632,8 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             all.iter().map(|w| (w.name.as_str(), &w.program)),
             &racesim_analyzer::bounds::BoundsOptions::default(),
         );
-        let mut bounds_json = String::from("{");
-        for (label, kind, base) in [
-            ("a53", CoreKind::InOrder, Platform::a53_like()),
-            ("a72", CoreKind::OutOfOrder, Platform::a72_like()),
-        ] {
+        let mut bounds_json = Vec::new();
+        for (label, kind, base) in cores() {
             let space = racesim_core::params::build_space(kind, revision);
             let apply =
                 |cfg: &racesim_race::Configuration| racesim_core::params::apply(&space, cfg, &base);
@@ -1668,24 +1645,17 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
                 report.push(d);
             }
             let default = apply(&space.default_configuration());
-            if label != "a53" {
-                bounds_json.push(',');
-            }
-            bounds_json.push_str(&format!("\"{label}\":["));
-            for (i, kb) in sb.kernels.iter().enumerate() {
+            let kernels = sb.kernels.iter().map(|kb| {
                 let iv = kb.cpi_interval(&default);
-                if i > 0 {
-                    bounds_json.push(',');
-                }
-                bounds_json.push_str(&format!(
-                    "{{\"kernel\":\"{}\",\"cpi_lo\":{},\"cpi_hi\":{}}}",
-                    kb.name, iv.lo, iv.hi
-                ));
-            }
-            bounds_json.push(']');
+                Value::obj([
+                    ("kernel", kb.name.as_str().into()),
+                    ("cpi_lo", iv.lo.into()),
+                    ("cpi_hi", iv.hi.into()),
+                ])
+            });
+            bounds_json.push((label, Value::arr(kernels)));
         }
-        bounds_json.push('}');
-        sections.push(("bounds", bounds_json));
+        sections.push(("bounds", Value::obj(bounds_json)));
     }
 
     report.sort();

@@ -1,5 +1,6 @@
 //! End-to-end smoke tests of the `racesim` binary.
 
+use racesim_telemetry::json::{self, Value};
 use std::process::Command;
 
 fn racesim(args: &[&str]) -> std::process::Output {
@@ -172,108 +173,42 @@ fn profile_json_and_folded_outputs() {
     let _ = std::fs::remove_file(&folded);
 }
 
-/// A strict recognizer for one RFC 8259 JSON document: `Err` names the
-/// byte offset where `text` stops being JSON.
-fn json_document(text: &str) -> Result<(), String> {
-    fn ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && b" \t\r\n".contains(&b[i]) {
-            i += 1;
-        }
-        i
-    }
-    fn string(b: &[u8], mut i: usize) -> Result<usize, usize> {
-        if b.get(i) != Some(&b'"') {
-            return Err(i);
-        }
-        i += 1;
-        loop {
-            match b.get(i) {
-                Some(b'"') => return Ok(i + 1),
-                Some(b'\\') => match b.get(i + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
-                    Some(b'u')
-                        if b.len() > i + 5 && b[i + 2..i + 6].iter().all(u8::is_ascii_hexdigit) =>
-                    {
-                        i += 6
-                    }
-                    _ => return Err(i),
-                },
-                Some(c) if *c >= 0x20 => i += 1,
-                _ => return Err(i),
-            }
-        }
-    }
-    fn value(b: &[u8], i: usize) -> Result<usize, usize> {
-        let i = ws(b, i);
-        match b.get(i) {
-            Some(b'{') => {
-                let mut i = ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = ws(b, string(b, ws(b, i))?);
-                    if b.get(i) != Some(&b':') {
-                        return Err(i);
-                    }
-                    i = ws(b, value(b, i + 1)?);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b'}') => return Ok(i + 1),
-                        _ => return Err(i),
-                    }
-                }
-            }
-            Some(b'[') => {
-                let mut i = ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = ws(b, value(b, i)?);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b']') => return Ok(i + 1),
-                        _ => return Err(i),
-                    }
-                }
-            }
-            Some(b'"') => string(b, i),
-            _ => {
-                for lit in [&b"true"[..], b"false", b"null"] {
-                    if b[i..].starts_with(lit) {
-                        return Ok(i + lit.len());
-                    }
-                }
-                let end = i + b[i..]
-                    .iter()
-                    .take_while(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
-                    .count();
-                match std::str::from_utf8(&b[i..end]).map(str::parse::<f64>) {
-                    Ok(Ok(_)) => Ok(end),
-                    _ => Err(i),
-                }
-            }
-        }
-    }
-    let b = text.as_bytes();
-    match value(b, 0).map(|end| ws(b, end)) {
-        Ok(end) if end == b.len() => Ok(()),
-        Ok(end) | Err(end) => Err(format!("not JSON at byte {end}: {text}")),
-    }
+/// Runs `racesim args...`, asserts success, and parses stdout as exactly
+/// one JSON document.
+fn json_output(args: &[&str]) -> Value {
+    let out = racesim(args);
+    assert!(
+        out.status.success(),
+        "racesim {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("UTF-8 output");
+    json::parse(&text)
+        .unwrap_or_else(|e| panic!("racesim {args:?} printed invalid JSON ({e}): {text}"))
 }
 
 #[test]
-fn json_recognizer_rejects_what_it_must() {
-    assert!(json_document("{\"a\":[1,-2.5e3,true,null,\"q\\\"\\\\\"],\"b\":{}}\n").is_ok());
-    for bad in [
-        "{\"a\":\"x\"y\"}",
-        "{\"a\":\"\\q\"}",
-        "{\"a\":1,}",
-        "[1] 2",
-        "{\"a\" 1}",
-    ] {
-        assert!(json_document(bad).is_err(), "accepted {bad}");
+fn every_json_command_prints_one_parseable_document() {
+    let journal = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/golden_campaign.jsonl"
+    );
+    let commands: [&[&str]; 8] = [
+        &["report", journal, "--json"],
+        &["replay", journal, "--json"],
+        &["diff", "--scale", "65536", "--json"],
+        &["bounds", "--core", "a53", "--scale", "65536", "--json"],
+        &["bounds", "--core", "a72", "--scale", "65536", "--json"],
+        &["lint", "--json"],
+        &["lint", "--suite", "--scale", "65536", "--json"],
+        &["profile", "--workload", "ED1", "--json"],
+    ];
+    for args in commands {
+        let doc = json_output(args);
+        assert!(
+            matches!(doc, Value::Obj(ref fields) if !fields.is_empty()),
+            "racesim {args:?}: expected a non-empty object, got {doc}"
+        );
     }
 }
 
@@ -309,7 +244,11 @@ fn profile_json_escapes_a_user_platform_name() {
         String::from_utf8_lossy(&out.stderr)
     );
     let json = String::from_utf8_lossy(&out.stdout);
-    json_document(&json).unwrap();
+    let doc = json::parse(&json).expect("profile --json parses");
+    assert_eq!(
+        doc.get("platform"),
+        Some(&Value::from("a53 \"tuned\" C:\\boards\\firefly"))
+    );
     assert!(
         json.contains("\"platform\":\"a53 \\\"tuned\\\" C:\\\\boards\\\\firefly\""),
         "{json}"

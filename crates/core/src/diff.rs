@@ -15,7 +15,7 @@ use crate::validator::{CostMetric, Validator, ValidatorSettings};
 use racesim_kernels::{Scale, Workload};
 use racesim_race::TunerSettings;
 use racesim_sim::{Platform, SimOptions, Simulator};
-use racesim_telemetry::json::quoted;
+use racesim_telemetry::json::Value;
 use racesim_uarch::CoreKind;
 use std::fmt::Write as _;
 
@@ -319,40 +319,26 @@ impl CpiDiff {
 
     /// Machine-readable report (stable `schema_version: 1`).
     pub fn render_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                // JSON has no Infinity; the marker matches the journal's.
-                quoted(if v > 0.0 { "inf" } else { "-inf" })
-            }
-        }
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"kernel\":{},\"cpi_a\":{},\"cpi_b\":{},\"rel_pct\":{},\"diverged\":{}}}",
-                    quoted(&r.name),
-                    num(r.cpi_a),
-                    num(r.cpi_b),
-                    num(r.rel_pct),
-                    r.diverged
-                )
-            })
-            .collect();
-        let names = |xs: &[String]| xs.iter().map(|n| quoted(n)).collect::<Vec<_>>().join(",");
-        format!(
-            "{{\"schema_version\":1,\"label_a\":{},\"label_b\":{},\"tolerance_pct\":{},\
-             \"kernels\":[{}],\"only_a\":[{}],\"only_b\":[{}],\"diverged\":{}}}",
-            quoted(&self.label_a),
-            quoted(&self.label_b),
-            num(self.tolerance_pct),
-            rows.join(","),
-            names(&self.only_a),
-            names(&self.only_b),
-            self.diverged()
-        )
+        let rows = self.rows.iter().map(|r| {
+            Value::obj([
+                ("kernel", r.name.as_str().into()),
+                ("cpi_a", r.cpi_a.into()),
+                ("cpi_b", r.cpi_b.into()),
+                ("rel_pct", r.rel_pct.into()),
+                ("diverged", r.diverged.into()),
+            ])
+        });
+        Value::obj([
+            ("schema_version", Value::from(1u64)),
+            ("label_a", self.label_a.as_str().into()),
+            ("label_b", self.label_b.as_str().into()),
+            ("tolerance_pct", self.tolerance_pct.into()),
+            ("kernels", Value::arr(rows)),
+            ("only_a", Value::arr(&self.only_a)),
+            ("only_b", Value::arr(&self.only_b)),
+            ("diverged", self.diverged().into()),
+        ])
+        .to_string()
     }
 }
 

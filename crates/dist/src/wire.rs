@@ -34,7 +34,7 @@
 use std::io::{Read, Write};
 
 use racesim_race::{replay, Configuration, ParamSpace, RetryPolicy};
-use racesim_telemetry::json::{parse_object, Obj, Scalar};
+use racesim_telemetry::json::{parse_object, FieldError, Fields, Obj};
 
 /// Hard cap on one frame's payload, in bytes. Frames carry one flat JSON
 /// object (a config code, an outcome, a reason string); anything larger
@@ -239,54 +239,9 @@ pub enum Response {
     Bye,
 }
 
-/// Field accessors over one parsed flat object.
-struct Fields(Vec<(String, Scalar)>);
-
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Scalar, WireError> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| WireError::Field(format!("missing field {key:?}")))
-    }
-
-    fn str(&self, key: &str) -> Result<String, WireError> {
-        match self.get(key)? {
-            Scalar::Str(s) => Ok(s.clone()),
-            other => Err(WireError::Field(format!(
-                "field {key:?} must be a string, got {other:?}"
-            ))),
-        }
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, WireError> {
-        match self.get(key)? {
-            Scalar::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| WireError::Field(format!("field {key:?} is not a u64: {raw:?}"))),
-            other => Err(WireError::Field(format!(
-                "field {key:?} must be a number, got {other:?}"
-            ))),
-        }
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, WireError> {
-        self.u64(key).map(|v| v as usize)
-    }
-
-    /// `u64` with a default when the field is absent — for fields newer
-    /// than the peer (a present-but-mistyped field still errors).
-    fn u64_or(&self, key: &str, default: u64) -> Result<u64, WireError> {
-        if self.0.iter().any(|(k, _)| k == key) {
-            self.u64(key)
-        } else {
-            Ok(default)
-        }
-    }
-
-    fn f64_bits(&self, key: &str) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64(key)?))
+impl From<FieldError> for WireError {
+    fn from(e: FieldError) -> WireError {
+        WireError::Field(e.0)
     }
 }
 
@@ -345,10 +300,10 @@ impl Request {
                 timeout_ms: f.u64("timeout_ms")?,
                 worker: f.usize("worker")?,
                 // Absent in frames from pre-bounds coordinators.
-                static_bounds: f.u64_or("static_bounds", 0)? != 0,
+                static_bounds: f.or("static_bounds", 0, Fields::u64)? != 0,
             })),
             "eval" => {
-                let factor = f.f64_bits("r_factor_bits")?;
+                let factor = f64::from_bits(f.u64("r_factor_bits")?);
                 if !factor.is_finite() {
                     return Err(WireError::Field(format!(
                         "retry factor must be finite, got {factor}"
@@ -459,7 +414,7 @@ impl Response {
                     outcome,
                     retries: f.u64("retries")?,
                     // Absent in frames from workers that predate it.
-                    micros: f.u64_or("micros", 0)?,
+                    micros: f.or("micros", 0, Fields::u64)?,
                 })
             }
             "bye" => Ok(Response::Bye),

@@ -29,7 +29,7 @@
 //! `iteration_end` is discarded (the tuner discards that work too), and
 //! quarantines are deduplicated by instance.
 
-use racesim_telemetry::json::quoted;
+use racesim_telemetry::json;
 use racesim_telemetry::{Event, JournalEntry};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -608,38 +608,29 @@ impl ReplayReport {
 
     /// Machine-readable rendering (stable schema, `schema_version` 1).
     pub fn render_json(&self) -> String {
-        let bits = |b: Option<u64>| match b {
-            Some(b) => format!("\"{b:016x}\""),
-            None => "null".to_string(),
-        };
-        let divergence = match &self.divergence {
-            None => "null".to_string(),
-            Some(d) => format!(
-                "{{\"location\":{},\"field\":{},\"recorded\":{},\"replayed\":{}}}",
-                quoted(&d.location),
-                quoted(&d.field),
-                quoted(&d.recorded),
-                quoted(&d.replayed)
-            ),
-        };
-        let notes: Vec<String> = self.notes.iter().map(|n| quoted(n)).collect();
-        format!(
-            "{{\"schema_version\":1,\"verdict\":\"{}\",\"segments\":{},\
-             \"iterations_recorded\":{},\"iterations_replayed\":{},\
-             \"iterations_checked\":{},\"eliminations_checked\":{},\
-             \"best_cost_recorded_bits\":{},\"best_cost_replayed_bits\":{},\
-             \"divergence\":{},\"notes\":[{}]}}",
-            self.verdict.name(),
-            self.segments,
-            self.iterations_recorded,
-            self.iterations_replayed,
-            self.iterations_checked,
-            self.eliminations_checked,
-            bits(self.best_cost_recorded),
-            bits(self.best_cost_replayed),
-            divergence,
-            notes.join(",")
-        )
+        let bits = |b: Option<u64>| json::Value::from(b.map(|b| format!("{b:016x}")));
+        let divergence = self.divergence.as_ref().map(|d| {
+            json::Value::obj([
+                ("location", d.location.as_str().into()),
+                ("field", d.field.as_str().into()),
+                ("recorded", d.recorded.as_str().into()),
+                ("replayed", d.replayed.as_str().into()),
+            ])
+        });
+        json::Value::obj([
+            ("schema_version", json::Value::from(1u64)),
+            ("verdict", self.verdict.name().into()),
+            ("segments", self.segments.into()),
+            ("iterations_recorded", self.iterations_recorded.into()),
+            ("iterations_replayed", self.iterations_replayed.into()),
+            ("iterations_checked", self.iterations_checked.into()),
+            ("eliminations_checked", self.eliminations_checked.into()),
+            ("best_cost_recorded_bits", bits(self.best_cost_recorded)),
+            ("best_cost_replayed_bits", bits(self.best_cost_replayed)),
+            ("divergence", divergence.into()),
+            ("notes", json::Value::arr(&self.notes)),
+        ])
+        .to_string()
     }
 }
 

@@ -6,7 +6,7 @@
 //! must ignore keys it does not know, so future fields can be added
 //! without breaking old readers.
 
-use crate::json::{parse_object, Obj, Scalar};
+use crate::json::{parse_object, FieldError, Fields, Obj};
 use std::fmt;
 
 /// A typed campaign event.
@@ -291,90 +291,9 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// Field accessors over a parsed flat object.
-struct Fields(Vec<(String, Scalar)>);
-
-impl Fields {
-    fn raw(&self, key: &str) -> Result<&Scalar, JournalError> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| JournalError::Field(format!("missing {key:?}")))
-    }
-
-    fn str(&self, key: &str) -> Result<String, JournalError> {
-        match self.raw(key)? {
-            Scalar::Str(s) => Ok(s.clone()),
-            other => Err(JournalError::Field(format!(
-                "{key:?}: expected string, got {other:?}"
-            ))),
-        }
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, JournalError> {
-        match self.raw(key)? {
-            Scalar::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| JournalError::Field(format!("{key:?}: bad integer {raw:?}"))),
-            other => Err(JournalError::Field(format!(
-                "{key:?}: expected integer, got {other:?}"
-            ))),
-        }
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, JournalError> {
-        self.u64(key).map(|v| v as usize)
-    }
-
-    /// Like [`Fields::usize`], but a *missing* key yields `default`
-    /// (a present key of the wrong type is still an error). Used for
-    /// fields added to an event after journals recording it already
-    /// exist, per the append-only-friendly encoding contract.
-    fn usize_or(&self, key: &str, default: usize) -> Result<usize, JournalError> {
-        if self.0.iter().any(|(k, _)| k == key) {
-            self.usize(key)
-        } else {
-            Ok(default)
-        }
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, JournalError> {
-        match self.raw(key)? {
-            Scalar::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| JournalError::Field(format!("{key:?}: bad float {raw:?}"))),
-            // Non-finite floats are serialized as marker strings.
-            Scalar::Str(s) => match s.as_str() {
-                "NaN" => Ok(f64::NAN),
-                "inf" => Ok(f64::INFINITY),
-                "-inf" => Ok(f64::NEG_INFINITY),
-                other => Err(JournalError::Field(format!("{key:?}: bad float {other:?}"))),
-            },
-            other => Err(JournalError::Field(format!(
-                "{key:?}: expected float, got {other:?}"
-            ))),
-        }
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, JournalError> {
-        match self.raw(key)? {
-            Scalar::Bool(b) => Ok(*b),
-            other => Err(JournalError::Field(format!(
-                "{key:?}: expected bool, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Like [`Fields::bool`], but a *missing* key yields `default` (a
-    /// present key of the wrong type is still an error). Same
-    /// append-only-friendly contract as [`Fields::usize_or`].
-    fn bool_or(&self, key: &str, default: bool) -> Result<bool, JournalError> {
-        if self.0.iter().any(|(k, _)| k == key) {
-            self.bool(key)
-        } else {
-            Ok(default)
-        }
+impl From<FieldError> for JournalError {
+    fn from(e: FieldError) -> JournalError {
+        JournalError::Field(e.0)
     }
 }
 
@@ -574,10 +493,10 @@ impl JournalEntry {
                 threads: f.usize("threads")?,
                 // Added after journals without it were recorded: absent
                 // means the segment predates distributed evaluation.
-                workers: f.usize_or("workers", 0)?,
+                workers: f.or("workers", 0, Fields::usize)?,
                 max_iterations: f.u64("max_iterations")?,
                 // Absent means the segment predates static bounds.
-                static_bounds: f.bool_or("static_bounds", false)?,
+                static_bounds: f.or("static_bounds", false, Fields::bool)?,
             },
             "frozen" => Event::Frozen {
                 param: f.str("param")?,

@@ -44,6 +44,7 @@
 //! let _s = off.enter("run"); // no-op: no clock read, no allocation
 //! ```
 
+use crate::json::Value;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -460,31 +461,19 @@ impl ProfileSnapshot {
     /// A stable JSON document:
     /// `{"phases":[{"name","count","total_ns","self_ns","insts","cycles","children"},…]}`.
     /// Field set and order are a pinned interface (golden-tested).
-    pub fn render_json(&self) -> String {
-        fn node_json(out: &mut String, node: &PhaseNode) {
-            out.push_str("{\"name\":\"");
-            crate::json::escape_into(out, &node.name);
-            out.push_str(&format!(
-                "\",\"count\":{},\"total_ns\":{},\"self_ns\":{},\"insts\":{},\"cycles\":{},\"children\":[",
-                node.count, node.total_ns, node.self_ns, node.insts, node.cycles
-            ));
-            for (i, c) in node.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                node_json(out, c);
-            }
-            out.push_str("]}");
+    pub fn to_json(&self) -> Value {
+        fn node(n: &PhaseNode) -> Value {
+            Value::obj([
+                ("name", n.name.as_str().into()),
+                ("count", n.count.into()),
+                ("total_ns", n.total_ns.into()),
+                ("self_ns", n.self_ns.into()),
+                ("insts", n.insts.into()),
+                ("cycles", n.cycles.into()),
+                ("children", Value::arr(n.children.iter().map(node))),
+            ])
         }
-        let mut out = String::from("{\"phases\":[");
-        for (i, r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            node_json(&mut out, r);
-        }
-        out.push_str("]}");
-        out
+        Value::obj([("phases", Value::arr(self.roots.iter().map(node)))])
     }
 
     /// Folded stacks ("root;child;leaf <self_ns>" per line), the input
@@ -657,8 +646,8 @@ mod tests {
         f.add_insts(1000);
         sim.child("execute").add(2, 6_000_000);
         let snap = p.snapshot();
-        let json = snap.render_json();
-        assert_eq!(json, snap.render_json());
+        let json = snap.to_json().to_string();
+        assert_eq!(json, snap.to_json().to_string());
         assert!(json.starts_with("{\"phases\":[{\"name\":\"simulate\""));
         assert!(json.contains("\"total_ns\":3000000"));
         let folded = snap.render_folded();

@@ -55,7 +55,10 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn profile_json_matches_golden() {
-    check_golden("profile.json", &sample_profiler().snapshot().render_json());
+    check_golden(
+        "profile.json",
+        &sample_profiler().snapshot().to_json().to_string(),
+    );
 }
 
 #[test]

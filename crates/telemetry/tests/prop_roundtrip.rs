@@ -1,5 +1,6 @@
-//! Property test: any sequence of journal events round-trips through the
-//! JSONL sink and parser losslessly.
+//! Property tests: any sequence of journal events round-trips through the
+//! JSONL sink and parser losslessly, and any nested JSON document
+//! round-trips through the `json` writer and parser.
 //!
 //! Entries are compared by their rendered lines rather than by value, so
 //! NaN-carrying events (where `PartialEq` would lie) are still checked
@@ -7,6 +8,7 @@
 
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
+use racesim_telemetry::json::{self, Obj, Scalar, Value};
 use racesim_telemetry::{parse_journal, Event, JournalEntry};
 
 /// Arbitrary `f64` from raw bits: hits NaN, infinities, subnormals and
@@ -184,8 +186,173 @@ fn any_event() -> BoxedStrategy<Event> {
     .boxed()
 }
 
+/// A generated JSON document, holding the typed values the writer was
+/// given so the parsed tree can be checked against them exactly.
+#[derive(Debug, Clone)]
+enum Doc {
+    Null,
+    Bool(bool),
+    U64(u64),
+    F64(f64),
+    Str(String),
+    Arr(Vec<Doc>),
+    Obj(Vec<(String, Doc)>),
+}
+
+/// Strings drawn from characters JSON must escape or carry through:
+/// quotes, backslashes, control characters and non-ASCII.
+fn json_string() -> BoxedStrategy<String> {
+    const POOL: [char; 16] = [
+        'a', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '漢', '🦀',
+        '{', ':',
+    ];
+    collection::vec(0..POOL.len(), 0..8)
+        .prop_map(|ix| ix.into_iter().map(|i| POOL[i]).collect())
+        .boxed()
+}
+
+/// Floats with every edge case over-represented: signed zeros, the
+/// smallest subnormal, NaN, both infinities, and random bit patterns.
+fn json_f64() -> BoxedStrategy<f64> {
+    prop_oneof![
+        any_f64(),
+        (0..6usize).prop_map(|i| {
+            [
+                -0.0,
+                0.0,
+                5e-324,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ][i]
+        }),
+    ]
+    .boxed()
+}
+
+/// A leaf that a flat object (journal line, wire frame) may hold.
+fn scalar_doc() -> BoxedStrategy<Doc> {
+    prop_oneof![
+        any::<bool>().prop_map(Doc::Bool),
+        prop_oneof![any::<u64>(), Just(u64::MAX)].prop_map(Doc::U64),
+        json_f64().prop_map(Doc::F64),
+        json_string().prop_map(Doc::Str),
+    ]
+    .boxed()
+}
+
+/// A document with at most `depth` levels of arrays and objects.
+fn nested_doc(depth: u32) -> BoxedStrategy<Doc> {
+    let leaf = prop_oneof![Just(Doc::Null), scalar_doc()].boxed();
+    if depth == 0 {
+        return leaf;
+    }
+    prop_oneof![
+        leaf.clone(),
+        leaf,
+        collection::vec(nested_doc(depth - 1), 0..4).prop_map(Doc::Arr),
+        collection::vec((json_string(), nested_doc(depth - 1)), 0..4).prop_map(Doc::Obj),
+    ]
+    .boxed()
+}
+
+fn any_doc() -> BoxedStrategy<Doc> {
+    prop_oneof![
+        nested_doc(4),
+        collection::vec((json_string(), scalar_doc()), 0..6).prop_map(Doc::Obj),
+    ]
+    .boxed()
+}
+
+fn to_value(doc: &Doc) -> Value {
+    match doc {
+        Doc::Null => Value::Null,
+        Doc::Bool(b) => Value::from(*b),
+        Doc::U64(n) => Value::from(*n),
+        Doc::F64(x) => Value::from(*x),
+        Doc::Str(s) => Value::from(s),
+        Doc::Arr(items) => Value::arr(items.iter().map(to_value)),
+        Doc::Obj(fields) => Value::obj(fields.iter().map(|(k, v)| (k, to_value(v)))),
+    }
+}
+
+/// Whether `parsed` carries exactly `doc`: integers by value, floats by
+/// bits, non-finite floats as their marker strings.
+fn same(parsed: &Value, doc: &Doc) -> bool {
+    match (parsed, doc) {
+        (Value::Null, Doc::Null) => true,
+        (Value::Bool(a), Doc::Bool(b)) => a == b,
+        (Value::Num(t), Doc::U64(n)) => t.parse::<u64>() == Ok(*n),
+        (Value::Num(t), Doc::F64(x)) => {
+            x.is_finite() && t.parse::<f64>().map(f64::to_bits) == Ok(x.to_bits())
+        }
+        (Value::Str(m), Doc::F64(x)) => !x.is_finite() && *m == x.to_string(),
+        (Value::Str(a), Doc::Str(b)) => a == b,
+        (Value::Arr(a), Doc::Arr(b)) => {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same(a, b))
+        }
+        (Value::Obj(a), Doc::Obj(b)) => {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|((ka, va), (kb, vb))| ka == kb && same(va, vb))
+        }
+        _ => false,
+    }
+}
+
+/// A flat object: every field a string, number or boolean.
+fn flat_fields(doc: &Doc) -> Option<&[(String, Doc)]> {
+    match doc {
+        Doc::Obj(fields)
+            if fields.iter().all(|(_, v)| {
+                matches!(v, Doc::Bool(_) | Doc::U64(_) | Doc::F64(_) | Doc::Str(_))
+            }) =>
+        {
+            Some(fields)
+        }
+        _ => None,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every generated document survives render → parse intact, and
+    /// `parse_object` accepts exactly the flat ones — which the flat
+    /// `Obj` writer renders to the very same bytes.
+    #[test]
+    fn json_documents_roundtrip(doc in any_doc()) {
+        let text = to_value(&doc).to_string();
+        let parsed = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        prop_assert!(same(&parsed, &doc), "{text} parsed as {parsed:?}, wrote {doc:?}");
+        prop_assert_eq!(parsed.to_string(), text.clone());
+
+        let flat = flat_fields(&doc);
+        prop_assert_eq!(json::parse_object(&text).is_ok(), flat.is_some(), "{}", text);
+        if let Some(fields) = flat {
+            let mut o = Obj::new();
+            for (k, v) in fields {
+                match v {
+                    Doc::Bool(b) => o.bool(k, *b),
+                    Doc::U64(n) => o.u64(k, *n),
+                    Doc::F64(x) => o.f64(k, *x),
+                    Doc::Str(s) => o.str(k, s),
+                    _ => unreachable!("flat fields are scalars"),
+                };
+            }
+            prop_assert_eq!(o.finish(), text.clone());
+            let pairs = json::parse_object(&text).expect("flat object parses");
+            for ((k, scalar), (key, v)) in pairs.iter().zip(fields) {
+                let as_value = match scalar {
+                    Scalar::Str(s) => Value::Str(s.clone()),
+                    Scalar::Num(t) => Value::Num(t.clone()),
+                    Scalar::Bool(b) => Value::Bool(*b),
+                };
+                prop_assert!(k == key && same(&as_value, v), "{}", text);
+            }
+        }
+    }
 
     /// Every generated event sequence survives render → join → parse
     /// with order, timestamps and field values intact.
