@@ -32,7 +32,7 @@ impl CostFn for SimCost {
     fn cost(&self, cfg: &Configuration, space: &ParamSpace, instance: usize) -> f64 {
         let p = apply(space, cfg, &self.base);
         let sim = Simulator::with_decoder(p, Decoder::new(), SimOptions::default());
-        match sim.run(&self.suite.traces[instance]) {
+        match sim.run_compact(&self.suite.traces[instance]) {
             Ok(stats) => abs_pct_error(stats.cpi(), self.suite.hw[instance].cpi()),
             Err(_) => f64::MAX,
         }

@@ -6,14 +6,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use racesim_kernels::{microbench_suite, Scale};
 use racesim_sim::{Platform, Simulator};
-use racesim_trace::TraceBuffer;
+use racesim_trace::CompactTrace;
 
-fn kernel_trace(name: &str) -> TraceBuffer {
+fn kernel_trace(name: &str) -> CompactTrace {
     microbench_suite(Scale::TINY)
         .into_iter()
         .find(|w| w.name == name)
         .expect("kernel exists")
-        .trace()
+        .compact_trace()
         .expect("kernel runs")
 }
 
@@ -24,11 +24,11 @@ fn bench_cores(c: &mut Criterion) {
         group.throughput(Throughput::Elements(trace.len() as u64));
         let a53 = Simulator::new(Platform::a53_like());
         group.bench_with_input(BenchmarkId::new("in-order", kernel), &trace, |b, t| {
-            b.iter(|| a53.run(t).unwrap())
+            b.iter(|| a53.run_compact(t).unwrap())
         });
         let a72 = Simulator::new(Platform::a72_like());
         group.bench_with_input(BenchmarkId::new("out-of-order", kernel), &trace, |b, t| {
-            b.iter(|| a72.run(t).unwrap())
+            b.iter(|| a72.run_compact(t).unwrap())
         });
     }
     group.finish();
@@ -39,11 +39,11 @@ fn bench_emulator(c: &mut Criterion) {
         .into_iter()
         .find(|w| w.name == "EI")
         .unwrap();
-    let len = workload.trace().unwrap().len() as u64;
+    let len = workload.compact_trace().unwrap().len() as u64;
     let mut group = c.benchmark_group("frontend");
     group.throughput(Throughput::Elements(len));
     group.bench_function("emulate_and_record", |b| {
-        b.iter(|| workload.trace().unwrap())
+        b.iter(|| workload.compact_trace().unwrap())
     });
     group.finish();
 }

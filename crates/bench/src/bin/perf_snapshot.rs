@@ -47,11 +47,15 @@ const REPS: usize = 3;
 
 fn measure_throughput(cfg: &ExperimentConfig) -> BTreeMap<String, f64> {
     // insts and best wall per category, summed over each category's
-    // kernels within a rep, best-of-reps on the aggregate.
+    // kernels within a rep, best-of-reps on the aggregate. Traces are
+    // recorded compact once, outside the timed replays.
     let suite = microbench_suite(cfg.scale);
     let traces: Vec<_> = suite
         .iter()
-        .map(|w| (w.category.to_string(), w.trace().expect("kernel traces")))
+        .map(|w| {
+            let trace = w.compact_trace().expect("kernel traces");
+            (w.category.to_string(), trace)
+        })
         .collect();
     let mut best: BTreeMap<String, f64> = BTreeMap::new();
     for _ in 0..REPS {
@@ -60,7 +64,7 @@ fn measure_throughput(cfg: &ExperimentConfig) -> BTreeMap<String, f64> {
         for (category, trace) in &traces {
             let sim = Simulator::new(Platform::a53_like());
             let t0 = Instant::now();
-            let stats = sim.run(trace).expect("trace replays");
+            let stats = sim.run_compact(trace).expect("trace replays");
             *wall_ns.entry(category.clone()).or_default() += t0.elapsed().as_nanos() as u64;
             *insts.entry(category.clone()).or_default() += stats.core.instructions;
         }
@@ -80,10 +84,10 @@ fn measure_phases(cfg: &ExperimentConfig) -> BTreeMap<String, f64> {
     // where an aggregate simulation run spends its time.
     let profiler = Profiler::enabled();
     for w in microbench_suite(cfg.scale) {
-        let trace = w.trace().expect("kernel traces");
+        let trace = w.compact_trace().expect("kernel traces");
         Simulator::new(Platform::a53_like())
             .with_profiler(profiler.clone())
-            .run(&trace)
+            .run_compact(&trace)
             .expect("trace replays");
     }
     let snap = profiler.snapshot();

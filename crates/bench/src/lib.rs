@@ -156,7 +156,7 @@ pub mod perturbation {
         let cost = move |c: &Configuration, s: &ParamSpace, i: usize| -> f64 {
             let p = racesim_core::params::apply(s, c, &base);
             let sim = Simulator::with_decoder(p, Decoder::new(), SimOptions::default());
-            match sim.run(&suite.traces[i]) {
+            match sim.run_compact(&suite.traces[i]) {
                 Ok(stats) => abs_pct_error(stats.cpi(), suite.hw[i].cpi()),
                 Err(_) => f64::MAX,
             }

@@ -219,7 +219,7 @@ fn cmd_list(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
     let mut rows = Vec::new();
     for w in all_workloads(scale) {
-        let trace = w.trace().map_err(|e| format!("{}: {e}", w.name))?;
+        let trace = w.compact_trace().map_err(|e| format!("{}: {e}", w.name))?;
         rows.push(vec![
             w.name.clone(),
             w.category.to_string(),
@@ -238,9 +238,9 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
     let platform = platform_of(flags)?;
     let w = find_workload(flags, scale)?;
-    let trace = w.trace().map_err(|e| e.to_string())?;
+    let trace = w.compact_trace().map_err(|e| e.to_string())?;
     let stats = Simulator::new(platform.clone())
-        .run(&trace)
+        .run_compact(&trace)
         .map_err(|e| e.to_string())?;
     println!("platform:      {}", platform.name);
     println!("workload:      {} ({})", w.name, w.category);
@@ -1345,7 +1345,8 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let mut profiles = Vec::new();
     for w in &suite {
-        let trace = w.trace().map_err(|e| format!("{}: {e}", w.name))?;
+        // Recorded once, compact, outside the timed region.
+        let trace = w.compact_trace().map_err(|e| format!("{}: {e}", w.name))?;
         // A fresh profiler per kernel keeps the trees comparable; two
         // runs, keeping the faster (less scheduler noise in the wall
         // measurement). The wall clock starts after simulator
@@ -1356,7 +1357,9 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
             let profiler = racesim_telemetry::Profiler::enabled();
             let sim = Simulator::new(platform.clone()).with_profiler(profiler.clone());
             let t0 = std::time::Instant::now();
-            let stats = sim.run(&trace).map_err(|e| format!("{}: {e}", w.name))?;
+            let stats = sim
+                .run_compact(&trace)
+                .map_err(|e| format!("{}: {e}", w.name))?;
             let wall_ns = t0.elapsed().as_nanos() as u64;
             if best.as_ref().is_none_or(|b| wall_ns < b.wall_ns) {
                 best = Some(KernelProfile {

@@ -56,9 +56,11 @@ impl CampaignBounds {
         let mut kernels = Vec::with_capacity(suite.len());
         let mut hw_cpi = Vec::with_capacity(suite.len());
         for w in suite {
-            let trace = w.trace().map_err(|e| format!("tracing {}: {e}", w.name))?;
+            let trace = w
+                .compact_trace()
+                .map_err(|e| format!("tracing {}: {e}", w.name))?;
             let counters = board
-                .measure_trace(&w.name, &trace, w.uninit_data)
+                .measure_compact(&w.name, &trace, w.uninit_data)
                 .map_err(|e| format!("measuring {}: {e}", w.name))?;
             kernels.push(KernelBounds::build(&w.name, &w.program, &opts));
             hw_cpi.push(counters.cpi());

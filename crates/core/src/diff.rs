@@ -61,10 +61,10 @@ pub fn capture_platform(
         .iter()
         .map(|w| {
             let trace = w
-                .trace()
+                .compact_trace()
                 .map_err(|e| format!("tracing {} failed: {e}", w.name))?;
             let stats = sim
-                .run(&trace)
+                .run_compact(&trace)
                 .map_err(|e| format!("simulating {} failed: {e}", w.name))?;
             Ok(KernelCpi {
                 name: w.name.clone(),

@@ -30,7 +30,7 @@ use racesim_kernels::Workload;
 use racesim_race::{Configuration, EvalError, ParamSpace, TryCostFn};
 use racesim_sim::{Platform, SimOptions, Simulator};
 use racesim_telemetry::{Event, Telemetry};
-use racesim_trace::TraceBuffer;
+use racesim_trace::CompactTrace;
 use std::sync::{Arc, Mutex};
 
 /// A [`TryCostFn`] that simulates candidates against lazily-measured
@@ -45,7 +45,7 @@ pub struct LazySuiteCost {
     board: Option<Arc<dyn HardwarePlatform>>,
     names: Vec<String>,
     categories: Vec<racesim_kernels::Category>,
-    traces: Vec<Arc<TraceBuffer>>,
+    traces: Vec<Arc<CompactTrace>>,
     uninit: Vec<bool>,
     // One slot per benchmark; the lock is held across the measurement so
     // a parallel race serialises board access (one board, one measurement
@@ -78,7 +78,7 @@ impl LazySuiteCost {
         let mut traces = Vec::new();
         let mut uninit = Vec::new();
         for w in workloads {
-            traces.push(Arc::new(w.trace()?));
+            traces.push(Arc::new(w.compact_trace()?));
             names.push(w.name.clone());
             categories.push(w.category);
             uninit.push(w.uninit_data);
@@ -190,7 +190,7 @@ impl LazySuiteCost {
             .as_ref()
             .expect("a pre-measured suite has every slot filled");
         let sw = self.telemetry.stopwatch();
-        let outcome = board.measure_trace(
+        let outcome = board.measure_compact(
             &self.names[instance],
             &self.traces[instance],
             self.uninit[instance],
@@ -260,7 +260,7 @@ impl TryCostFn for LazySuiteCost {
         };
         let sim = Simulator::with_decoder(platform, self.decoder, SimOptions::default())
             .with_telemetry(self.telemetry.clone());
-        let stats = sim.run(&self.traces[instance]).map_err(|e| {
+        let stats = sim.run_compact(&self.traces[instance]).map_err(|e| {
             self.fault(
                 instance,
                 "config",
@@ -372,6 +372,46 @@ mod tests {
             cost.try_cost(&cfg, &space, 0),
             Err(EvalError::Instance(_))
         ));
+    }
+
+    #[test]
+    fn an_undecodable_trace_is_a_config_fault() {
+        // A clean kernel trace with an undecodable word spliced in after
+        // its first half: the race must see a candidate failure, not a
+        // panic, and the journal a `config` fault naming the word's pc.
+        let w = &suite()[0];
+        let records = w.trace().expect("kernel traces").records().to_vec();
+        let (head, tail) = records.split_at(records.len() / 2);
+        let bad = racesim_trace::TraceRecord::plain(0xdead0, racesim_isa::EncodedInst(0xfe));
+        let spliced: Vec<_> = head.iter().chain([&bad]).chain(tail).copied().collect();
+        let board = ReferenceBoard::firefly_a53();
+        let suite = PreparedSuite {
+            names: vec![w.name.clone()],
+            categories: vec![w.category],
+            traces: vec![Arc::new(CompactTrace::from_records(&spliced).unwrap())],
+            hw: vec![board.measure(w).expect("clean board")],
+        };
+        let telemetry = Telemetry::in_memory();
+        let cost = LazySuiteCost::from_prepared(
+            &suite,
+            Platform::a53_like(),
+            Decoder::new(),
+            CostMetric::CpiError,
+        )
+        .with_telemetry(telemetry.clone());
+        let space = build_space(CoreKind::InOrder, crate::Revision::Fixed);
+        let cfg = best_guess(&space, CoreKind::InOrder);
+        match cost.try_cost(&cfg, &space, 0) {
+            Err(EvalError::Config(reason)) => assert!(reason.contains("0xdead0"), "{reason}"),
+            other => panic!("expected a config fault, got {other:?}"),
+        }
+        let faults: Vec<String> = telemetry
+            .lines()
+            .into_iter()
+            .filter(|l| l.contains("\"ev\":\"fault\""))
+            .collect();
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        assert!(faults[0].contains("\"kind\":\"config\""), "{}", faults[0]);
     }
 
     #[test]

@@ -29,8 +29,8 @@ pub struct LatencyEstimates {
 /// Per-load latency of one probe on the platform.
 fn probe_latency(hw: &dyn HardwarePlatform, size_kb: u32) -> Result<f64, MeasureError> {
     let w = probes::lat_mem_rd(size_kb, 64);
-    let trace = w.trace()?;
-    let counters = hw.measure_trace(&w.name, &trace, false)?;
+    let trace = w.compact_trace()?;
+    let counters = hw.measure_compact(&w.name, &trace, false)?;
     let summary = trace.summary();
     // The probe is four dependent loads plus two loop instructions per
     // iteration; the loop overhead dual-issues under the loads, so

@@ -12,7 +12,7 @@ use racesim_race::{Configuration, ParamSpace, TuneResult, TunerSettings};
 use racesim_sim::{Platform, SimOptions, Simulator};
 use racesim_stats::abs_pct_error;
 use racesim_telemetry::Telemetry;
-use racesim_trace::TraceBuffer;
+use racesim_trace::CompactTrace;
 use racesim_uarch::CoreKind;
 use std::fmt;
 use std::sync::Arc;
@@ -223,8 +223,8 @@ pub struct PreparedSuite {
     pub names: Vec<String>,
     /// Workload categories.
     pub categories: Vec<Category>,
-    /// Recorded traces.
-    pub traces: Vec<Arc<TraceBuffer>>,
+    /// Recorded traces, in the compact replay form.
+    pub traces: Vec<Arc<CompactTrace>>,
     /// Hardware counters per workload.
     pub hw: Vec<PerfCounters>,
 }
@@ -244,8 +244,8 @@ impl PreparedSuite {
         let mut traces = Vec::new();
         let mut hw = Vec::new();
         for w in workloads {
-            let trace = w.trace()?;
-            let counters = board.measure_trace(&w.name, &trace, w.uninit_data)?;
+            let trace = w.compact_trace()?;
+            let counters = board.measure_compact(&w.name, &trace, w.uninit_data)?;
             names.push(w.name.clone());
             categories.push(w.category);
             traces.push(Arc::new(trace));
@@ -282,7 +282,7 @@ pub fn evaluate_platform(
     (0..suite.len())
         .map(|i| {
             let stats = sim
-                .run(&suite.traces[i])
+                .run_compact(&suite.traces[i])
                 .expect("prepared traces decode cleanly");
             BenchResult {
                 name: suite.names[i].clone(),

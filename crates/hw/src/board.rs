@@ -8,7 +8,7 @@ use racesim_kernels::{emu::EmuError, Workload};
 use racesim_mem::{IndexHash, PrefetchWhere, PrefetcherConfig, TagAccess, TlbConfig};
 use racesim_sim::{Platform, SimError, SimOptions, Simulator};
 use racesim_telemetry::{Counter, Histogram, Telemetry};
-use racesim_trace::TraceBuffer;
+use racesim_trace::{CompactTrace, TraceBuffer};
 use racesim_uarch::branch::{DirPredictorConfig, IndirectPredictorConfig};
 use std::collections::HashSet;
 use std::fmt;
@@ -246,14 +246,25 @@ impl HardwarePlatform for ReferenceBoard {
     }
 
     fn measure(&self, workload: &Workload) -> Result<PerfCounters, MeasureError> {
-        let trace = workload.trace()?;
-        self.measure_trace(&workload.name, &trace, workload.uninit_data)
+        let trace = workload.compact_trace()?;
+        self.measure_compact(&workload.name, &trace, workload.uninit_data)
     }
 
     fn measure_trace(
         &self,
         name: &str,
         trace: &TraceBuffer,
+        uninit_data: bool,
+    ) -> Result<PerfCounters, MeasureError> {
+        let trace = CompactTrace::from_records(trace.records())
+            .map_err(|e| MeasureError::Internal(e.into()))?;
+        self.measure_compact(name, &trace, uninit_data)
+    }
+
+    fn measure_compact(
+        &self,
+        name: &str,
+        trace: &CompactTrace,
         uninit_data: bool,
     ) -> Result<PerfCounters, MeasureError> {
         let sw = self.metrics.telemetry.stopwatch();
@@ -267,12 +278,11 @@ impl HardwarePlatform for ReferenceBoard {
             prefill_data_l2: uninit_data,
         };
         let sim = Simulator::with_decoder(self.hidden.clone(), Decoder::new(), options);
-        let stats = sim.run(trace).map_err(MeasureError::Internal)?;
+        let stats = sim.run_compact(trace).map_err(MeasureError::Internal)?;
 
         let mut cycles = self.effects.inflate_cycles(stats.core.cycles);
         if uninit_data && self.effects.page_touch_cost > 0 {
             let pages: HashSet<u64> = trace
-                .records()
                 .iter()
                 .filter_map(|r| r.ea())
                 .map(|ea| ea >> 12)

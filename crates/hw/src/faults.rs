@@ -25,7 +25,7 @@ use crate::counters::PerfCounters;
 use crate::{HardwarePlatform, MeasureError};
 use racesim_kernels::Workload;
 use racesim_telemetry::{Counter, Event, Telemetry};
-use racesim_trace::TraceBuffer;
+use racesim_trace::{CompactTrace, TraceBuffer};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -254,14 +254,25 @@ impl<B: HardwarePlatform> HardwarePlatform for FaultyBoard<B> {
     }
 
     fn measure(&self, workload: &Workload) -> Result<PerfCounters, MeasureError> {
-        let trace = workload.trace()?;
-        self.measure_trace(&workload.name, &trace, workload.uninit_data)
+        let trace = workload.compact_trace()?;
+        self.measure_compact(&workload.name, &trace, workload.uninit_data)
     }
 
     fn measure_trace(
         &self,
         name: &str,
         trace: &TraceBuffer,
+        uninit_data: bool,
+    ) -> Result<PerfCounters, MeasureError> {
+        let trace = CompactTrace::from_records(trace.records())
+            .map_err(|e| MeasureError::Internal(e.into()))?;
+        self.measure_compact(name, &trace, uninit_data)
+    }
+
+    fn measure_compact(
+        &self,
+        name: &str,
+        trace: &CompactTrace,
         uninit_data: bool,
     ) -> Result<PerfCounters, MeasureError> {
         let attempt = self.bump(name);
@@ -297,7 +308,7 @@ impl<B: HardwarePlatform> HardwarePlatform for FaultyBoard<B> {
             );
             return Err(MeasureError::Transient(reason));
         }
-        let mut counters = self.inner.measure_trace(name, trace, uninit_data)?;
+        let mut counters = self.inner.measure_compact(name, trace, uninit_data)?;
         if self.plan.spike_rate > 0.0 && self.plan.roll(b's', name, attempt) < self.plan.spike_rate
         {
             counters.cycles = (counters.cycles as f64 * self.plan.spike_magnitude) as u64;

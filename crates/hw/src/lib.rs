@@ -40,7 +40,7 @@ pub use effects::SystemEffects;
 pub use faults::{FaultPlan, FaultyBoard};
 
 use racesim_kernels::Workload;
-use racesim_trace::TraceBuffer;
+use racesim_trace::{CompactTrace, TraceBuffer};
 
 /// A black-box hardware platform that can run workloads and report
 /// performance counters.
@@ -68,4 +68,21 @@ pub trait HardwarePlatform: std::fmt::Debug + Send + Sync {
         trace: &TraceBuffer,
         uninit_data: bool,
     ) -> Result<PerfCounters, MeasureError>;
+
+    /// Measures a pre-recorded trace in the compact replay form; the
+    /// arguments are as for [`HardwarePlatform::measure_trace`]. The
+    /// default expands the trace and calls `measure_trace`; boards that
+    /// replay compact traces natively override it.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the trace cannot be replayed.
+    fn measure_compact(
+        &self,
+        name: &str,
+        trace: &CompactTrace,
+        uninit_data: bool,
+    ) -> Result<PerfCounters, MeasureError> {
+        self.measure_trace(name, &trace.to_buffer(), uninit_data)
+    }
 }

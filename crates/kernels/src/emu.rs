@@ -10,7 +10,7 @@ use racesim_isa::{
     cond_flags_for_cmp, EncodedInst, Flags, MemWidth, Opcode, Program, Reg, DEFAULT_STACK_TOP,
     INST_BYTES,
 };
-use racesim_trace::{TraceBuffer, TraceRecord, TraceSink};
+use racesim_trace::{CompactTrace, TraceBuffer, TraceRecord, TraceSink};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -435,10 +435,24 @@ impl<'p> Machine<'p> {
 ///
 /// See [`Machine::run`].
 pub fn record_trace(program: &Program, limit: u64) -> Result<TraceBuffer, EmuError> {
-    let mut buf = TraceBuffer::new();
-    let mut m = Machine::new(program);
-    m.run(limit, &mut buf)?;
-    Ok(buf)
+    record_into(program, limit)
+}
+
+/// Runs `program` to completion and returns its trace in the compact
+/// replay form.
+///
+/// # Errors
+///
+/// See [`Machine::run`]; a record the compact form rejects is an
+/// [`EmuError::Sink`].
+pub fn record_compact(program: &Program, limit: u64) -> Result<CompactTrace, EmuError> {
+    record_into(program, limit)
+}
+
+fn record_into<S: TraceSink + Default>(program: &Program, limit: u64) -> Result<S, EmuError> {
+    let mut sink = S::default();
+    Machine::new(program).run(limit, &mut sink)?;
+    Ok(sink)
 }
 
 #[cfg(test)]

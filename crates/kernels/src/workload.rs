@@ -1,8 +1,8 @@
 //! Workload descriptors.
 
-use crate::emu::{record_trace, EmuError};
+use crate::emu::{record_compact, record_trace, EmuError};
 use racesim_isa::Program;
-use racesim_trace::TraceBuffer;
+use racesim_trace::{CompactTrace, TraceBuffer};
 use std::fmt;
 
 /// The five micro-benchmark categories of the paper's Table I, plus the
@@ -138,6 +138,16 @@ impl Workload {
     pub fn trace(&self) -> Result<TraceBuffer, EmuError> {
         record_trace(&self.program, self.inst_limit)
     }
+
+    /// Executes the workload and records its trace in the compact form
+    /// every simulation replays.
+    ///
+    /// # Errors
+    ///
+    /// Propagates emulation failures (which indicate a kernel bug).
+    pub fn compact_trace(&self) -> Result<CompactTrace, EmuError> {
+        record_compact(&self.program, self.inst_limit)
+    }
 }
 
 #[cfg(test)]
@@ -150,6 +160,19 @@ mod tests {
         assert_eq!(Scale::divide_by(10).apply(100_000), 10_000);
         assert_eq!(Scale::TINY.apply(4000), 512, "floor kicks in");
         assert_eq!(Scale::divide_by(0).apply(100), 512, "divisor clamped");
+    }
+
+    #[test]
+    fn shipped_traces_compact_into_at_most_16_bytes_a_record() {
+        let mut suite = crate::microbench_suite(Scale::TINY);
+        suite.extend(crate::microbench_suite_initialized(Scale::TINY));
+        suite.extend(crate::spec_suite(Scale::TINY));
+        for w in &suite {
+            let compact = w.compact_trace().unwrap();
+            assert_eq!(compact.escapes().len(), 1, "{}", w.name);
+            let per_record = compact.heap_bytes() as f64 / compact.len() as f64;
+            assert!(per_record <= 16.0, "{}: {per_record:.1} B/record", w.name);
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! # racesim-sim
 //!
 //! The trace-driven simulator driver — the equivalent of Sniper-ARM's
-//! back-end glue (Figure 3 of the paper): it reads SIFT-style traces,
-//! decodes instruction words through the decoder library (with a per-word
-//! decode cache, as Sniper caches decoded instructions), feeds the dynamic
-//! stream into a core timing model, and collects the statistics the
-//! validation methodology compares against hardware.
+//! back-end glue (Figure 3 of the paper): it replays word-interned
+//! [`CompactTrace`](racesim_trace::CompactTrace)s, decoding each trace's
+//! distinct instruction words once per run through the decoder library
+//! (as Sniper caches decoded instructions), feeds the dynamic stream into
+//! a core timing model, and collects the statistics the validation
+//! methodology compares against hardware. [`Simulator::run`] accepts a
+//! record buffer and compacts it first.
 //!
 //! # Example
 //!

@@ -2,12 +2,11 @@
 
 use crate::platform::Platform;
 use racesim_decoder::{DecodeError, Decoder};
-use racesim_isa::{DynInst, EncodedInst, StaticInst};
+use racesim_isa::{DynInst, StaticInst};
 use racesim_mem::{HierarchyStats, MemoryHierarchy};
 use racesim_telemetry::{Counter, Histogram, PhaseTimer, Profiler, Telemetry};
-use racesim_trace::{TraceBuffer, TraceRecord};
+use racesim_trace::{CompactTrace, TraceBuffer, TraceRecord};
 use racesim_uarch::{CoreConfig, CoreKind, CoreModel, CoreStats, InOrderCore, OooCore};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -16,11 +15,21 @@ use std::time::Instant;
 pub enum SimError {
     /// An instruction word in the trace failed to decode.
     Decode {
-        /// Program counter of the offending record.
+        /// Program counter of the word's first occurrence in the trace.
         pc: u64,
         /// The decoder's error.
         source: DecodeError,
     },
+    /// A record cannot be replayed: it carries both an effective address
+    /// and a branch target, or the trace exceeds the compact form's
+    /// distinct-word limit.
+    Trace(String),
+}
+
+impl From<std::io::Error> for SimError {
+    fn from(e: std::io::Error) -> SimError {
+        SimError::Trace(e.to_string())
+    }
 }
 
 impl fmt::Display for SimError {
@@ -29,6 +38,7 @@ impl fmt::Display for SimError {
             SimError::Decode { pc, source } => {
                 write!(f, "decode failure at pc {pc:#x}: {source}")
             }
+            SimError::Trace(reason) => write!(f, "malformed trace: {reason}"),
         }
     }
 }
@@ -37,6 +47,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Decode { source, .. } => Some(source),
+            SimError::Trace(_) => None,
         }
     }
 }
@@ -103,8 +114,8 @@ pub struct Simulator {
 /// ```text
 /// simulate
 ///   prefill          cache warming passes
-///   fetch            trace → DynInst conversion
-///     decode         decoder calls on decode-cache misses
+///   fetch            compact trace → DynInst conversion
+///     decode         one decoder call per distinct word, once per run
 ///   execute          core model + memory hierarchy
 ///     mem            l1 / l2 / dram / tlb (wall + latency cycles)
 ///     core           per-cause stall cycles from the core model
@@ -150,7 +161,7 @@ impl SimProf {
     }
 }
 
-/// Records decoded per replay chunk. When profiling, two clock reads
+/// Records expanded per replay chunk. When profiling, two clock reads
 /// per chunk keep the timing overhead amortised to well under a
 /// nanosecond per instruction.
 const REPLAY_CHUNK: usize = 2048;
@@ -233,23 +244,36 @@ impl Simulator {
         &self.platform
     }
 
-    /// Replays a trace through the timing model.
+    /// Replays a record buffer through the timing model; compacts it and
+    /// calls [`Simulator::run_compact`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Decode`] if the trace contains an undecodable
-    /// word.
+    /// See [`Simulator::run_records`].
     pub fn run(&self, trace: &TraceBuffer) -> Result<SimStats, SimError> {
         self.run_records(trace.records())
     }
 
-    /// Replays a record slice through the timing model.
+    /// Replays a record slice through the timing model; compacts it and
+    /// calls [`Simulator::run_compact`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Trace`] for a record a [`CompactTrace`]
+    /// rejects, and [`SimError::Decode`] if the trace contains an
+    /// undecodable word.
+    pub fn run_records(&self, records: &[TraceRecord]) -> Result<SimStats, SimError> {
+        self.run_compact(&CompactTrace::from_records(records)?)
+    }
+
+    /// Replays a compact trace through the timing model: the one replay
+    /// loop every simulation runs.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Decode`] if the trace contains an undecodable
-    /// word.
-    pub fn run_records(&self, records: &[TraceRecord]) -> Result<SimStats, SimError> {
+    /// word, at the pc of that word's first occurrence.
+    pub fn run_compact(&self, trace: &CompactTrace) -> Result<SimStats, SimError> {
         let sw = self.metrics.telemetry.stopwatch();
         let profiled = self.prof.on();
         let t_run = profiled.then(Instant::now);
@@ -262,7 +286,7 @@ impl Simulator {
 
         if self.options.prefill_code || self.options.prefill_data || self.options.prefill_data_l2 {
             self.prof.prefill.time(|| {
-                for r in records {
+                for r in trace {
                     if self.options.prefill_code {
                         mem.prefill_code(r.pc());
                     }
@@ -277,7 +301,7 @@ impl Simulator {
             });
         }
 
-        self.replay(core.as_mut(), &mut mem, records)?;
+        self.replay(core.as_mut(), &mut mem, trace)?;
         let stats = SimStats {
             core: core.stats(),
             mem: mem.stats(),
@@ -303,61 +327,62 @@ impl Simulator {
         Ok(stats)
     }
 
-    /// Decodes one record through the shared decode cache.
-    #[inline]
-    fn decode_cached(
-        &self,
-        cache: &mut HashMap<EncodedInst, StaticInst>,
-        r: &TraceRecord,
-    ) -> Result<StaticInst, SimError> {
-        match cache.get(&r.word()) {
-            Some(s) => Ok(*s),
-            None => {
-                let s = self
-                    .prof
+    /// Decodes a trace's word table, once per run. The table is in
+    /// first-occurrence order, so the first word that fails is the one a
+    /// record-by-record decode would have failed on, reported at the pc
+    /// of its first use.
+    fn decode_table(&self, trace: &CompactTrace) -> Result<Vec<StaticInst>, SimError> {
+        trace
+            .words()
+            .iter()
+            .zip(trace.first_pcs())
+            .map(|(&word, &pc)| {
+                self.prof
                     .decode
-                    .time(|| self.decoder.decode(r.word()))
-                    .map_err(|source| SimError::Decode { pc: r.pc(), source })?;
-                cache.insert(r.word(), s);
-                Ok(s)
-            }
-        }
+                    .time(|| self.decoder.decode(word))
+                    .map_err(|source| SimError::Decode { pc, source })
+            })
+            .collect()
     }
 
-    /// The replay loop. Each [`REPLAY_CHUNK`]-record chunk is decoded
-    /// into a reused `DynInst` buffer (fetch), then consumed by the core
-    /// (execute); the per-record decode/consume order, and so every
+    /// The replay loop. The word table is decoded first (fetch/decode);
+    /// then each [`REPLAY_CHUNK`]-record chunk is expanded into a reused
+    /// `DynInst` buffer by indexing the table (fetch), then consumed by
+    /// the core (execute). The per-record consume order, and so every
     /// counter, is the same as a record-at-a-time walk. The clock is read
     /// only when a profiler is attached, twice per chunk.
     fn replay(
         &self,
         core: &mut dyn CoreModel,
         mem: &mut MemoryHierarchy,
-        records: &[TraceRecord],
+        trace: &CompactTrace,
     ) -> Result<(), SimError> {
         let profiled = self.prof.on();
         let clock = || profiled.then(Instant::now);
-        let mut decode_cache: HashMap<EncodedInst, StaticInst> = HashMap::new();
-        let mut dyn_insts: Vec<DynInst> = Vec::with_capacity(REPLAY_CHUNK.min(records.len()));
-        for chunk in records.chunks(REPLAY_CHUNK) {
+        let t0 = clock();
+        let table = self.decode_table(trace)?;
+        lap(&self.prof.fetch, 0, t0);
+        let mut records = trace.iter();
+        let mut dyn_insts: Vec<DynInst> = Vec::with_capacity(REPLAY_CHUNK.min(trace.len()));
+        loop {
             let t0 = clock();
             dyn_insts.clear();
-            for r in chunk {
-                let stat = self.decode_cached(&mut decode_cache, r)?;
-                dyn_insts.push(DynInst {
-                    pc: r.pc(),
-                    stat,
-                    ea: r.ea().unwrap_or(0),
-                    taken: r.taken(),
-                    target: r.target().unwrap_or(0),
-                });
+            dyn_insts.extend(records.by_ref().take(REPLAY_CHUNK).map(|r| DynInst {
+                pc: r.pc(),
+                stat: table[r.word_id()],
+                ea: r.ea().unwrap_or(0),
+                taken: r.taken(),
+                target: r.target().unwrap_or(0),
+            }));
+            if dyn_insts.is_empty() {
+                break;
             }
-            lap(&self.prof.fetch, chunk.len(), t0);
+            lap(&self.prof.fetch, dyn_insts.len(), t0);
             let t1 = clock();
             for dyn_inst in &dyn_insts {
                 core.consume(dyn_inst, mem);
             }
-            lap(&self.prof.execute, chunk.len(), t1);
+            lap(&self.prof.execute, dyn_insts.len(), t1);
         }
         let t2 = clock();
         core.finish(mem);
@@ -419,17 +444,33 @@ mod tests {
     }
 
     #[test]
-    fn decode_cache_and_errors() {
+    fn decode_errors_carry_the_first_occurrence_pc() {
+        // The undecodable word first appears mid-trace, after valid words,
+        // then recurs at another pc next to a second undecodable word.
+        use racesim_isa::EncodedInst;
+        let bad = EncodedInst(0xfe);
         let mut t = loop_trace(2);
-        // Append a record with an undecodable word.
-        racesim_trace::TraceSink::push(
-            &mut t,
-            TraceRecord::plain(0xdead0, racesim_isa::EncodedInst(0xfe)),
-        )
-        .unwrap();
-        let err = Simulator::new(Platform::a53_like()).run(&t).unwrap_err();
-        assert!(matches!(err, SimError::Decode { pc: 0xdead0, .. }));
+        t.extend([TraceRecord::plain(0xdead0, bad)]);
+        t.extend(loop_trace(2).iter().copied());
+        t.extend([
+            TraceRecord::plain(0xbeef0, EncodedInst(0xfd)),
+            TraceRecord::plain(0xbeef4, bad),
+        ]);
+        let sim = Simulator::new(Platform::a53_like());
+        let err = sim.run(&t).unwrap_err();
+        assert!(matches!(err, SimError::Decode { pc: 0xdead0, .. }), "{err}");
         assert!(err.to_string().contains("0xdead0"));
+        let compact = CompactTrace::from_records(t.records()).unwrap();
+        assert_eq!(sim.run_compact(&compact).unwrap_err(), err);
+    }
+
+    #[test]
+    fn malformed_records_are_trace_errors() {
+        let mut t = loop_trace(1);
+        let taken = t.records()[2];
+        t.extend([taken.with_ea(0x40)]);
+        let err = Simulator::new(Platform::a53_like()).run(&t).unwrap_err();
+        assert!(matches!(err, SimError::Trace(_)), "{err}");
     }
 
     #[test]

@@ -5,13 +5,13 @@ use crate::record::{TraceRecord, TraceSink};
 use crate::summary::TraceSummary;
 use std::io::{self, Read, Write};
 
-/// An in-memory instruction trace.
+/// An in-memory instruction trace: the records themselves, 40 bytes each.
 ///
-/// This is the form the tuning framework keeps traces in: each workload is
-/// recorded once (paper, Section III-C: "benchmark traces are generated on
-/// the real hardware platform only once") and then replayed thousands of
-/// times across candidate configurations, so traces are held decoded in
-/// memory behind an `Arc`.
+/// The tuning framework does not keep traces in this form. Each workload
+/// is recorded once (paper, Section III-C: "benchmark traces are generated
+/// on the real hardware platform only once") and replayed thousands of
+/// times, so it is held as a [`CompactTrace`](crate::CompactTrace) behind
+/// an `Arc`; a buffer is compacted before it is simulated.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceBuffer {
     records: Vec<TraceRecord>,

@@ -13,12 +13,19 @@
 //! front-end:
 //!
 //! * the program counter,
-//! * the raw instruction word (decoded lazily, with a per-PC cache, by the
-//!   consumer — like SIFT carrying instruction bytes),
+//! * the raw instruction word (like SIFT carrying instruction bytes),
 //! * the effective address of memory operations,
 //! * the architectural outcome of branches.
 //!
-//! The on-disk encoding is compact: program counters are implicit while
+//! Records are held for replay as a [`CompactTrace`]: each distinct word
+//! is interned once into a per-trace table (which the simulator decodes
+//! once per run), each record shrinks to a `u16` word id plus flags, the
+//! pc is derived from control flow, and only effective addresses and
+//! taken-branch targets are stored — about 3 bytes a record instead of
+//! the 40 of a [`TraceRecord`]. A [`TraceBuffer`] holds the records
+//! themselves, for producers and tests that want them one by one.
+//!
+//! The on-disk encoding is compact too: program counters are implicit while
 //! control flow is sequential, instruction words are transmitted only the
 //! first time a PC is seen, and addresses are delta-encoded varints. Loop
 //! traces compress to roughly 2–4 bytes per instruction.
@@ -45,6 +52,7 @@
 #![warn(missing_debug_implementations)]
 
 mod buffer;
+mod compact;
 mod format;
 mod record;
 mod static_summary;
@@ -52,6 +60,7 @@ mod summary;
 mod varint;
 
 pub use buffer::TraceBuffer;
+pub use compact::{CompactRecord, CompactTrace, Iter as CompactIter, MAX_WORDS};
 pub use format::{TraceReader, TraceWriter, FORMAT_VERSION};
 pub use record::{TraceRecord, TraceSink};
 pub use static_summary::StaticSummary;

@@ -2,9 +2,9 @@
 
 use racesim_isa::EncodedInst;
 
-const F_HAS_EA: u8 = 1 << 0;
+pub(crate) const F_HAS_EA: u8 = 1 << 0;
 const F_IS_BRANCH: u8 = 1 << 1;
-const F_TAKEN: u8 = 1 << 2;
+pub(crate) const F_TAKEN: u8 = 1 << 2;
 
 /// One dynamically executed instruction as observed by the front-end.
 ///
@@ -54,6 +54,15 @@ impl TraceRecord {
             target: if taken { target } else { 0 },
             flags: F_IS_BRANCH | if taken { F_TAKEN } else { 0 },
         }
+    }
+
+    /// The record with an effective address attached. The wire format
+    /// admits one on any record kind; a [`CompactTrace`](crate::CompactTrace)
+    /// rejects one on a taken branch, whose payload slot holds the target.
+    pub fn with_ea(mut self, ea: u64) -> TraceRecord {
+        self.ea = ea;
+        self.flags |= F_HAS_EA;
+        self
     }
 
     pub(crate) fn from_raw(pc: u64, word: EncodedInst, ea: u64, target: u64, flags: u8) -> Self {
@@ -127,7 +136,8 @@ impl TraceRecord {
 
 /// Anything that can consume a stream of trace records.
 ///
-/// Implemented by [`TraceBuffer`](crate::TraceBuffer) (in-memory) and
+/// Implemented by [`CompactTrace`](crate::CompactTrace) (the replay
+/// form), [`TraceBuffer`](crate::TraceBuffer) (in-memory records) and
 /// [`TraceWriter`](crate::TraceWriter) (serialised), so trace producers —
 /// the functional front-end in `racesim-kernels` — are agnostic about where
 /// the trace goes.

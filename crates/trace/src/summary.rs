@@ -29,12 +29,15 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Computes a summary over a record slice.
     pub fn of(records: &[TraceRecord]) -> TraceSummary {
-        let mut s = TraceSummary {
-            instructions: records.len() as u64,
-            ..TraceSummary::default()
-        };
+        TraceSummary::tally(records.iter().copied())
+    }
+
+    /// Computes a summary over a record stream.
+    pub(crate) fn tally(records: impl Iterator<Item = TraceRecord>) -> TraceSummary {
+        let mut s = TraceSummary::default();
         let mut pcs = std::collections::HashSet::new();
         for r in records {
+            s.instructions += 1;
             pcs.insert(r.pc());
             let Some(op) = r.word().opcode() else {
                 continue;

@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let traces: Vec<_> = kernels
         .iter()
-        .map(|w| w.trace().expect("kernels run"))
+        .map(|w| w.compact_trace().expect("kernels run"))
         .collect();
 
     let predictors: [(&str, DirPredictorConfig); 4] = [
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (_, dir) in &predictors {
             let mut platform = Platform::a53_like();
             platform.core.branch.direction = *dir;
-            let stats = Simulator::new(platform).run(t)?;
+            let stats = Simulator::new(platform).run_compact(t)?;
             print!("{:>15.2}", stats.core.branch_mpki());
         }
         println!();
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let run = |indirect| -> Result<f64, racesim::sim::SimError> {
             let mut platform = Platform::a53_like();
             platform.core.branch.indirect = indirect;
-            Ok(Simulator::new(platform).run(t)?.cpi())
+            Ok(Simulator::new(platform).run_compact(t)?.cpi())
         };
         let btb = run(IndirectPredictorConfig::BtbOnly)?;
         let path = run(IndirectPredictorConfig::PathHistory {

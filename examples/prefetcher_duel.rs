@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let traces: Vec<_> = kernels
         .iter()
-        .map(|w| w.trace().expect("kernels run"))
+        .map(|w| w.compact_trace().expect("kernels run"))
         .collect();
 
     let prefetchers: [(&str, PrefetcherConfig); 4] = [
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (_, pf) in &prefetchers {
             let mut platform = Platform::a53_like();
             platform.mem.prefetcher = *pf;
-            let stats = Simulator::new(platform).run(t)?;
+            let stats = Simulator::new(platform).run_compact(t)?;
             print!("{:>12.3}", stats.cpi());
         }
         println!();
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for hash in [IndexHash::Mask, IndexHash::Xor, IndexHash::MersenneMod] {
             let mut platform = Platform::a53_like();
             platform.mem.l1d.hash = hash;
-            let stats = Simulator::new(platform).run(t)?;
+            let stats = Simulator::new(platform).run_compact(t)?;
             print!("{:>12.3}", stats.cpi());
         }
         println!();

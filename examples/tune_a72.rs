@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     let mut total = 0.0;
     for i in 0..prepared.len() {
-        let stats = sim.run(&prepared.traces[i])?;
+        let stats = sim.run_compact(&prepared.traces[i])?;
         let hw_cpi = prepared.hw[i].cpi();
         let err = 100.0 * ((stats.cpi() - hw_cpi) / hw_cpi).abs();
         total += err;

@@ -27,7 +27,7 @@ fn a53_validation_pipeline_improves_and_generalises() {
         let sim = Simulator::new(p.clone());
         (0..prepared.len())
             .map(|i| {
-                let s = sim.run(&prepared.traces[i]).unwrap();
+                let s = sim.run_compact(&prepared.traces[i]).unwrap();
                 100.0 * ((s.cpi() - prepared.hw[i].cpi()) / prepared.hw[i].cpi()).abs()
             })
             .sum::<f64>()

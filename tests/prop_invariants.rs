@@ -1,12 +1,16 @@
 //! Cross-crate property tests on core invariants.
 
 use proptest::prelude::*;
+use racesim::decoder::Decoder;
 use racesim::isa::{asm::Asm, Reg};
 use racesim::prelude::*;
-use racesim::trace::{TraceBuffer, TraceRecord};
+use racesim::sim::SimOptions;
+use racesim::trace::{CompactTrace, TraceBuffer, TraceRecord, TraceSink};
 
-/// Builds a random but well-formed straight-line trace over a handful of
-/// static instructions.
+/// Builds a random but well-formed trace over a handful of static
+/// instructions: control flow mostly follows the previous record (taken
+/// and not-taken branches, loads and stores), with random jumps — some
+/// into a relocated copy of the code — as pc discontinuities.
 fn arb_trace() -> impl Strategy<Value = TraceBuffer> {
     // Static program: add, load, store, plus a conditional branch target.
     let mut a = Asm::new();
@@ -19,20 +23,34 @@ fn arb_trace() -> impl Strategy<Value = TraceBuffer> {
     let p = a.finish();
 
     (
-        proptest::collection::vec((0usize..5, 0u64..1 << 20, any::<bool>()), 1..400),
+        proptest::collection::vec((0usize..5, 0u64..1 << 20, any::<bool>(), 0u8..8), 1..400),
         Just(p),
     )
         .prop_map(|(steps, p)| {
+            // The code is also "mapped" at this offset.
+            const RELOCATED: u64 = 1 << 40;
             let mut t = TraceBuffer::new();
-            for (idx, addr, taken) in steps {
-                let pc = p.pc_of(idx);
+            let mut next_pc = None;
+            for (idx, addr, taken, roll) in steps {
+                // One step in eight jumps; the rest follow control flow
+                // while it stays inside the program.
+                let (idx, base) = match next_pc {
+                    Some(pc) if roll != 0 => {
+                        let base = pc & RELOCATED;
+                        let i = (0..p.code.len()).find(|&i| p.pc_of(i) + base == pc);
+                        i.map_or((idx, 0), |i| (i, base))
+                    }
+                    _ => (idx, if addr & 1 == 0 { 0 } else { RELOCATED }),
+                };
+                let pc = p.pc_of(idx) + base;
                 let w = p.code[idx];
                 let rec = match idx {
                     1 | 2 => TraceRecord::memory(pc, w, 0x10_0000 + (addr & !7)),
-                    4 => TraceRecord::branch(pc, w, taken, p.pc_of(0)),
+                    4 => TraceRecord::branch(pc, w, taken, p.pc_of(0) + base),
                     _ => TraceRecord::plain(pc, w),
                 };
-                racesim::trace::TraceSink::push(&mut t, rec).unwrap();
+                next_pc = Some(rec.next_pc());
+                t.push(rec).unwrap();
             }
             t
         })
@@ -55,6 +73,44 @@ proptest! {
             // Branch counters are consistent.
             prop_assert!(stats.core.branch.mispredicts <= stats.core.branch.branches);
         }
+    }
+
+    /// Compacting a trace loses nothing: it expands back to the same
+    /// records, and replays to the same statistics on both core kinds,
+    /// with and without prefilled caches.
+    #[test]
+    fn compact_traces_roundtrip_and_replay_identically(trace in arb_trace()) {
+        let compact = CompactTrace::from_records(trace.records()).unwrap();
+        prop_assert_eq!(compact.records().collect::<Vec<_>>(), trace.records());
+        prop_assert_eq!(compact.len(), trace.len());
+        let warm = SimOptions { prefill_code: true, prefill_data: false, prefill_data_l2: true };
+        for platform in [Platform::a53_like(), Platform::a72_like()] {
+            for options in [SimOptions::default(), warm] {
+                let sim = Simulator::with_decoder(platform.clone(), Decoder::new(), options);
+                prop_assert_eq!(sim.run(&trace).unwrap(), sim.run_compact(&compact).unwrap());
+            }
+        }
+    }
+
+    /// A record carrying both an effective address and a branch target
+    /// has no compact form: pushing it is an error, never a panic, and
+    /// the trace keeps every record pushed before it.
+    #[test]
+    fn compact_traces_reject_records_with_ea_and_target(
+        trace in arb_trace(),
+        at in 0usize..400,
+        ea in any::<u64>(),
+        target in any::<u64>(),
+    ) {
+        let at = at % trace.len();
+        let mut compact = CompactTrace::from_records(&trace.records()[..at]).unwrap();
+        let r = trace.records()[at];
+        let bad = TraceRecord::branch(r.pc(), r.word(), true, target).with_ea(ea);
+        prop_assert!(compact.push(bad).is_err());
+        prop_assert_eq!(compact.len(), at);
+        let mut with_bad = trace.clone();
+        with_bad.push(bad).unwrap();
+        prop_assert!(Simulator::new(Platform::a53_like()).run(&with_bad).is_err());
     }
 
     /// The memory hierarchy's counters stay consistent for any access mix.
