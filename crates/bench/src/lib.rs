@@ -14,10 +14,11 @@
 //! | `fig7` | Figure 7 — close-to-optimum worst case on the A53 |
 //! | `fig8` | Figure 8 — close-to-optimum worst case on the A72 |
 //!
-//! All binaries accept two environment variables:
+//! All binaries accept three environment variables:
 //! `RACESIM_SCALE` (divisor of the paper's dynamic instruction counts,
-//! default 512) and `RACESIM_BUDGET` (racing evaluation budget, default
-//! 4000; the paper used 10K–100K trials). Results are printed as ASCII
+//! default 512), `RACESIM_BUDGET` (racing evaluation budget, default
+//! 12 000; the paper used 10K–100K trials) and `RACESIM_SEED` (tuner
+//! seed, default `0xA5372`). Results are printed as ASCII
 //! charts and written as CSV next to the binary's working directory under
 //! `results/`.
 
@@ -235,7 +236,9 @@ mod tests {
     fn env_defaults_are_sane() {
         // Do not set the env vars: defaults apply.
         let cfg = ExperimentConfig::from_env();
-        assert!(cfg.budget >= 1_000);
+        assert_eq!(cfg.scale.divisor(), 512);
+        assert_eq!(cfg.budget, 12_000);
+        assert_eq!(cfg.seed, 0xA5372);
         assert!(cfg.threads >= 1);
         let s = cfg.validator_settings(CoreKind::InOrder, Revision::Fixed);
         assert_eq!(s.kind, CoreKind::InOrder);

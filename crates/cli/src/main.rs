@@ -144,21 +144,46 @@ PROFILE OPTIONS:
     --folded <FILE>               also write a folded-stack file (flamegraph.pl input)
 ";
 
-/// Flags that take no value. `--suite` is boolean only for `lint`; for
-/// `profile` it takes a suite name.
-const BOOL_FLAGS: &[&str] = &["json", "static-bounds"];
-const LINT_BOOL_FLAGS: &[&str] = &["json", "suite", "deny-warnings"];
+/// Every command with the flags it reads. Any other flag is an error,
+/// so a typo never silently falls back to a default. `--suite` is
+/// boolean for `lint` and names a suite for `profile`.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, &str)] = &[
+    // (command, value-taking flags, boolean flags)
+    ("list", "scale", ""),
+    ("simulate", "platform workload scale", ""),
+    ("measure", "board workload scale", ""),
+    ("probe", "board", ""),
+    ("config", "platform", ""),
+    ("validate", "core scale budget threads out", ""),
+    ("tune", "core scale budget seed threads workers max-iterations timeout faults fault-seed \
+              telemetry checkpoint resume worker-cmd worker-timeout out", "static-bounds"),
+    ("worker", "exit-after only-worker", ""),
+    ("report", "", "json"),
+    ("replay", "", "json"),
+    ("diff", "core scale revision-a revision-b a b tolerance save", "json"),
+    ("profile", "suite workload scale platform folded", "json"),
+    ("bounds", "core workload scale", "json"),
+    ("lint", "revision scale platform", "json suite deny-warnings"),
+    ("help", "", ""),
+];
 
-fn parse_flags(args: &[String], bool_flags: &[&str]) -> Result<HashMap<String, String>, String> {
+fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let Some(&(_, values, bools)) = COMMANDS.iter().find(|(c, ..)| *c == cmd) else {
+        return Err(format!("unknown command {cmd:?}\n\n{USAGE}"));
+    };
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
-        if bool_flags.contains(&key) {
+        if bools.split_whitespace().any(|f| f == key) {
             flags.insert(key.to_string(), "true".to_string());
             continue;
+        }
+        if !values.split_whitespace().any(|f| f == key) {
+            return Err(format!("unknown flag --{key} for {cmd}"));
         }
         let Some(value) = it.next() else {
             return Err(format!("flag --{key} needs a value"));
@@ -169,13 +194,7 @@ fn parse_flags(args: &[String], bool_flags: &[&str]) -> Result<HashMap<String, S
 }
 
 fn scale_of(flags: &HashMap<String, String>) -> Result<Scale, String> {
-    match flags.get("scale") {
-        None => Ok(Scale::divide_by(2048)),
-        Some(v) => v
-            .parse()
-            .map(Scale::divide_by)
-            .map_err(|_| format!("invalid --scale {v:?}")),
-    }
+    Ok(Scale::divide_by(parse_u64(flags, "scale", 2048)?))
 }
 
 fn board_of(flags: &HashMap<String, String>) -> Result<ReferenceBoard, String> {
@@ -341,17 +360,8 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
 /// deterministic worker deaths for the fault-tolerance tests.
 fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     let opts = racesim_dist::WorkerOptions {
-        exit_after: flags
-            .get("exit-after")
-            .map(|v| v.parse().map_err(|_| format!("invalid --exit-after {v:?}")))
-            .transpose()?,
-        only_worker: flags
-            .get("only-worker")
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid --only-worker {v:?}"))
-            })
-            .transpose()?,
+        exit_after: opt_flag(flags, "exit-after")?,
+        only_worker: opt_flag(flags, "only-worker")?,
     };
     match racesim_dist::serve_stdio(&opts) {
         Ok(racesim_dist::ServeEnd::Killed) => {
@@ -379,12 +389,19 @@ fn core_of(flags: &HashMap<String, String>) -> Result<CoreKind, String> {
     }
 }
 
-fn parse_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
+/// `--key` parsed as a `T`; `None` when the flag is absent.
+fn opt_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
     flags
         .get(key)
         .map(|v| v.parse().map_err(|_| format!("invalid --{key} {v:?}")))
         .transpose()
-        .map(|v| v.unwrap_or(default))
+}
+
+fn parse_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
+    Ok(opt_flag(flags, key)?.unwrap_or(default))
 }
 
 /// `--threads`; absent or 0 means every available core.
@@ -429,17 +446,8 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         seed: parse_u64(flags, "seed", TunerSettings::default().seed)?,
         threads: threads_of(flags)?,
         workers: parse_u64(flags, "workers", 0)? as usize,
-        max_iterations: flags
-            .get("max-iterations")
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid --max-iterations {v:?}"))
-            })
-            .transpose()?,
-        timeout_ms: flags
-            .get("timeout")
-            .map(|v| v.parse().map_err(|_| format!("invalid --timeout {v:?}")))
-            .transpose()?,
+        max_iterations: opt_flag(flags, "max-iterations")?,
+        timeout_ms: opt_flag(flags, "timeout")?,
         fault_profile: flags
             .get("faults")
             .cloned()
@@ -1680,92 +1688,55 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some((cmd, rest)) = args.split_first() else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    run(cmd, rest).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Runs one command on the arguments that follow its name.
+fn run(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
     // `report` and `replay` take one positional operand (the journal
     // path); every other command is flags-only.
-    let mut positional = None;
-    let flag_args =
-        if (cmd == "report" || cmd == "replay") && args.len() >= 2 && !args[1].starts_with("--") {
-            positional = Some(args[1].clone());
-            &args[2..]
-        } else {
-            &args[1..]
-        };
-    let bool_flags = if cmd == "lint" {
-        LINT_BOOL_FLAGS
-    } else {
-        BOOL_FLAGS
+    let (journal, flag_args) = match args.split_first() {
+        Some((j, rest)) if (cmd == "report" || cmd == "replay") && !j.starts_with("--") => {
+            (Some(j.as_str()), rest)
+        }
+        _ => (None, args),
     };
-    let flags = match parse_flags(flag_args, bool_flags) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let cmd = match cmd {
+        "--help" | "-h" => "help",
+        c => c,
     };
-    let result = match cmd.as_str() {
-        "list" => cmd_list(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "measure" => cmd_measure(&flags),
-        "probe" => cmd_probe(&flags),
-        "config" => cmd_config(&flags),
-        "validate" => cmd_validate(&flags),
-        "tune" => cmd_tune(&flags),
-        "worker" => cmd_worker(&flags),
-        "report" => match &positional {
-            Some(journal) => cmd_report(journal, &flags),
-            None => Err("report needs a journal path: racesim report <FILE> [--json]".to_string()),
-        },
-        "replay" => {
-            let r = match &positional {
-                Some(journal) => cmd_replay(journal, &flags),
-                None => {
-                    Err("replay needs a journal path: racesim replay <FILE> [--json]".to_string())
-                }
-            };
-            return match r {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "diff" => {
-            return match cmd_diff(&flags) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "profile" => cmd_profile(&flags),
-        "bounds" => cmd_bounds(&flags),
-        "lint" => {
-            return match cmd_lint(&flags) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "help" | "--help" | "-h" => {
+    let flags = parse_flags(cmd, flag_args)?;
+    let journal = || {
+        journal.ok_or_else(|| format!("{cmd} needs a journal path: racesim {cmd} <FILE> [--json]"))
+    };
+    let done = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
+    match cmd {
+        "list" => done(cmd_list(&flags)),
+        "simulate" => done(cmd_simulate(&flags)),
+        "measure" => done(cmd_measure(&flags)),
+        "probe" => done(cmd_probe(&flags)),
+        "config" => done(cmd_config(&flags)),
+        "validate" => done(cmd_validate(&flags)),
+        "tune" => done(cmd_tune(&flags)),
+        "worker" => done(cmd_worker(&flags)),
+        "report" => done(cmd_report(journal()?, &flags)),
+        "replay" => cmd_replay(journal()?, &flags),
+        "diff" => cmd_diff(&flags),
+        "profile" => done(cmd_profile(&flags)),
+        "bounds" => done(cmd_bounds(&flags)),
+        "lint" => cmd_lint(&flags),
+        "help" => {
             print!("{USAGE}");
-            Ok(())
+            Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        other => unreachable!("{other} is in COMMANDS but has no handler"),
     }
 }
 
@@ -1779,18 +1750,26 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = parse_flags(&args, BOOL_FLAGS).unwrap();
+        let f = parse_flags("simulate", &args).unwrap();
         assert_eq!(f.get("scale").unwrap(), "1024");
         assert_eq!(f.get("workload").unwrap(), "MD");
-        assert!(parse_flags(&["--dangling".to_string()], BOOL_FLAGS).is_err());
-        assert!(parse_flags(&["positional".to_string()], BOOL_FLAGS).is_err());
-        // `--suite` is boolean for lint, value-taking elsewhere.
+        assert!(parse_flags("simulate", &["--workload".to_string()]).is_err());
+        assert!(parse_flags("simulate", &["positional".to_string()]).is_err());
+        // `--suite` is boolean for lint, value-taking for profile.
         let args = vec!["--suite".to_string()];
         assert_eq!(
-            parse_flags(&args, LINT_BOOL_FLAGS).unwrap().get("suite"),
+            parse_flags("lint", &args).unwrap().get("suite"),
             Some(&"true".to_string())
         );
-        assert!(parse_flags(&args, BOOL_FLAGS).is_err());
+        assert!(parse_flags("profile", &args).is_err());
+        // A flag the command never reads is refused, not ignored.
+        let args: Vec<String> = ["--static-bounds"].iter().map(|s| s.to_string()).collect();
+        assert!(parse_flags("tune", &args).is_ok());
+        assert_eq!(
+            parse_flags("validate", &args).unwrap_err(),
+            "unknown flag --static-bounds for validate"
+        );
+        assert!(parse_flags("frobnicate", &[]).is_err());
     }
 
     #[test]

@@ -265,3 +265,39 @@ fn report_without_a_journal_is_a_clean_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
+
+#[test]
+fn flags_a_command_never_reads_are_refused() {
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &[
+                "validate", "--core", "a53", "--budget", "40", "--budjet", "3",
+            ],
+            "unknown flag --budjet for validate",
+        ),
+        (&["list", "--scael", "4"], "unknown flag --scael for list"),
+        // Only `tune` reads the seed and the static bounds.
+        (
+            &["validate", "--seed", "5"],
+            "unknown flag --seed for validate",
+        ),
+        (
+            &["validate", "--static-bounds"],
+            "unknown flag --static-bounds for validate",
+        ),
+        (
+            &["report", "x.jsonl", "--suite"],
+            "unknown flag --suite for report",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = racesim(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.trim_end(), format!("error: {message}"), "{args:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} must fail before doing any work"
+        );
+    }
+}

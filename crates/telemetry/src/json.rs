@@ -3,8 +3,8 @@
 //! hand-rolled here, once, and every crate writes and reads through it.
 //!
 //! * [`Value`] is a small JSON tree. Every `--json` document (`lint`,
-//!   `bounds`, `profile`, `report`, `replay`, `diff`, the perf snapshot)
-//!   is built as a `Value` and rendered with its `Display`; [`parse`]
+//!   `bounds`, `profile`, `report`, `replay`, `diff`) is built as a
+//!   `Value` and rendered with its `Display`; [`parse`]
 //!   reads any JSON document back into one.
 //! * Journal lines and wire frames stay flat: [`Obj`] builds one flat
 //!   object, and [`parse_object`] — [`parse`] plus a check that rejects
