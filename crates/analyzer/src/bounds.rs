@@ -26,10 +26,8 @@
 //! kernel generators emit. Traces are never truncated (the emulator
 //! errors instead of clipping at its instruction limit), so every
 //! simulated stream is the whole program and the ratio-form bounds apply
-//! as computed. [`LazySuiteCost`]'s debug assertion and the proptest in
-//! `crates/core/tests` hold every simulated CPI inside its interval.
-//!
-//! [`LazySuiteCost`]: ../../racesim_core/index.html
+//! as computed. The proptest in `crates/core/tests` holds every
+//! simulated CPI inside its interval.
 
 use crate::diag::{Diagnostic, Lint};
 use crate::interval::Interval;

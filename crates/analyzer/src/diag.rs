@@ -183,16 +183,16 @@ lints! {
 
     // ---- RA6xx: static CPI bounds -----------------------------------
     /// A kernel whose static CPI lower bound never exceeds the trivial
-    /// issue-width floor: the bounds engine can prove nothing about it
-    /// and pre-simulation elimination gains nothing from it.
+    /// issue-width floor: the bounds engine can prove nothing about it,
+    /// so its interval says nothing a measurement would not.
     BoundVacuous = ("RA601", "vacuous-bound", Warn),
     /// A static CPI interval with its lower bound above its upper bound:
     /// the bounds lattice produced a claim no execution can satisfy, so
-    /// any elimination decision built on it would be unsound.
+    /// the engine is unsound for that kernel.
     BoundInversion = ("RA602", "bound-inversion", Error),
     /// A tuned parameter that moves no kernel's static CPI interval
     /// anywhere in its domain: the bounds engine treats every candidate
-    /// alike (static elimination is direction-blind for this dimension).
+    /// alike along this dimension.
     BoundInsensitiveParameter = ("RA603", "suite-insensitive-parameter", Info),
 }
 

@@ -25,8 +25,7 @@
 //!   IR computing per-(kernel, configuration) CPI intervals (RA6xx):
 //!   sound lower bounds from issue-width, port-occupancy and
 //!   dependence-chain arguments, upper bounds from serialised worst-case
-//!   costs; the tuner uses them to eliminate configurations before
-//!   simulating them.
+//!   costs. `racesim bounds` prints them; the tuner does not use them.
 //! * [`coverage`] — the campaign-level parameter-coverage matrix
 //!   (RA41x): which kernels can statically observe each `ParamSpace`
 //!   dimension, which dimensions no kernel observes, and which kernels

@@ -50,19 +50,16 @@ pub struct ExperimentConfig {
 impl ExperimentConfig {
     /// Reads `RACESIM_SCALE` / `RACESIM_BUDGET` / `RACESIM_SEED` with
     /// defaults suited to a release-build laptop run.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a variable is set to something other than an unsigned
+    /// integer (experiment binaries fail loudly).
     pub fn from_env() -> ExperimentConfig {
-        let scale_div = std::env::var("RACESIM_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(512u64);
-        let budget = std::env::var("RACESIM_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(12_000u64);
-        let seed = std::env::var("RACESIM_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0x000A_5372);
+        let knob = |name: &str, default| env_knob(name, std::env::var(name).ok(), default);
+        let scale_div = knob("RACESIM_SCALE", 512);
+        let budget = knob("RACESIM_BUDGET", 12_000);
+        let seed = knob("RACESIM_SEED", 0x000A_5372);
         ExperimentConfig {
             scale: Scale::divide_by(scale_div),
             budget,
@@ -87,6 +84,18 @@ impl ExperimentConfig {
             },
             metric: racesim_core::CostMetric::CpiError,
         }
+    }
+}
+
+/// One environment knob: unset gives `default`, and a value that is not
+/// an unsigned integer panics with the variable and the value, so a typo
+/// such as `RACESIM_BUDGET=12k` never silently runs the default.
+fn env_knob(name: &str, value: Option<String>, default: u64) -> u64 {
+    match value {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={v:?} is not an unsigned integer")),
     }
 }
 
@@ -243,6 +252,21 @@ mod tests {
         let s = cfg.validator_settings(CoreKind::InOrder, Revision::Fixed);
         assert_eq!(s.kind, CoreKind::InOrder);
         assert_eq!(s.tuner.budget, cfg.budget);
+    }
+
+    #[test]
+    fn env_knobs_parse_or_fall_back_when_unset() {
+        assert_eq!(env_knob("RACESIM_BUDGET", None, 12_000), 12_000);
+        assert_eq!(
+            env_knob("RACESIM_BUDGET", Some("300".to_string()), 12_000),
+            300
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "RACESIM_BUDGET=\"12k\" is not an unsigned integer")]
+    fn unparsable_env_knobs_fail_loudly() {
+        env_knob("RACESIM_BUDGET", Some("12k".to_string()), 12_000);
     }
 
     #[test]

@@ -59,8 +59,8 @@ COMMANDS:
                                   platform configs, or saved baselines (the regression gate)
     profile                       self-profile the simulator: per-kernel phase tree of where
                                   wall time goes (fetch/decode/execute, memory levels, stalls)
-    bounds                        static CPI intervals of every kernel on a platform preset —
-                                  the intervals `tune --static-bounds` eliminates against
+    bounds                        static CPI intervals of every kernel on a platform preset,
+                                  from abstract interpretation (no simulation, no board)
     lint                          statically check platforms, parameter spaces and kernels
     help                          show this message
 
@@ -99,9 +99,6 @@ TUNE OPTIONS:
     --faults <none|transient|aggressive>
                                   inject deterministic board faults into the tune measurements
     --fault-seed <N>              seed of the fault plan (default 1)
-    --static-bounds               eliminate configurations whose static CPI-bound cost
-                                  floor exceeds the incumbent elite, before simulating
-                                  them (journaled; replay verifies the eliminations)
     --telemetry <FILE>            journal campaign events and metrics as JSONL (appends when
                                   resuming an existing journal; see `racesim report`)
     --workers <N>                 shard evaluations over N spawned worker processes; results
@@ -157,7 +154,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ("config", "platform", ""),
     ("validate", "core scale budget threads out", ""),
     ("tune", "core scale budget seed threads workers max-iterations timeout faults fault-seed \
-              telemetry checkpoint resume worker-cmd worker-timeout out", "static-bounds"),
+              telemetry checkpoint resume worker-cmd worker-timeout out", ""),
     ("worker", "exit-after only-worker", ""),
     ("report", "", "json"),
     ("replay", "", "json"),
@@ -194,7 +191,9 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, St
 }
 
 fn scale_of(flags: &HashMap<String, String>) -> Result<Scale, String> {
-    Ok(Scale::divide_by(parse_u64(flags, "scale", 2048)?))
+    Ok(Scale::divide_by(
+        opt_positive(flags, "scale")?.unwrap_or(2048),
+    ))
 }
 
 fn board_of(flags: &HashMap<String, String>) -> Result<ReferenceBoard, String> {
@@ -404,6 +403,15 @@ fn parse_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result
     Ok(opt_flag(flags, key)?.unwrap_or(default))
 }
 
+/// A flag for which 0 means nothing (a scale divisor, a timeout): it is
+/// refused rather than silently read as some other setting.
+fn opt_positive(flags: &HashMap<String, String>, key: &str) -> Result<Option<u64>, String> {
+    match opt_flag(flags, key)? {
+        Some(0) => Err(format!("invalid --{key} 0 (must be at least 1)")),
+        v => Ok(v),
+    }
+}
+
 /// `--threads`; absent or 0 means every available core.
 fn threads_of(flags: &HashMap<String, String>) -> Result<usize, String> {
     Ok(match parse_u64(flags, "threads", 0)? {
@@ -447,14 +455,14 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         threads: threads_of(flags)?,
         workers: parse_u64(flags, "workers", 0)? as usize,
         max_iterations: opt_flag(flags, "max-iterations")?,
-        timeout_ms: opt_flag(flags, "timeout")?,
+        timeout_ms: opt_positive(flags, "timeout")?,
         fault_profile: flags
             .get("faults")
             .cloned()
             .unwrap_or_else(|| "none".to_string()),
         fault_seed: parse_u64(flags, "fault-seed", 1)?,
         frozen: Vec::new(),
-        static_bounds: flags.contains_key("static-bounds"),
+        static_bounds: false,
     };
 
     // One telemetry handle threads through the whole stack: tuner, cost
@@ -488,14 +496,6 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let stack = spec.build_stack(&telemetry)?;
     let n_instances = stack.cost.len();
-
-    if let Some(b) = &stack.bounds {
-        println!(
-            "static CPI bounds active over {} kernels: dominated configurations \
-             are eliminated before simulation",
-            b.kernels().len()
-        );
-    }
 
     let frozen: Vec<(usize, racesim_race::Value)> =
         unobserved_dimensions(&stack.space, &stack.suite, &stack.base)
@@ -555,7 +555,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
             fault_seed: spec.fault_seed,
             timeout_ms: spec.timeout_ms.unwrap_or(0),
             worker: 0,
-            static_bounds: spec.static_bounds,
+            static_bounds: false,
         };
         let mut pool_opts = racesim_dist::PoolOptions::new(spec.workers, init);
         pool_opts.request_timeout =
@@ -592,12 +592,6 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         "best cost: {:.2}% mean CPI error ({} evaluations, {} retries, {} configurations failed)",
         result.best_cost, result.evals_used, result.retries, result.failed_configs
     );
-    if result.static_eliminated > 0 {
-        println!(
-            "static bounds eliminated {} configuration(s) without simulation",
-            result.static_eliminated
-        );
-    }
     for (instance, reason) in &result.quarantined {
         println!(
             "quarantined instance {instance} ({}): {reason}",
@@ -744,12 +738,6 @@ impl CampaignSummary {
                 } => s
                     .eliminations
                     .push((kind.clone(), *after_blocks, config.clone())),
-                Event::StaticEliminated { config, .. } => {
-                    // Folded into the elimination stream: statically
-                    // eliminated configs never raced, so zero blocks.
-                    s.eliminations
-                        .push(("static".to_string(), 0, config.clone()));
-                }
                 Event::Quarantine { instance, reason } => {
                     s.quarantines.push((instance.clone(), reason.clone()));
                 }
@@ -1434,9 +1422,7 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// `racesim bounds`: the static CPI interval of every kernel on a
 /// platform preset, from abstract interpretation over the kernel IR —
-/// no simulation, no board. These are the intervals `tune
-/// --static-bounds` eliminates against, so this is also the debugging
-/// view for "why was configuration X dropped".
+/// no simulation, no board. Lint RA601–603 police the same intervals.
 fn cmd_bounds(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
     let kind = core_of(flags)?;
@@ -1763,11 +1749,11 @@ mod tests {
         );
         assert!(parse_flags("profile", &args).is_err());
         // A flag the command never reads is refused, not ignored.
-        let args: Vec<String> = ["--static-bounds"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags("tune", &args).is_ok());
+        let args = vec!["--json".to_string()];
+        assert!(parse_flags("report", &args).is_ok());
         assert_eq!(
             parse_flags("validate", &args).unwrap_err(),
-            "unknown flag --static-bounds for validate"
+            "unknown flag --json for validate"
         );
         assert!(parse_flags("frobnicate", &[]).is_err());
     }

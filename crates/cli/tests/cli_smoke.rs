@@ -268,7 +268,13 @@ fn report_without_a_journal_is_a_clean_error() {
 
 #[test]
 fn flags_a_command_never_reads_are_refused() {
-    let cases: [(&[&str], &str); 5] = [
+    let journal = std::env::temp_dir().join(format!(
+        "racesim_refused_flags_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&journal);
+    let journal_arg = journal.display().to_string();
+    let cases: [(&[&str], &str); 7] = [
         (
             &[
                 "validate", "--core", "a53", "--budget", "40", "--budjet", "3",
@@ -276,18 +282,36 @@ fn flags_a_command_never_reads_are_refused() {
             "unknown flag --budjet for validate",
         ),
         (&["list", "--scael", "4"], "unknown flag --scael for list"),
-        // Only `tune` reads the seed and the static bounds.
+        // Only `tune` reads the seed.
         (
             &["validate", "--seed", "5"],
             "unknown flag --seed for validate",
         ),
         (
-            &["validate", "--static-bounds"],
-            "unknown flag --static-bounds for validate",
+            &["tune", "--static-bounds"],
+            "unknown flag --static-bounds for tune",
         ),
         (
             &["report", "x.jsonl", "--suite"],
             "unknown flag --suite for report",
+        ),
+        // Zero is no timeout and no scale divisor: refused, not reread
+        // as "no watchdog" or as the unscaled suite.
+        (
+            &[
+                "tune",
+                "--core",
+                "a53",
+                "--timeout",
+                "0",
+                "--telemetry",
+                &journal_arg,
+            ],
+            "invalid --timeout 0 (must be at least 1)",
+        ),
+        (
+            &["tune", "--core", "a53", "--scale", "0"],
+            "invalid --scale 0 (must be at least 1)",
         ),
     ];
     for (args, message) in cases {
@@ -300,4 +324,5 @@ fn flags_a_command_never_reads_are_refused() {
             "{args:?} must fail before doing any work"
         );
     }
+    assert!(!journal.exists(), "a refused tune opens no journal");
 }

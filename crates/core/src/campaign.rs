@@ -10,11 +10,10 @@
 //! sides. The model revision is pinned to [`Revision::Fixed`] — `tune`
 //! always drives the fixed model.
 //!
-//! The race recipe itself — tuner settings, coverage-frozen dimensions,
-//! telemetry and static bounds — is `racing_tuner`, shared by
-//! `validate` ([`Validator::run`]) and every campaign driver here.
+//! The race recipe itself — tuner settings, coverage-frozen dimensions
+//! and telemetry — is `racing_tuner`, shared by `validate`
+//! ([`Validator::run`]) and every campaign driver here.
 
-use crate::bounds::CampaignBounds;
 use crate::fallible::LazySuiteCost;
 use crate::params::{build_space, Revision};
 use crate::validator::{CostMetric, Validator, ValidatorSettings};
@@ -81,21 +80,16 @@ pub fn unobserved_dimensions(
 }
 
 /// The race recipe: a tuner with `settings`, the `frozen` dimensions
-/// pinned, journaling to `telemetry`, and pre-eliminating against
-/// `bounds` when given. `validate`, `tune` and `replay` all race with it.
+/// pinned, journaling to `telemetry`. `validate`, `tune` and `replay`
+/// all race with it.
 pub(crate) fn racing_tuner(
     settings: TunerSettings,
     frozen: Vec<(usize, Value)>,
     telemetry: &Telemetry,
-    bounds: Option<&Arc<CampaignBounds>>,
 ) -> RacingTuner {
-    let tuner = RacingTuner::new(settings)
+    RacingTuner::new(settings)
         .with_telemetry(telemetry.clone())
-        .with_frozen(frozen);
-    match bounds {
-        Some(b) => tuner.with_static_bounds(Arc::clone(b) as _),
-        None => tuner,
-    }
+        .with_frozen(frozen)
 }
 
 /// Everything a campaign's outcome deterministically depends on.
@@ -119,10 +113,10 @@ pub struct CampaignSpec {
     pub workers: usize,
     /// Iteration cap for staged runs (`None` = run to completion).
     pub max_iterations: Option<usize>,
-    /// Whether the static CPI bounds engine pre-eliminates provably
-    /// dominated configurations each iteration. Semantic: eliminations
-    /// change which configurations race, so replay re-runs with the
-    /// recorded setting and verifies the `static_eliminated` events.
+    /// Must be `false`: static pre-elimination is gone, and
+    /// [`CampaignSpec::build_stack`] refuses `true`. The field stays only
+    /// because the campaign benchmark builds this struct by literal; it
+    /// goes at the next benchmark change.
     pub static_bounds: bool,
     /// Per-evaluation watchdog timeout in milliseconds.
     pub timeout_ms: Option<u64>,
@@ -147,9 +141,6 @@ pub struct CampaignStack {
     pub suite: Vec<Workload>,
     /// The fallible cost function over the suite.
     pub cost: Arc<LazySuiteCost>,
-    /// The static bounds engine, when the spec enables it. Built against
-    /// the clean reference board so elimination decisions are replayable.
-    pub bounds: Option<Arc<CampaignBounds>>,
     /// What the race evaluates: `cost`, behind a [`Watchdog`] when the
     /// spec sets a timeout. `tune`, `replay`, the worker pool's local
     /// fallback and the workers themselves all cost through this.
@@ -162,7 +153,6 @@ impl std::fmt::Debug for CampaignStack {
             .field("space", &self.space)
             .field("base", &self.base)
             .field("cost", &self.cost)
-            .field("bounds", &self.bounds)
             .finish_non_exhaustive()
     }
 }
@@ -187,7 +177,6 @@ impl CampaignSpec {
             threads: self.threads,
             workers: self.workers,
             max_iterations: self.max_iterations.unwrap_or(0) as u64,
-            static_bounds: self.static_bounds,
         }
     }
 
@@ -236,7 +225,6 @@ impl CampaignSpec {
                     timeout_ms,
                     threads,
                     workers,
-                    static_bounds,
                     ..
                 } if config.is_none() => {
                     let kind = match core.as_str() {
@@ -252,7 +240,6 @@ impl CampaignSpec {
                         *timeout_ms,
                         *threads,
                         *workers,
-                        *static_bounds,
                     ));
                 }
                 Event::CampaignStart { seed, budget, .. } if start.is_none() => {
@@ -264,8 +251,8 @@ impl CampaignSpec {
                 _ => {}
             }
         }
-        let (kind, scale, fault_profile, fault_seed, timeout_ms, threads, workers, static_bounds) =
-            config.ok_or_else(|| {
+        let (kind, scale, fault_profile, fault_seed, timeout_ms, threads, workers) = config
+            .ok_or_else(|| {
                 "journal has no campaign_config event (recorded before replay support?); \
                  re-record it with a current `racesim tune --telemetry`"
                     .to_string()
@@ -282,7 +269,7 @@ impl CampaignSpec {
             threads: threads.max(1),
             workers,
             max_iterations: None,
-            static_bounds,
+            static_bounds: false,
             timeout_ms: (timeout_ms != 0).then_some(timeout_ms),
             fault_profile,
             fault_seed,
@@ -323,8 +310,16 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Propagates probe/measurement failures and unknown fault profiles.
+    /// Refuses `static_bounds` before any work, and propagates
+    /// probe/measurement failures and unknown fault profiles.
     pub fn build_stack(&self, telemetry: &Telemetry) -> Result<CampaignStack, String> {
+        if self.static_bounds {
+            return Err(
+                "static_bounds must be false: static pre-elimination was removed \
+                        (`racesim bounds` still reports the CPI intervals)"
+                    .to_string(),
+            );
+        }
         let board = self.board();
         let settings = self.validator_settings();
         let v = Validator::new(&board, settings.clone());
@@ -340,29 +335,11 @@ impl CampaignSpec {
                 ),
                 None => Arc::new(self.board().with_telemetry(telemetry.clone())),
             };
-        // The bounds engine measures on the clean board (never the
-        // fault-injected one): the cached hardware CPIs must be a pure
-        // function of the suite for eliminations to replay bit-for-bit.
-        let bounds = if self.static_bounds {
-            Some(Arc::new(CampaignBounds::measure(
-                &board,
-                &suite,
-                base.clone(),
-                settings.metric,
-            )?))
-        } else {
-            None
-        };
-        let mut cost =
+        let cost = Arc::new(
             LazySuiteCost::new(tune_board, &suite, base.clone(), decoder, settings.metric)
                 .map_err(|e| e.to_string())?
-                .with_telemetry(telemetry.clone());
-        if let Some(b) = &bounds {
-            // Soundness gate: every simulated CPI must land inside its
-            // static interval (debug builds assert; see fallible.rs).
-            cost = cost.with_bounds_check(b.kernels().to_vec());
-        }
-        let cost = Arc::new(cost);
+                .with_telemetry(telemetry.clone()),
+        );
         let eval: Arc<dyn TryCostFn + Send + Sync> = match self.timeout_ms {
             Some(ms) => Arc::new(Watchdog::new(
                 Arc::clone(&cost) as _,
@@ -375,7 +352,6 @@ impl CampaignSpec {
             base,
             suite,
             cost,
-            bounds,
             eval,
         })
     }
@@ -396,8 +372,7 @@ impl CampaignSpec {
     }
 
     /// The campaign's tuner over `stack`: the race recipe with the
-    /// spec's settings and frozen dimensions, `telemetry`, and the static
-    /// bounds engine when enabled. `tune` (after
+    /// spec's settings, frozen dimensions and `telemetry`. `tune` (after
     /// [`CampaignSpec::set_frozen`]) and `replay` both race with it, so
     /// replay verifies the code `tune` runs.
     ///
@@ -413,7 +388,6 @@ impl CampaignSpec {
             self.tuner_settings(),
             self.decode_frozen(&stack.space)?,
             telemetry,
-            stack.bounds.as_ref(),
         ))
     }
 
@@ -444,7 +418,7 @@ mod tests {
             threads: 1,
             workers: 2,
             max_iterations: Some(1),
-            static_bounds: true,
+            static_bounds: false,
             timeout_ms: Some(60_000),
             fault_profile: "transient".to_string(),
             fault_seed: 7,
@@ -483,6 +457,18 @@ mod tests {
             },
             back
         );
+    }
+
+    #[test]
+    fn build_stack_refuses_static_bounds_before_any_work() {
+        let s = CampaignSpec {
+            static_bounds: true,
+            // An unknown profile would fail later: the refusal comes first.
+            fault_profile: "no-such-profile".to_string(),
+            ..spec()
+        };
+        let err = s.build_stack(&Telemetry::disabled()).unwrap_err();
+        assert!(err.contains("static_bounds must be false"), "{err}");
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 use crate::params::apply;
 use crate::validator::{CostMetric, PreparedSuite};
-use racesim_analyzer::bounds::KernelBounds;
 use racesim_decoder::Decoder;
 use racesim_hw::{HardwarePlatform, MeasureError, PerfCounters};
 use racesim_kernels::Workload;
@@ -52,10 +51,6 @@ pub struct LazySuiteCost {
     // at a time) and never measures the same benchmark twice.
     hw: Mutex<Vec<Option<PerfCounters>>>,
     telemetry: Telemetry,
-    // Instance-aligned static CPI bounds; debug builds assert every
-    // simulated CPI lands inside its interval (the soundness contract
-    // the static eliminator relies on).
-    bounds: Option<Vec<KernelBounds>>,
 }
 
 impl LazySuiteCost {
@@ -95,7 +90,6 @@ impl LazySuiteCost {
             uninit,
             hw: Mutex::new(slots),
             telemetry: Telemetry::disabled(),
-            bounds: None,
         })
     }
 
@@ -119,24 +113,7 @@ impl LazySuiteCost {
             uninit: vec![false; suite.len()],
             hw: Mutex::new(suite.hw.iter().copied().map(Some).collect()),
             telemetry: Telemetry::disabled(),
-            bounds: None,
         }
-    }
-
-    /// Attaches instance-aligned static CPI bounds: in debug builds,
-    /// every evaluation asserts the simulated CPI lands inside its
-    /// static interval. A violation means the bounds engine is unsound
-    /// (or the timing model moved outside the modelled envelope) —
-    /// either way the static eliminator cannot be trusted, so failing
-    /// loudly beats silently mis-eliminating configurations.
-    pub fn with_bounds_check(mut self, bounds: Vec<KernelBounds>) -> LazySuiteCost {
-        assert_eq!(
-            bounds.len(),
-            self.names.len(),
-            "bounds must align with the suite"
-        );
-        self.bounds = Some(bounds);
-        self
     }
 
     /// Attaches a telemetry handle: every evaluation journals an
@@ -251,13 +228,6 @@ impl TryCostFn for LazySuiteCost {
         let hw = self.counters(instance)?;
         let sw = self.telemetry.stopwatch();
         let platform = apply(space, cfg, &self.base);
-        let static_iv = if cfg!(debug_assertions) {
-            self.bounds
-                .as_ref()
-                .map(|b| b[instance].cpi_interval(&platform))
-        } else {
-            None
-        };
         let sim = Simulator::with_decoder(platform, self.decoder, SimOptions::default())
             .with_telemetry(self.telemetry.clone());
         let stats = sim.run_compact(&self.traces[instance]).map_err(|e| {
@@ -271,14 +241,6 @@ impl TryCostFn for LazySuiteCost {
                 ),
             )
         })?;
-        if let Some(iv) = static_iv {
-            debug_assert!(
-                iv.contains(stats.cpi()),
-                "static CPI bounds violated on {}: simulated CPI {} outside {iv}",
-                self.names[instance],
-                stats.cpi(),
-            );
-        }
         let cost = self.metric.evaluate(
             stats.cpi(),
             hw.cpi(),

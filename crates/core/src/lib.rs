@@ -27,7 +27,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod bounds;
 pub mod campaign;
 pub mod diff;
 pub mod fallible;
@@ -38,7 +37,6 @@ pub mod pipeline;
 pub mod report;
 pub mod validator;
 
-pub use bounds::CampaignBounds;
 pub use campaign::{board_for, unobserved_dimensions, CampaignSpec, CampaignStack, FrozenDim};
 pub use diff::{diff_records, CpiDiff, DiffRow, KernelCpi};
 pub use fallible::LazySuiteCost;

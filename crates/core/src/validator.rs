@@ -377,7 +377,7 @@ impl<'hw> Validator<'hw> {
             .into_iter()
             .map(|d| (d.index, d.value))
             .collect();
-        let tuner = racing_tuner(self.settings.tuner, frozen, &Telemetry::disabled(), None);
+        let tuner = racing_tuner(self.settings.tuner, frozen, &Telemetry::disabled());
         let tune = tuner.try_tune(&space, &cost, suite.len());
         let best = tune.best.clone();
 

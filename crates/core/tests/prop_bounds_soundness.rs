@@ -2,10 +2,9 @@
 //! simulated CPI lands inside the kernel's static interval, for random
 //! counted-loop kernels and random sampled configurations alike.
 //!
-//! This is the contract the static eliminator rests on: if a simulated
-//! CPI could escape its interval, a configuration could be eliminated
-//! whose true cost beats the incumbent, silently changing the campaign's
-//! outcome. The generator deliberately produces the shapes the abstract
+//! This is the contract `racesim bounds` and lint RA601–603 rest on: an
+//! interval a simulated CPI can escape reports a bound that does not
+//! hold. The generator deliberately produces the shapes the abstract
 //! interpreter special-cases — self-feeding dependence chains, multi-
 //! instruction recurrence cycles through repeatedly-written registers,
 //! and independent streams — by drawing destinations and sources from a
@@ -126,8 +125,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The shipped microbenchmark suite x random in-order
-    /// configurations: the exact kernels the static eliminator rules on
-    /// in `racesim tune --static-bounds`.
+    /// configurations: the exact kernels `racesim bounds` and lint
+    /// RA601–603 report on.
     #[test]
     fn shipped_suite_simulates_inside_its_intervals(cfg_seed in any::<u64>()) {
         let space = build_space(CoreKind::InOrder, Revision::Fixed);

@@ -173,7 +173,7 @@ fn coverage_matrix_is_total_and_matches_the_suite() {
 
 /// The shipped suite must produce no RA602 bound-inversions: an inverted
 /// static CPI interval would make the bounds lattice unsound for that
-/// kernel, and the static eliminator would be ruling on garbage. Probes
+/// kernel, and `racesim bounds` would report a claim no run satisfies. Probes
 /// every parameter one-at-a-time across both tuning spaces, exactly as
 /// `racesim lint --suite` does.
 #[test]

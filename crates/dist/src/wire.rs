@@ -170,10 +170,10 @@ pub struct InitSpec {
     pub timeout_ms: u64,
     /// The worker's slot index in the pool.
     pub worker: usize,
-    /// Whether the campaign runs with the static CPI bounds engine. The
-    /// worker only evaluates, so this toggles nothing but the debug-build
-    /// soundness assertion — carried in the handshake so a worker's
-    /// evaluation stack matches the coordinator's bit for bit.
+    /// Must be `false`, and is not sent on the wire: static
+    /// pre-elimination is gone, and `campaign_stack` refuses `true`. The
+    /// field stays only because the campaign benchmark builds this struct
+    /// by literal; it goes at the next benchmark change.
     pub static_bounds: bool,
 }
 
@@ -257,8 +257,7 @@ impl Request {
                     .str("faults", &spec.faults)
                     .u64("fault_seed", spec.fault_seed)
                     .u64("timeout_ms", spec.timeout_ms)
-                    .u64("worker", spec.worker as u64)
-                    .u64("static_bounds", u64::from(spec.static_bounds));
+                    .u64("worker", spec.worker as u64);
             }
             Request::Eval {
                 id,
@@ -299,8 +298,7 @@ impl Request {
                 fault_seed: f.u64("fault_seed")?,
                 timeout_ms: f.u64("timeout_ms")?,
                 worker: f.usize("worker")?,
-                // Absent in frames from pre-bounds coordinators.
-                static_bounds: f.or("static_bounds", 0, Fields::u64)? != 0,
+                static_bounds: false,
             })),
             "eval" => {
                 let factor = f64::from_bits(f.u64("r_factor_bits")?);
@@ -521,29 +519,6 @@ mod tests {
         assert_eq!(read_request(&mut r).unwrap(), req);
         assert_eq!(read_response(&mut r).unwrap(), resp);
         assert_eq!(read_request(&mut r), Err(WireError::Closed));
-    }
-
-    #[test]
-    fn init_roundtrips_and_defaults_the_bounds_toggle() {
-        let req = Request::Init(InitSpec {
-            core: "a72".to_string(),
-            scale: 4096,
-            faults: "transient".to_string(),
-            fault_seed: 9,
-            timeout_ms: 500,
-            worker: 3,
-            static_bounds: true,
-        });
-        assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-
-        // Frames from a pre-bounds coordinator lack the field: default off.
-        let legacy = "{\"kind\":\"init\",\"core\":\"a53\",\"scale\":2048,\
-                      \"faults\":\"none\",\"fault_seed\":1,\"timeout_ms\":0,\
-                      \"worker\":0}";
-        match Request::decode(legacy).unwrap() {
-            Request::Init(spec) => assert!(!spec.static_bounds),
-            other => panic!("expected init, got {other:?}"),
-        }
     }
 
     #[test]

@@ -448,4 +448,16 @@ mod tests {
         let (end, _) = drive(&[init_req(0), eval_req(1, 0)], &WorkerOptions::default());
         assert_eq!(end, Ok(ServeEnd::Eof));
     }
+
+    #[test]
+    fn campaign_stacks_refuse_the_removed_bounds_toggle() {
+        let Request::Init(mut init) = init_req(0) else {
+            unreachable!()
+        };
+        init.static_bounds = true;
+        let Err(err) = campaign_stack(&init) else {
+            panic!("a bounds-on init must be refused");
+        };
+        assert!(err.contains("static_bounds must be false"), "{err}");
+    }
 }

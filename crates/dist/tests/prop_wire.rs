@@ -59,21 +59,18 @@ fn any_request() -> BoxedStrategy<Request> {
             any::<u64>(),
             any::<u64>(),
             0..64usize,
-            any::<bool>()
         )
-            .prop_map(
-                |(core, scale, faults, fault_seed, timeout_ms, worker, static_bounds)| {
-                    Request::Init(InitSpec {
-                        core,
-                        scale,
-                        faults,
-                        fault_seed,
-                        timeout_ms,
-                        worker,
-                        static_bounds,
-                    })
-                }
-            ),
+            .prop_map(|(core, scale, faults, fault_seed, timeout_ms, worker)| {
+                Request::Init(InitSpec {
+                    core,
+                    scale,
+                    faults,
+                    fault_seed,
+                    timeout_ms,
+                    worker,
+                    static_bounds: false,
+                })
+            }),
         (any::<u64>(), any_config_code(), 0..256usize, any_retry()).prop_map(
             |(id, config, instance, retry)| Request::Eval {
                 id,

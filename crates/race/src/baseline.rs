@@ -87,7 +87,6 @@ impl Tuner for RandomSearch {
             failed_configs: 0,
             retries: 0,
             aborted: false,
-            static_eliminated: 0,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             warnings: Vec::new(),
@@ -166,7 +165,6 @@ impl Tuner for GridSearch {
             failed_configs: 0,
             retries: 0,
             aborted: false,
-            static_eliminated: 0,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             warnings: Vec::new(),

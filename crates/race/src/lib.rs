@@ -76,6 +76,5 @@ pub use replay::{
     ReplayReport, Verdict,
 };
 pub use tuner::{
-    CostFn, IterationSummary, RacingTuner, StaticBounds, TryCostFn, TuneResult, Tuner,
-    TunerSettings,
+    CostFn, IterationSummary, RacingTuner, TryCostFn, TuneResult, Tuner, TunerSettings,
 };

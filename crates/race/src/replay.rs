@@ -85,7 +85,7 @@ pub fn decode_value(space: &ParamSpace, param: &str, code: &str) -> Result<Value
 pub struct EliminationRecord {
     /// Rendered configuration.
     pub config: String,
-    /// `statistical`, `failed` or `static`.
+    /// `statistical` or `failed`.
     pub kind: String,
     /// Instance blocks survived before elimination.
     pub after_blocks: usize,
@@ -208,28 +208,6 @@ impl RecordedCampaign {
                             kind: kind.clone(),
                             after_blocks: *after_blocks,
                             reason: reason.clone(),
-                        });
-                    }
-                }
-                Event::StaticEliminated {
-                    config,
-                    lower_bound,
-                    incumbent_cost,
-                    ..
-                } => {
-                    // Folded into the elimination stream with the bound
-                    // and incumbent as raw f64 bits, so a replay that
-                    // computes even a one-ulp different bound diverges.
-                    if let Some((_, _, elims)) = &mut open {
-                        elims.push(EliminationRecord {
-                            config: config.clone(),
-                            kind: "static".to_string(),
-                            after_blocks: 0,
-                            reason: format!(
-                                "lb={:016x} incumbent={:016x}",
-                                lower_bound.to_bits(),
-                                incumbent_cost.to_bits()
-                            ),
                         });
                     }
                 }
@@ -811,7 +789,6 @@ mod tests {
                     threads: 1,
                     workers: 0,
                     max_iterations: 1,
-                    static_bounds: false,
                 }),
             ],
             iter_pair(0, 4, 0.5),
@@ -835,35 +812,6 @@ mod tests {
         let r = compare(&a, &b);
         assert_eq!(r.verdict, Verdict::Diverged);
         assert_eq!(r.divergence.unwrap().location, "campaign_end");
-    }
-
-    #[test]
-    fn static_eliminations_are_compared_bit_for_bit() {
-        let static_elim = |lb: f64| {
-            entry(Event::StaticEliminated {
-                config: "mode=a depth=2".to_string(),
-                iteration: 0,
-                lower_bound: lb,
-                incumbent_cost: 1.5,
-            })
-        };
-        let with_bound = |lb: f64| {
-            let mut j = journal(vec![vec![start()], iter_pair(0, 4, 0.5), vec![end(0.5)]]);
-            j.insert(2, static_elim(lb));
-            j
-        };
-        let a = RecordedCampaign::digest(&with_bound(7.25)).unwrap();
-        assert_eq!(a.iterations[&0].eliminations.len(), 2);
-        assert_eq!(a.iterations[&0].eliminations[0].kind, "static");
-        let b = RecordedCampaign::digest(&with_bound(7.25)).unwrap();
-        assert_eq!(compare(&a, &b).verdict, Verdict::Match);
-
-        // One ulp of difference in the recomputed bound diverges.
-        let c =
-            RecordedCampaign::digest(&with_bound(f64::from_bits(7.25f64.to_bits() + 1))).unwrap();
-        let r = compare(&a, &c);
-        assert_eq!(r.verdict, Verdict::Diverged);
-        assert_eq!(r.divergence.unwrap().field, "reason");
     }
 
     #[test]

@@ -71,22 +71,6 @@ impl<C: CostFn + ?Sized> TryCostFn for C {
     }
 }
 
-/// A pre-simulation eliminator: proves sound lower bounds on a
-/// configuration's suite-wide mean cost without running the simulator.
-///
-/// When installed with [`RacingTuner::with_static_bounds`], each
-/// iteration drops every freshly sampled configuration whose lower bound
-/// already exceeds the incumbent elite's recorded cost — the race result
-/// cannot depend on it, so no budget is spent simulating it. The tuner
-/// knows nothing about how the bound is computed; `racesim-core` adapts
-/// the static CPI bounds engine from `racesim-analyzer` onto this trait.
-pub trait StaticBounds: Send + Sync {
-    /// A sound lower bound on the suite-wide mean cost of `cfg`, or
-    /// `None` when no bound can be proved (the configuration then races
-    /// normally).
-    fn cost_lower_bound(&self, space: &ParamSpace, cfg: &Configuration) -> Option<f64>;
-}
-
 /// Adapts a `&dyn CostFn` (unsized, so the blanket impl's trait-object
 /// coercion cannot apply) into a [`TryCostFn`].
 struct Fallible<'a>(&'a dyn CostFn);
@@ -184,9 +168,6 @@ pub struct TuneResult {
     pub retries: u64,
     /// True when the run was cancelled before its schedule completed.
     pub aborted: bool,
-    /// Configurations eliminated by the static bounds engine before any
-    /// simulation was spent on them.
-    pub static_eliminated: u64,
     /// Cost-cache lookups answered from the cache (evaluations avoided).
     pub cache_hits: u64,
     /// Cost-cache lookups that required a fresh evaluation.
@@ -228,7 +209,6 @@ pub struct RacingTuner {
     telemetry: Telemetry,
     profiler: Profiler,
     dispatch: Option<Arc<dyn EvalDispatch + Send + Sync>>,
-    static_bounds: Option<Arc<dyn StaticBounds>>,
 }
 
 impl std::fmt::Debug for RacingTuner {
@@ -241,10 +221,6 @@ impl std::fmt::Debug for RacingTuner {
             .field("telemetry", &self.telemetry)
             .field("profiler", &self.profiler)
             .field("dispatch", &self.dispatch)
-            .field(
-                "static_bounds",
-                &self.static_bounds.as_ref().map(|_| "<fn>"),
-            )
             .finish_non_exhaustive()
     }
 }
@@ -261,19 +237,7 @@ impl RacingTuner {
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
             dispatch: None,
-            static_bounds: None,
         }
-    }
-
-    /// Installs a static bounds engine: each iteration, freshly sampled
-    /// configurations whose [`StaticBounds::cost_lower_bound`] exceeds
-    /// the incumbent elite's recorded cost are eliminated before racing
-    /// (journaled as `static_eliminated` events). Elites are never
-    /// eliminated, and iteration 0 has no incumbent, so a run can never
-    /// be left without candidates.
-    pub fn with_static_bounds(mut self, bounds: Arc<dyn StaticBounds>) -> RacingTuner {
-        self.static_bounds = Some(bounds);
-        self
     }
 
     /// Installs an evaluation dispatch backend: every race block's fresh
@@ -382,7 +346,6 @@ impl RacingTuner {
         let mut evals_total = 0u64;
         let mut retries_total = 0u64;
         let mut failed_total = 0u64;
-        let mut static_total = 0u64;
         let mut first_iter = 0usize;
 
         // Self-profiler phase handles: all disabled (zero-cost) unless a
@@ -409,7 +372,6 @@ impl RacingTuner {
         let m_failed = tel.counter("tuner.failed_configs");
         let m_eliminations = tel.counter("tuner.eliminations");
         let m_quarantined = tel.counter("tuner.quarantined");
-        let m_static = tel.counter("tuner.static_eliminated");
         let g_budget = tel.gauge("tuner.budget_remaining");
         let h_iter_us = tel.histogram("tuner.iteration_us");
 
@@ -527,48 +489,6 @@ impl RacingTuner {
                 iteration: iter,
                 configs: configs.len(),
             });
-            // Static pre-elimination: drop freshly sampled configurations
-            // whose proved suite-wide cost lower bound already exceeds the
-            // incumbent elite's recorded cost. The race outcome cannot
-            // depend on them, so no simulation budget is spent. Elites
-            // (the first `elites.len()` entries) are exempt, and iteration
-            // 0 has no incumbent, so the race always keeps its anchors.
-            // The pass consumes no randomness: the RNG stream — and hence
-            // sampling and shuffling — is identical with bounds disabled.
-            // Note the incumbent's recorded cost is its mean over the
-            // *raced prefix* of a shuffled instance order, not the full
-            // suite — short races can record prefix costs well below any
-            // full-suite cost, which is what makes this comparison bite
-            // at small budgets.
-            if let Some(bounds) = &self.static_bounds {
-                if let Some(incumbent) = elites.first().map(|(_, c)| *c) {
-                    if incumbent.is_finite() {
-                        let keep = elites.len();
-                        let mut kept = Vec::with_capacity(configs.len());
-                        for (i, c) in configs.drain(..).enumerate() {
-                            let lb = if i >= keep {
-                                bounds.cost_lower_bound(space, &c)
-                            } else {
-                                None
-                            };
-                            match lb {
-                                Some(lb) if lb > incumbent => {
-                                    static_total += 1;
-                                    m_static.inc();
-                                    tel.emit(Event::StaticEliminated {
-                                        config: c.render(space),
-                                        iteration: iter,
-                                        lower_bound: lb,
-                                        incumbent_cost: incumbent,
-                                    });
-                                }
-                                _ => kept.push(c),
-                            }
-                        }
-                        configs = kept;
-                    }
-                }
-            }
             // Race over a freshly shuffled instance order.
             let mut order: Vec<usize> = (0..n_instances).collect();
             order.shuffle(&mut rng);
@@ -738,7 +658,6 @@ impl RacingTuner {
             failed_configs: failed_total,
             retries: retries_total,
             aborted,
-            static_eliminated: static_total,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             warnings,
@@ -1020,91 +939,5 @@ mod tests {
         let first = r.history.first().unwrap().best_cost;
         let last = r.history.last().unwrap().best_cost;
         assert!(last <= first, "cost must not regress: {first} -> {last}");
-    }
-
-    /// Lower-bounds the Bowl: the `mode` term alone is a sound lower
-    /// bound on the cost (everything else is >= -1, and the noise is
-    /// non-negative), tightened by 0 so it stays conservative.
-    struct ModeFloor;
-
-    impl StaticBounds for ModeFloor {
-        fn cost_lower_bound(&self, space: &ParamSpace, cfg: &Configuration) -> Option<f64> {
-            match cfg.categorical(space, "mode") {
-                "good" => None, // no useful bound
-                "bad" => Some(4.0),
-                _ => Some(19.0),
-            }
-        }
-    }
-
-    #[test]
-    fn static_bounds_eliminate_dominated_configs_and_preserve_the_optimum() {
-        let s = space();
-        let r = RacingTuner::new(TunerSettings {
-            budget: 4_000,
-            seed: 7,
-            ..TunerSettings::default()
-        })
-        .with_static_bounds(Arc::new(ModeFloor))
-        .tune(&s, &Bowl, 12);
-        // `mode=awful` configs (true cost >= 19) are provably worse than
-        // any incumbent near the optimum, so some must have been dropped
-        // without simulation once an incumbent existed.
-        assert!(r.static_eliminated > 0, "nothing was statically eliminated");
-        assert_eq!(r.best.integer(&s, "x"), 0, "{}", r.best.render(&s));
-        assert_eq!(r.best.integer(&s, "y"), 0);
-        assert_eq!(r.best.categorical(&s, "mode"), "good");
-        assert!(r.best.flag(&s, "boost"));
-    }
-
-    /// A bound that eliminates everything it is asked about. Elites are
-    /// exempt, so the campaign still completes with a usable result.
-    struct EliminateAll;
-
-    impl StaticBounds for EliminateAll {
-        fn cost_lower_bound(&self, _space: &ParamSpace, _cfg: &Configuration) -> Option<f64> {
-            Some(f64::MAX)
-        }
-    }
-
-    #[test]
-    fn elites_survive_even_a_pathological_bound() {
-        let s = space();
-        let r = RacingTuner::new(TunerSettings {
-            budget: 2_000,
-            seed: 5,
-            ..TunerSettings::default()
-        })
-        .with_static_bounds(Arc::new(EliminateAll))
-        .tune(&s, &Bowl, 12);
-        assert!(r.best_cost.is_finite(), "a best config was still found");
-        assert!(r.static_eliminated > 0);
-        assert!(!r.aborted);
-    }
-
-    #[test]
-    fn static_elimination_keeps_the_rng_stream_aligned() {
-        // A bound that never fires must leave the campaign bit-identical
-        // to one without any bounds engine installed.
-        struct Never;
-        impl StaticBounds for Never {
-            fn cost_lower_bound(&self, _: &ParamSpace, _: &Configuration) -> Option<f64> {
-                None
-            }
-        }
-        let s = space();
-        let mk = || TunerSettings {
-            budget: 1_500,
-            seed: 42,
-            ..TunerSettings::default()
-        };
-        let plain = RacingTuner::new(mk()).tune(&s, &Bowl, 12);
-        let bounded = RacingTuner::new(mk())
-            .with_static_bounds(Arc::new(Never))
-            .tune(&s, &Bowl, 12);
-        assert_eq!(plain.best, bounded.best);
-        assert_eq!(plain.best_cost.to_bits(), bounded.best_cost.to_bits());
-        assert_eq!(plain.evals_used, bounded.evals_used);
-        assert_eq!(bounded.static_eliminated, 0);
     }
 }

@@ -46,9 +46,6 @@ pub enum Event {
         workers: usize,
         /// Iteration cap for this segment (0 = run to completion).
         max_iterations: u64,
-        /// Whether static CPI bounds elimination was enabled. Semantic:
-        /// a replay must apply the same pre-race eliminations.
-        static_bounds: bool,
     },
     /// One tuning dimension was pinned before any budget was spent
     /// (coverage-based freezing). Emitted once per frozen dimension so a
@@ -127,20 +124,6 @@ pub enum Event {
         after_blocks: usize,
         /// Detail string (test statistic, failure reason, ...).
         reason: String,
-    },
-    /// A configuration was eliminated *before* racing by the static CPI
-    /// bounds engine: its suite-wide cost lower bound already exceeds the
-    /// incumbent's recorded cost, so simulating it cannot change the
-    /// outcome.
-    StaticEliminated {
-        /// Configuration identifier (checkpoint code form).
-        config: String,
-        /// Iteration the elimination happened in (0-based).
-        iteration: usize,
-        /// The configuration's suite-wide cost lower bound.
-        lower_bound: f64,
-        /// The incumbent cost the bound was compared against.
-        incumbent_cost: f64,
     },
     /// A benchmark instance was quarantined.
     Quarantine {
@@ -245,7 +228,6 @@ impl Event {
             Event::Measurement { .. } => "measurement",
             Event::Fault { .. } => "fault",
             Event::Elimination { .. } => "elimination",
-            Event::StaticEliminated { .. } => "static_eliminated",
             Event::Quarantine { .. } => "quarantine",
             Event::Checkpoint { .. } => "checkpoint",
             Event::CampaignEnd { .. } => "campaign_end",
@@ -324,7 +306,6 @@ impl JournalEntry {
                 threads,
                 workers,
                 max_iterations,
-                static_bounds,
             } => {
                 o.str("core", core)
                     .u64("scale", *scale)
@@ -333,8 +314,7 @@ impl JournalEntry {
                     .u64("timeout_ms", *timeout_ms)
                     .u64("threads", *threads as u64)
                     .u64("workers", *workers as u64)
-                    .u64("max_iterations", *max_iterations)
-                    .bool("static_bounds", *static_bounds);
+                    .u64("max_iterations", *max_iterations);
             }
             Event::Frozen { param, code } => {
                 o.str("param", param).str("code", code);
@@ -402,17 +382,6 @@ impl JournalEntry {
                     .str("kind", kind)
                     .u64("after_blocks", *after_blocks as u64)
                     .str("reason", reason);
-            }
-            Event::StaticEliminated {
-                config,
-                iteration,
-                lower_bound,
-                incumbent_cost,
-            } => {
-                o.str("config", config)
-                    .u64("iteration", *iteration as u64)
-                    .f64("lower_bound", *lower_bound)
-                    .f64("incumbent_cost", *incumbent_cost);
             }
             Event::Quarantine { instance, reason } => {
                 o.str("instance", instance).str("reason", reason);
@@ -495,8 +464,6 @@ impl JournalEntry {
                 // means the segment predates distributed evaluation.
                 workers: f.or("workers", 0, Fields::usize)?,
                 max_iterations: f.u64("max_iterations")?,
-                // Absent means the segment predates static bounds.
-                static_bounds: f.or("static_bounds", false, Fields::bool)?,
             },
             "frozen" => Event::Frozen {
                 param: f.str("param")?,
@@ -538,12 +505,6 @@ impl JournalEntry {
                 kind: f.str("kind")?,
                 after_blocks: f.usize("after_blocks")?,
                 reason: f.str("reason")?,
-            },
-            "static_eliminated" => Event::StaticEliminated {
-                config: f.str("config")?,
-                iteration: f.usize("iteration")?,
-                lower_bound: f.f64("lower_bound")?,
-                incumbent_cost: f.f64("incumbent_cost")?,
             },
             "quarantine" => Event::Quarantine {
                 instance: f.str("instance")?,
@@ -628,7 +589,6 @@ mod tests {
             threads: 8,
             workers: 2,
             max_iterations: 1,
-            static_bounds: true,
         });
         roundtrip(Event::Frozen {
             param: "l2_hash".to_string(),
@@ -670,12 +630,6 @@ mod tests {
             kind: "statistical".to_string(),
             after_blocks: 3,
             reason: "friedman p<0.05".to_string(),
-        });
-        roundtrip(Event::StaticEliminated {
-            config: "C1.I3.F0".to_string(),
-            iteration: 2,
-            lower_bound: 41.25,
-            incumbent_cost: 3.125,
         });
         roundtrip(Event::Quarantine {
             instance: "branch_mix".to_string(),
@@ -749,23 +703,13 @@ mod tests {
         let e = JournalEntry::parse(line).expect("old journals stay parseable");
         match e.event {
             Event::CampaignConfig {
-                workers,
-                threads,
-                static_bounds,
-                ..
+                workers, threads, ..
             } => {
                 assert_eq!(workers, 0);
                 assert_eq!(threads, 4);
-                assert!(!static_bounds, "pre-bounds journals default to off");
             }
             other => panic!("wrong event {other:?}"),
         }
-        // A present static_bounds key of the wrong type is an error.
-        let bad = r#"{"t":9,"ev":"campaign_config","core":"a53","scale":1,"faults":"none","fault_seed":0,"timeout_ms":0,"threads":1,"max_iterations":0,"static_bounds":1}"#;
-        assert!(matches!(
-            JournalEntry::parse(bad),
-            Err(JournalError::Field(_))
-        ));
         // But a present key of the wrong type is still an error.
         let bad = r#"{"t":9,"ev":"campaign_config","core":"a53","scale":1,"faults":"none","fault_seed":0,"timeout_ms":0,"threads":1,"workers":"two","max_iterations":0}"#;
         assert!(matches!(

@@ -47,7 +47,7 @@ fn any_event() -> BoxedStrategy<Event> {
             any::<u64>(),
             0..256usize,
             0..64usize,
-            (any::<u64>(), any::<bool>())
+            any::<u64>(),
         )
             .prop_map(
                 |(
@@ -58,7 +58,7 @@ fn any_event() -> BoxedStrategy<Event> {
                     timeout_ms,
                     threads,
                     workers,
-                    (max_iterations, static_bounds),
+                    max_iterations,
                 )| {
                     Event::CampaignConfig {
                         core,
@@ -69,7 +69,6 @@ fn any_event() -> BoxedStrategy<Event> {
                         threads,
                         workers,
                         max_iterations,
-                        static_bounds,
                     }
                 }
             ),
@@ -121,14 +120,6 @@ fn any_event() -> BoxedStrategy<Event> {
                 kind,
                 after_blocks,
                 reason,
-            }
-        ),
-        (any_string(), 0..100usize, any_f64(), any_f64()).prop_map(
-            |(config, iteration, lower_bound, incumbent_cost)| Event::StaticEliminated {
-                config,
-                iteration,
-                lower_bound,
-                incumbent_cost,
             }
         ),
         (any_string(), any_string())
