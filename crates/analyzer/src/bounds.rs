@@ -788,8 +788,8 @@ pub fn check_suite_bounds(
                 Diagnostic::new(
                     Lint::BoundVacuous,
                     "static CPI lower bound never exceeds the trivial \
-                     issue-width floor: the bounds engine cannot eliminate \
-                     any configuration for this kernel",
+                     issue-width floor: the interval proves nothing about \
+                     this kernel beyond the core's peak issue rate",
                 )
                 .with("kernel", kb.name.clone())
                 .with("lower_bound", format!("{:.4}", iv.lo))

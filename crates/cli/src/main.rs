@@ -316,7 +316,7 @@ fn cmd_validate(flags: &HashMap<String, String>) -> Result<(), String> {
         revision: Revision::Fixed,
         scale: scale_of(flags)?,
         tuner: TunerSettings {
-            budget: parse_u64(flags, "budget", 2_000)?,
+            budget: opt_positive(flags, "budget")?.unwrap_or(TunerSettings::default().budget),
             threads: threads_of(flags)?,
             ..TunerSettings::default()
         },
@@ -403,8 +403,8 @@ fn parse_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result
     Ok(opt_flag(flags, key)?.unwrap_or(default))
 }
 
-/// A flag for which 0 means nothing (a scale divisor, a timeout): it is
-/// refused rather than silently read as some other setting.
+/// A flag for which 0 means nothing (a scale divisor, a timeout, a racing
+/// budget): it is refused rather than silently read as some other setting.
 fn opt_positive(flags: &HashMap<String, String>, key: &str) -> Result<Option<u64>, String> {
     match opt_flag(flags, key)? {
         Some(0) => Err(format!("invalid --{key} 0 (must be at least 1)")),
@@ -447,22 +447,19 @@ impl Drop for FlushGuard {
 /// Latency probes run on the clean board; the `--faults` plan targets the
 /// long campaign, which is where real boards fall over.
 fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
+    let d = CampaignSpec::default();
     let mut spec = CampaignSpec {
         kind: core_of(flags)?,
         scale: scale_of(flags)?,
-        budget: parse_u64(flags, "budget", 2_000)?,
-        seed: parse_u64(flags, "seed", TunerSettings::default().seed)?,
+        budget: opt_positive(flags, "budget")?.unwrap_or(d.budget),
+        seed: parse_u64(flags, "seed", d.seed)?,
         threads: threads_of(flags)?,
         workers: parse_u64(flags, "workers", 0)? as usize,
         max_iterations: opt_flag(flags, "max-iterations")?,
         timeout_ms: opt_positive(flags, "timeout")?,
-        fault_profile: flags
-            .get("faults")
-            .cloned()
-            .unwrap_or_else(|| "none".to_string()),
-        fault_seed: parse_u64(flags, "fault-seed", 1)?,
-        frozen: Vec::new(),
-        static_bounds: false,
+        fault_profile: flags.get("faults").cloned().unwrap_or(d.fault_profile),
+        fault_seed: parse_u64(flags, "fault-seed", d.fault_seed)?,
+        ..d
     };
 
     // One telemetry handle threads through the whole stack: tuner, cost
@@ -554,8 +551,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
             faults: spec.fault_profile.clone(),
             fault_seed: spec.fault_seed,
             timeout_ms: spec.timeout_ms.unwrap_or(0),
-            worker: 0,
-            static_bounds: false,
+            ..racesim_dist::InitSpec::default()
         };
         let mut pool_opts = racesim_dist::PoolOptions::new(spec.workers, init);
         pool_opts.request_timeout =

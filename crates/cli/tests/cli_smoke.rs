@@ -272,9 +272,13 @@ fn flags_a_command_never_reads_are_refused() {
         "racesim_refused_flags_{}.jsonl",
         std::process::id()
     ));
+    let out_cfg =
+        std::env::temp_dir().join(format!("racesim_refused_flags_{}.cfg", std::process::id()));
     let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&out_cfg);
     let journal_arg = journal.display().to_string();
-    let cases: [(&[&str], &str); 7] = [
+    let out_arg = out_cfg.display().to_string();
+    let cases: [(&[&str], &str); 9] = [
         (
             &[
                 "validate", "--core", "a53", "--budget", "40", "--budjet", "3",
@@ -313,6 +317,20 @@ fn flags_a_command_never_reads_are_refused() {
             &["tune", "--core", "a53", "--scale", "0"],
             "invalid --scale 0 (must be at least 1)",
         ),
+        // A zero budget races nothing: refused, not run into a NaN cost
+        // and an untuned configuration written as if tuned.
+        (
+            &[
+                "tune", "--core", "a53", "--scale", "32768", "--budget", "0", "--out", &out_arg,
+            ],
+            "invalid --budget 0 (must be at least 1)",
+        ),
+        (
+            &[
+                "validate", "--core", "a53", "--budget", "0", "--out", &out_arg,
+            ],
+            "invalid --budget 0 (must be at least 1)",
+        ),
     ];
     for (args, message) in cases {
         let out = racesim(args);
@@ -325,4 +343,8 @@ fn flags_a_command_never_reads_are_refused() {
         );
     }
     assert!(!journal.exists(), "a refused tune opens no journal");
+    assert!(
+        !out_cfg.exists(),
+        "a refused campaign writes no configuration"
+    );
 }

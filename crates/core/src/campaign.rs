@@ -115,8 +115,9 @@ pub struct CampaignSpec {
     pub max_iterations: Option<usize>,
     /// Must be `false`: static pre-elimination is gone, and
     /// [`CampaignSpec::build_stack`] refuses `true`. The field stays only
-    /// because the campaign benchmark builds this struct by literal; it
-    /// goes at the next benchmark change.
+    /// because the campaign benchmark still builds this struct by literal
+    /// rather than with `..Default::default()`; it goes at the next
+    /// benchmark change.
     pub static_bounds: bool,
     /// Per-evaluation watchdog timeout in milliseconds.
     pub timeout_ms: Option<u64>,
@@ -154,6 +155,30 @@ impl std::fmt::Debug for CampaignStack {
             .field("base", &self.base)
             .field("cost", &self.cost)
             .finish_non_exhaustive()
+    }
+}
+
+/// A construction convenience, and the source of `racesim tune`'s flag
+/// fallbacks: the a53 at scale 1/2048, the default tuner budget and seed,
+/// one thread (`tune` itself defaults to every available core),
+/// in-process, no watchdog, no faults.
+impl Default for CampaignSpec {
+    fn default() -> CampaignSpec {
+        let tuner = TunerSettings::default();
+        CampaignSpec {
+            kind: CoreKind::InOrder,
+            scale: Scale::TINY,
+            budget: tuner.budget,
+            seed: tuner.seed,
+            threads: tuner.threads,
+            workers: 0,
+            max_iterations: None,
+            static_bounds: false,
+            timeout_ms: None,
+            fault_profile: "none".to_string(),
+            fault_seed: 1,
+            frozen: Vec::new(),
+        }
     }
 }
 
@@ -411,18 +436,15 @@ mod tests {
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
-            kind: CoreKind::InOrder,
             scale: Scale::divide_by(32768),
             budget: 60,
-            seed: 0xBADC_AB1E,
-            threads: 1,
             workers: 2,
             max_iterations: Some(1),
-            static_bounds: false,
             timeout_ms: Some(60_000),
             fault_profile: "transient".to_string(),
             fault_seed: 7,
             frozen: vec![("x".to_string(), "C0".to_string())],
+            ..CampaignSpec::default()
         }
     }
 

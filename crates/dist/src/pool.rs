@@ -696,18 +696,6 @@ mod tests {
         s
     }
 
-    fn init_spec() -> InitSpec {
-        InitSpec {
-            core: "a53".to_string(),
-            scale: 2048,
-            faults: "none".to_string(),
-            fault_seed: 1,
-            timeout_ms: 0,
-            worker: 0,
-            static_bounds: false,
-        }
-    }
-
     /// Sleeps before every evaluation, then costs like [`LinearCost`].
     struct SlowCost(Duration);
     impl TryCostFn for SlowCost {
@@ -830,7 +818,7 @@ mod tests {
             Box::new(Loopback {
                 opts: WorkerOptions::default(),
             }),
-            PoolOptions::new(3, init_spec()),
+            PoolOptions::new(3, InitSpec::default()),
             Arc::new(LinearCost),
             Telemetry::disabled(),
         );
@@ -886,7 +874,7 @@ mod tests {
             Box::new(Loopback {
                 opts: WorkerOptions::default(),
             }),
-            PoolOptions::new(2, init_spec()),
+            PoolOptions::new(2, InitSpec::default()),
             Arc::new(LinearCost),
             Telemetry::disabled(),
         );
@@ -924,7 +912,7 @@ mod tests {
             Box::new(KillFirst {
                 launches: std::sync::atomic::AtomicUsize::new(0),
             }),
-            PoolOptions::new(1, init_spec()),
+            PoolOptions::new(1, InitSpec::default()),
             Arc::new(LinearCost),
             telemetry.clone(),
         );
@@ -959,7 +947,7 @@ mod tests {
             Box::new(Slow(Duration::from_millis(150))),
             PoolOptions {
                 request_timeout: Duration::from_millis(250),
-                ..PoolOptions::new(1, init_spec())
+                ..PoolOptions::new(1, InitSpec::default())
             },
             Arc::new(LinearCost),
             telemetry.clone(),
@@ -988,7 +976,7 @@ mod tests {
             PoolOptions {
                 request_timeout: Duration::from_millis(100),
                 max_failures: 1,
-                ..PoolOptions::new(1, init_spec())
+                ..PoolOptions::new(1, InitSpec::default())
             },
             Arc::new(LinearCost),
             telemetry.clone(),
@@ -1024,7 +1012,7 @@ mod tests {
             }),
             PoolOptions {
                 request_timeout: Duration::from_millis(100),
-                ..PoolOptions::new(1, init_spec())
+                ..PoolOptions::new(1, InitSpec::default())
             },
             Arc::new(LinearCost),
             telemetry.clone(),
@@ -1057,7 +1045,7 @@ mod tests {
             }),
             PoolOptions {
                 workloads: vec!["MD".to_string(), "MC".to_string()],
-                ..PoolOptions::new(2, init_spec())
+                ..PoolOptions::new(2, InitSpec::default())
             },
             Arc::new(LinearCost),
             telemetry.clone(),
@@ -1093,7 +1081,7 @@ mod tests {
             }),
             PoolOptions {
                 max_failures: 2,
-                ..PoolOptions::new(2, init_spec())
+                ..PoolOptions::new(2, InitSpec::default())
             },
             Arc::new(LinearCost),
             telemetry.clone(),
@@ -1131,7 +1119,7 @@ mod tests {
             Box::new(Stillborn),
             PoolOptions {
                 max_failures: 1,
-                ..PoolOptions::new(2, init_spec())
+                ..PoolOptions::new(2, InitSpec::default())
             },
             Arc::new(LinearCost),
             Telemetry::disabled(),

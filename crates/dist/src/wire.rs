@@ -172,9 +172,27 @@ pub struct InitSpec {
     pub worker: usize,
     /// Must be `false`, and is not sent on the wire: static
     /// pre-elimination is gone, and `campaign_stack` refuses `true`. The
-    /// field stays only because the campaign benchmark builds this struct
-    /// by literal; it goes at the next benchmark change.
+    /// field stays only because the campaign benchmark still builds this
+    /// struct by literal rather than with `..Default::default()`; it goes
+    /// at the next benchmark change.
     pub static_bounds: bool,
+}
+
+/// A construction convenience: the context of a default
+/// [`racesim_core::CampaignSpec`] for worker slot 0.
+impl Default for InitSpec {
+    fn default() -> InitSpec {
+        let spec = racesim_core::CampaignSpec::default();
+        InitSpec {
+            core: spec.core_name().to_string(),
+            scale: spec.scale.divisor(),
+            faults: spec.fault_profile,
+            fault_seed: spec.fault_seed,
+            timeout_ms: spec.timeout_ms.unwrap_or(0),
+            worker: 0,
+            static_bounds: false,
+        }
+    }
 }
 
 /// A coordinator-to-worker frame.

@@ -10,8 +10,7 @@ use racesim_isa::{
     cond_flags_for_cmp, EncodedInst, Flags, MemWidth, Opcode, Program, Reg, DEFAULT_STACK_TOP,
     INST_BYTES,
 };
-use racesim_trace::{CompactTrace, TraceBuffer, TraceRecord, TraceSink};
-use std::collections::HashMap;
+use racesim_trace::{CompactTrace, IntMap, TraceBuffer, TraceRecord, TraceSink};
 use std::fmt;
 
 const PAGE_BYTES: usize = 4096;
@@ -53,10 +52,18 @@ impl fmt::Display for EmuError {
 
 impl std::error::Error for EmuError {}
 
-/// Sparse, paged, byte-addressed memory. Unmapped reads return zero.
+/// Sparse, paged, byte-addressed memory. Unmapped reads return zero and
+/// map nothing.
+///
+/// An access that fits in one page costs one page-map lookup. A read that
+/// straddles a page boundary goes byte by byte; a write, and the data
+/// image, go one page-sized slice at a time. Trace recording hits
+/// this once per memory instruction, and the 4 MiB `lat_mem_rd` probe
+/// loads its whole data image through it, so per-byte lookups would
+/// dominate campaign set-up.
 #[derive(Debug, Default)]
 pub struct PagedMem {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+    pages: IntMap<u64, Box<[u8; PAGE_BYTES]>>,
 }
 
 impl PagedMem {
@@ -71,34 +78,41 @@ impl PagedMem {
             .or_insert_with(|| Box::new([0u8; PAGE_BYTES]))
     }
 
-    /// Reads one byte.
-    pub fn read_u8(&self, addr: u64) -> u8 {
-        let page = addr / PAGE_BYTES as u64;
-        match self.pages.get(&page) {
-            Some(p) => p[(addr % PAGE_BYTES as u64) as usize],
-            None => 0,
-        }
-    }
-
-    /// Writes one byte.
-    pub fn write_u8(&mut self, addr: u64, v: u8) {
-        let page = addr / PAGE_BYTES as u64;
-        self.page_mut(page)[(addr % PAGE_BYTES as u64) as usize] = v;
+    /// The byte offset of `addr` in its page, if `n` bytes from `addr`
+    /// stay in that page.
+    fn in_page(addr: u64, n: u64) -> Option<usize> {
+        let off = (addr % PAGE_BYTES as u64) as usize;
+        (off + n as usize <= PAGE_BYTES).then_some(off)
     }
 
     /// Reads `n <= 8` bytes little-endian.
     pub fn read_le(&self, addr: u64, n: u64) -> u64 {
-        let mut v = 0u64;
-        for i in 0..n {
-            v |= (self.read_u8(addr + i) as u64) << (8 * i);
-        }
-        v
+        let Some(off) = Self::in_page(addr, n) else {
+            return (0..n).fold(0, |v, i| {
+                v | self.read_le(addr.wrapping_add(i), 1) << (8 * i)
+            });
+        };
+        let Some(page) = self.pages.get(&(addr / PAGE_BYTES as u64)) else {
+            return 0;
+        };
+        let mut le = [0u8; 8];
+        le[..n as usize].copy_from_slice(&page[off..off + n as usize]);
+        u64::from_le_bytes(le)
     }
 
     /// Writes `n <= 8` bytes little-endian.
     pub fn write_le(&mut self, addr: u64, n: u64, v: u64) {
-        for i in 0..n {
-            self.write_u8(addr + i, (v >> (8 * i)) as u8);
+        self.write_bytes(addr, &v.to_le_bytes()[..n as usize]);
+    }
+
+    /// Writes `bytes` from `addr` on, one page-sized slice at a time.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr % PAGE_BYTES as u64) as usize;
+            let (head, rest) = bytes.split_at((PAGE_BYTES - off).min(bytes.len()));
+            self.page_mut(addr / PAGE_BYTES as u64)[off..off + head.len()].copy_from_slice(head);
+            addr = addr.wrapping_add(head.len() as u64);
+            bytes = rest;
         }
     }
 
@@ -132,9 +146,7 @@ impl<'p> Machine<'p> {
     pub fn new(program: &'p Program) -> Machine<'p> {
         let mut mem = PagedMem::new();
         for (addr, bytes) in &program.data {
-            for (i, b) in bytes.iter().enumerate() {
-                mem.write_u8(addr + i as u64, *b);
-            }
+            mem.write_bytes(*addr, bytes);
         }
         let mut x = [0u64; 33];
         x[Reg::SP.index()] = DEFAULT_STACK_TOP;
@@ -446,7 +458,9 @@ pub fn record_trace(program: &Program, limit: u64) -> Result<TraceBuffer, EmuErr
 /// See [`Machine::run`]; a record the compact form rejects is an
 /// [`EmuError::Sink`].
 pub fn record_compact(program: &Program, limit: u64) -> Result<CompactTrace, EmuError> {
-    record_into(program, limit)
+    let mut trace: CompactTrace = record_into(program, limit)?;
+    trace.shrink_to_fit();
+    Ok(trace)
 }
 
 fn record_into<S: TraceSink + Default>(program: &Program, limit: u64) -> Result<S, EmuError> {

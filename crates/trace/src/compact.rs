@@ -2,9 +2,8 @@
 
 use crate::record::{TraceRecord, TraceSink, F_HAS_EA, F_TAKEN};
 use crate::summary::TraceSummary;
-use crate::TraceBuffer;
+use crate::{IntMap, TraceBuffer};
 use racesim_isa::{EncodedInst, INST_BYTES};
-use std::collections::HashMap;
 use std::io;
 
 /// Bits of a record's `u16` holding its word id; the three record flags
@@ -46,7 +45,7 @@ pub struct CompactTrace {
     /// The pc control flow implies for the next pushed record.
     next_pc: u64,
     /// Word → id, for interning while recording.
-    ids: HashMap<EncodedInst, u16>,
+    ids: IntMap<EncodedInst, u16>,
 }
 
 impl CompactTrace {
@@ -103,6 +102,18 @@ impl CompactTrace {
             + self.ops.len() * size_of::<u16>()
             + self.payload.len() * size_of::<u64>()
             + self.escapes.len() * size_of::<(usize, u64)>()
+    }
+
+    /// Releases the spare capacity recording left in the replay data. A
+    /// recorded trace is replayed for the rest of a campaign, and its
+    /// vectors grew by doubling, so up to half of each would otherwise
+    /// stay allocated (and, in reused heap memory, resident) throughout.
+    pub fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+        self.first_pcs.shrink_to_fit();
+        self.ops.shrink_to_fit();
+        self.payload.shrink_to_fit();
+        self.escapes.shrink_to_fit();
     }
 
     /// Iterates over the records with word ids in place of words.

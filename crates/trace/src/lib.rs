@@ -54,6 +54,7 @@
 mod buffer;
 mod compact;
 mod format;
+mod intmap;
 mod record;
 mod static_summary;
 mod summary;
@@ -62,6 +63,7 @@ mod varint;
 pub use buffer::TraceBuffer;
 pub use compact::{CompactRecord, CompactTrace, Iter as CompactIter, MAX_WORDS};
 pub use format::{TraceReader, TraceWriter, FORMAT_VERSION};
+pub use intmap::{IntHasher, IntMap};
 pub use record::{TraceRecord, TraceSink};
 pub use static_summary::StaticSummary;
 pub use summary::TraceSummary;

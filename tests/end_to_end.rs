@@ -140,18 +140,9 @@ fn validate_and_tune_race_identically() {
         .expect("validation runs");
 
     let mut spec = CampaignSpec {
-        kind: CoreKind::InOrder,
-        scale: Scale::TINY,
         budget: 600,
-        seed: TunerSettings::default().seed,
         threads: 2,
-        workers: 0,
-        max_iterations: None,
-        static_bounds: false,
-        timeout_ms: None,
-        fault_profile: "none".to_string(),
-        fault_seed: 1,
-        frozen: Vec::new(),
+        ..CampaignSpec::default()
     };
     let telemetry = racesim::telemetry::Telemetry::disabled();
     let stack = spec.build_stack(&telemetry).expect("stack builds");

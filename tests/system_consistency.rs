@@ -49,6 +49,49 @@ fn tracing_and_simulation_are_deterministic() {
     assert_eq!(s1.core.cycles, s2.core.cycles, "back-end determinism");
 }
 
+/// The recorder's output is pinned: a digest of every compact trace a
+/// campaign's set-up records (the initialised micro-benchmark suite and
+/// the latency probe ladder). Word table order, first pcs, escapes and
+/// every record are hashed, so a change to the emulator or to trace
+/// interning that moves any of them fails here, not in a tuned result.
+#[test]
+fn setup_traces_are_pinned_bit_for_bit() {
+    fn fnv(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    let mut workloads = racesim::kernels::microbench_suite_initialized(Scale::TINY);
+    workloads.extend(racesim::kernels::probes::probe_ladder());
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut records = 0usize;
+    for w in &workloads {
+        let t = w.compact_trace().unwrap();
+        for (word, pc) in t.words().iter().zip(t.first_pcs()) {
+            fnv(&mut h, word.0);
+            fnv(&mut h, *pc);
+        }
+        for &(index, pc) in t.escapes() {
+            fnv(&mut h, index as u64);
+            fnv(&mut h, pc);
+        }
+        for r in t.iter() {
+            fnv(&mut h, r.pc());
+            fnv(&mut h, r.word_id() as u64);
+            fnv(&mut h, r.ea().map_or(u64::MAX, |ea| ea));
+            fnv(
+                &mut h,
+                r.target().map_or(u64::MAX, |t| t ^ u64::from(r.taken())),
+            );
+        }
+        records += t.len();
+    }
+    assert_eq!(
+        (workloads.len(), records, h),
+        (48, 1_349_637, 0x1a82_6a5b_e8d5_d008)
+    );
+}
+
 /// Trace serialisation through the SIFT-like format is lossless for real
 /// kernel traces (not just synthetic records).
 #[test]
