@@ -185,7 +185,7 @@ lints! {
     /// A kernel whose static CPI lower bound never exceeds the trivial
     /// issue-width floor: the bounds engine can prove nothing about it,
     /// so its interval says nothing a measurement would not.
-    BoundVacuous = ("RA601", "vacuous-bound", Warn),
+    BoundVacuous = ("RA601", "vacuous-bound", Info),
     /// A static CPI interval with its lower bound above its upper bound:
     /// the bounds lattice produced a claim no execution can satisfy, so
     /// the engine is unsound for that kernel.

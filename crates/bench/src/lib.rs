@@ -1,7 +1,7 @@
 //! # racesim-bench
 //!
 //! The experiment harness: one binary per table and figure of the paper
-//! (see DESIGN.md's experiment index) plus Criterion performance benches.
+//! (see DESIGN.md's experiment index) plus the ablation study.
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
@@ -13,14 +13,16 @@
 //! | `fig6` | Figure 6 — SPEC CPI error of the tuned A72 model |
 //! | `fig7` | Figure 7 — close-to-optimum worst case on the A53 |
 //! | `fig8` | Figure 8 — close-to-optimum worst case on the A72 |
+//! | `ablations` | racing vs random vs grid, Friedman vs paired-t, micro vs SPEC tuning |
 //!
-//! All binaries accept three environment variables:
+//! The table and figure binaries accept three environment variables:
 //! `RACESIM_SCALE` (divisor of the paper's dynamic instruction counts,
 //! default 512), `RACESIM_BUDGET` (racing evaluation budget, default
 //! 12 000; the paper used 10K–100K trials) and `RACESIM_SEED` (tuner
 //! seed, default `0xA5372`). Results are printed as ASCII
 //! charts and written as CSV next to the binary's working directory under
-//! `results/`.
+//! `results/`. `ablations` reads none of them: its constants are fixed
+//! (see [`ablation`]) and it only prints.
 
 #![warn(missing_docs)]
 
@@ -29,8 +31,9 @@ use racesim_core::{Revision, ValidationOutcome, Validator, ValidatorSettings};
 use racesim_decoder::Decoder;
 use racesim_hw::HardwarePlatform;
 use racesim_kernels::{spec_suite, Scale};
-use racesim_race::TunerSettings;
-use racesim_sim::Platform;
+use racesim_race::{Configuration, ParamSpace, TunerSettings};
+use racesim_sim::{Platform, SimOptions, Simulator};
+use racesim_stats::abs_pct_error;
 use racesim_uarch::CoreKind;
 use std::path::PathBuf;
 
@@ -130,14 +133,28 @@ pub fn spec_errors(
         .collect()
 }
 
+/// CPI error in percent of `cfg`, applied over `base`, on benchmark `i`
+/// of `suite`; `f64::MAX` when the simulator rejects the trace.
+fn cpi_error(
+    suite: &PreparedSuite,
+    base: &Platform,
+    space: &ParamSpace,
+    cfg: &Configuration,
+    i: usize,
+) -> f64 {
+    let p = racesim_core::params::apply(space, cfg, base);
+    let sim = Simulator::with_decoder(p, Decoder::new(), SimOptions::default());
+    match sim.run_compact(&suite.traces[i]) {
+        Ok(stats) => abs_pct_error(stats.cpi(), suite.hw[i].cpi()),
+        Err(_) => f64::MAX,
+    }
+}
+
 /// The Figure-7/8 perturbation experiment, shared by both binaries.
 pub mod perturbation {
     use super::*;
     use racesim_core::perturb::worst_within_one_step_multistart;
     use racesim_core::report;
-    use racesim_race::{Configuration, ParamSpace};
-    use racesim_sim::{SimOptions, Simulator};
-    use racesim_stats::abs_pct_error;
 
     /// Runs the close-to-optimum worst-case experiment for one core kind
     /// and prints/saves the resulting SPEC error profile.
@@ -162,15 +179,8 @@ pub mod perturbation {
         let n_search = suite.len();
         // `untuned` carries the lmbench-estimated base values; apply()
         // overwrites every tunable, so it serves as the base platform.
-        let base = outcome.untuned.clone();
-        let cost = move |c: &Configuration, s: &ParamSpace, i: usize| -> f64 {
-            let p = racesim_core::params::apply(s, c, &base);
-            let sim = Simulator::with_decoder(p, Decoder::new(), SimOptions::default());
-            match sim.run_compact(&suite.traces[i]) {
-                Ok(stats) => abs_pct_error(stats.cpi(), suite.hw[i].cpi()),
-                Err(_) => f64::MAX,
-            }
-        };
+        let base = &outcome.untuned;
+        let cost = |c: &Configuration, s: &ParamSpace, i: usize| cpi_error(&suite, base, s, c, i);
         let search_instances: Vec<usize> = (0..n_search).collect();
         println!("searching the ±1-step box around the optimum (multi-start greedy ascent)...");
         let perturbed = worst_within_one_step_multistart(
@@ -183,14 +193,13 @@ pub mod perturbation {
             cfg.threads,
         );
         println!(
-            "micro-benchmark cost: optimum {:.1}% -> worst-in-box {:.1}%  ({} evaluations)",
+            "SPEC-proxy cost: optimum {:.1}% -> worst-in-box {:.1}%  ({} evaluations)",
             perturbed.optimum_cost, perturbed.worst_cost, perturbed.evals_used
         );
 
         // Evaluate both configurations on the SPEC proxies.
-        let base = outcome.untuned.clone();
         let tuned_rows = spec_errors(&outcome.tuned, &board, cfg.scale);
-        let worst_platform = racesim_core::params::apply(&outcome.space, &perturbed.worst, &base);
+        let worst_platform = racesim_core::params::apply(&outcome.space, &perturbed.worst, base);
         let worst_rows = spec_errors(&worst_platform, &board, cfg.scale);
 
         println!("\nSPEC CPI error, worst close-to-optimum configuration:");
@@ -210,6 +219,221 @@ pub mod perturbation {
         report::write_csv(&csv, &["benchmark", "tuned_pct", "perturbed_pct"], &rows)
             .expect("write csv");
         println!("written: {}", csv.display());
+    }
+}
+
+/// The ablation study over the design choices DESIGN.md calls out, run
+/// by the `ablations` binary and pinned by `tests/experiments_shape.rs`:
+///
+/// * racing vs random search vs grid search at equal budget;
+/// * Friedman vs paired-t elimination;
+/// * tuning on micro-benchmarks vs tuning directly on the SPEC proxies
+///   (the paper argues micro-benchmarks isolate errors and are cheap:
+///   the instructions simulated per evaluation show the cost directly).
+///
+/// Every study is fixed: the A53 board, [`Scale::TINY`], seed [`SEED`](ablation::SEED)
+/// and the budgets below. None reads an environment variable.
+pub mod ablation {
+    use super::*;
+    use racesim_core::params::{best_guess, build_space};
+    use racesim_core::report;
+    use racesim_hw::ReferenceBoard;
+    use racesim_kernels::{microbench_suite_initialized, Workload};
+    use racesim_race::{
+        CostFn, EliminationTest, GridSearch, RaceSettings, RacingTuner, RandomSearch, Tuner,
+    };
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// Tuner seed of every study.
+    pub const SEED: u64 = 42;
+    /// Evaluation budget of the search-strategy study.
+    pub const SEARCH_BUDGET: u64 = 400;
+    /// Evaluation budget of the elimination-test study.
+    pub const ELIMINATION_BUDGET: u64 = 300;
+    /// Evaluation budget of the tuning-workload study.
+    pub const WORKLOAD_BUDGET: u64 = 200;
+
+    /// CPI error of a configuration against a suite measured on the A53
+    /// board, counting the instructions it simulates.
+    struct SuiteCost {
+        base: Platform,
+        suite: PreparedSuite,
+        simulated: AtomicU64,
+    }
+
+    impl SuiteCost {
+        fn on(workloads: &[Workload]) -> SuiteCost {
+            let board = ReferenceBoard::firefly_a53();
+            SuiteCost {
+                base: Platform::a53_like(),
+                suite: PreparedSuite::prepare(workloads, &board).expect("suite measurable"),
+                simulated: AtomicU64::new(0),
+            }
+        }
+
+        /// The fixed revision's micro-benchmarks (initialised arrays).
+        fn micro() -> SuiteCost {
+            SuiteCost::on(&microbench_suite_initialized(Scale::TINY))
+        }
+
+        fn spec() -> SuiteCost {
+            SuiteCost::on(&spec_suite(Scale::TINY))
+        }
+
+        fn len(&self) -> usize {
+            self.suite.len()
+        }
+
+        fn simulated(&self) -> u64 {
+            self.simulated.load(Ordering::Relaxed)
+        }
+
+        /// Mean cost of `cfg` over the whole suite.
+        fn mean(&self, cfg: &Configuration, space: &ParamSpace) -> f64 {
+            (0..self.len())
+                .map(|i| self.cost(cfg, space, i))
+                .sum::<f64>()
+                / self.len() as f64
+        }
+    }
+
+    impl CostFn for SuiteCost {
+        fn cost(&self, cfg: &Configuration, space: &ParamSpace, instance: usize) -> f64 {
+            let insts = self.suite.traces[instance].len() as u64;
+            self.simulated.fetch_add(insts, Ordering::Relaxed);
+            cpi_error(&self.suite, &self.base, space, cfg, instance)
+        }
+    }
+
+    /// One search of a study.
+    #[derive(Debug, Clone)]
+    pub struct Run {
+        /// What was searched: the strategy, test or suite.
+        pub label: &'static str,
+        /// Mean CPI error of the best-guess configuration the search
+        /// starts from, in percent.
+        pub guess_cost: f64,
+        /// Mean CPI error of the best configuration found, in percent.
+        pub best_cost: f64,
+        /// Fresh evaluations spent.
+        pub evals: u64,
+        /// Instructions simulated by those evaluations.
+        pub insts: u64,
+        /// Wall time of the search.
+        pub wall: Duration,
+    }
+
+    impl Run {
+        /// Instructions simulated per evaluation.
+        pub fn insts_per_eval(&self) -> u64 {
+            self.insts / self.evals.max(1)
+        }
+    }
+
+    fn settings(budget: u64, test: EliminationTest) -> TunerSettings {
+        TunerSettings {
+            budget,
+            seed: SEED,
+            threads: 1,
+            race: RaceSettings {
+                test,
+                ..RaceSettings::default()
+            },
+            ..TunerSettings::default()
+        }
+    }
+
+    /// Runs each `(label, tuner)` over `cost`, recording what it spent.
+    fn runs<const N: usize>(
+        cost: &SuiteCost,
+        tuners: [(&'static str, Box<dyn Tuner>); N],
+    ) -> [Run; N] {
+        let space = build_space(CoreKind::InOrder, Revision::Fixed);
+        let guess_cost = cost.mean(&best_guess(&space, CoreKind::InOrder), &space);
+        tuners.map(|(label, tuner)| {
+            let insts = cost.simulated();
+            let start = Instant::now();
+            let r = tuner.tune(&space, cost, cost.len());
+            Run {
+                label,
+                guess_cost,
+                best_cost: r.best_cost,
+                evals: r.evals_used,
+                insts: cost.simulated() - insts,
+                wall: start.elapsed(),
+            }
+        })
+    }
+
+    /// Racing, random search and grid search at [`SEARCH_BUDGET`] on the
+    /// micro-benchmarks.
+    pub fn search_strategies() -> [Run; 3] {
+        let s = settings(SEARCH_BUDGET, EliminationTest::Friedman);
+        runs(
+            &SuiteCost::micro(),
+            [
+                ("racing", Box::new(RacingTuner::new(s))),
+                ("random", Box::new(RandomSearch::new(s))),
+                ("grid", Box::new(GridSearch::new(s))),
+            ],
+        )
+    }
+
+    /// Racing with Friedman+Wilcoxon and with paired-t elimination at
+    /// [`ELIMINATION_BUDGET`] on the micro-benchmarks.
+    pub fn elimination_tests() -> [Run; 2] {
+        let racing = |test| Box::new(RacingTuner::new(settings(ELIMINATION_BUDGET, test)));
+        runs(
+            &SuiteCost::micro(),
+            [
+                ("friedman-wilcoxon", racing(EliminationTest::Friedman)),
+                ("paired-t", racing(EliminationTest::PairedT)),
+            ],
+        )
+    }
+
+    /// Racing at [`WORKLOAD_BUDGET`] on the micro-benchmarks and on the
+    /// SPEC proxies.
+    pub fn tuning_workloads() -> [Run; 2] {
+        let racing = || {
+            Box::new(RacingTuner::new(settings(
+                WORKLOAD_BUDGET,
+                EliminationTest::Friedman,
+            )))
+        };
+        let [micro] = runs(&SuiteCost::micro(), [("micro", racing())]);
+        let [spec] = runs(&SuiteCost::spec(), [("spec", racing())]);
+        [micro, spec]
+    }
+
+    /// Renders runs as a table: label, best-guess and best cost, evaluations,
+    /// instructions per evaluation and wall time.
+    pub fn table(first_column: &str, runs: &[Run]) -> String {
+        let rows: Vec<Vec<String>> = runs
+            .iter()
+            .map(|r| {
+                vec![
+                    r.label.to_string(),
+                    format!("{:.1}%", r.guess_cost),
+                    format!("{:.1}%", r.best_cost),
+                    r.evals.to_string(),
+                    r.insts_per_eval().to_string(),
+                    format!("{:.0} ms", r.wall.as_secs_f64() * 1e3),
+                ]
+            })
+            .collect();
+        report::table(
+            &[
+                first_column,
+                "best guess",
+                "best found",
+                "evaluations",
+                "insts/eval",
+                "wall",
+            ],
+            &rows,
+        )
     }
 }
 
