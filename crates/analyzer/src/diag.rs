@@ -283,11 +283,6 @@ impl Report {
         &self.diagnostics
     }
 
-    /// Consumes the report, yielding its diagnostics.
-    pub fn into_diagnostics(self) -> Vec<Diagnostic> {
-        self.diagnostics
-    }
-
     /// True if no diagnostics at all were raised.
     pub fn is_empty(&self) -> bool {
         self.diagnostics.is_empty()

@@ -193,11 +193,6 @@ impl Asm {
         self.data_bytes(bytes, 8)
     }
 
-    /// Sets the initial value of an integer register.
-    pub fn init_reg(&mut self, reg: Reg, value: u64) {
-        self.init_regs.push((reg.index() as u8, value));
-    }
-
     /// Loads the absolute address of `label` into `rd` (one `movz`, whose
     /// immediate is patched at [`Asm::finish`]).
     ///

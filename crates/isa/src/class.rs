@@ -1,6 +1,5 @@
 //! Timing classes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The timing class of an instruction.
@@ -10,7 +9,7 @@ use std::fmt;
 /// (mirroring how Sniper's contention model groups micro-operations).
 ///
 /// [`Opcode`]: crate::Opcode
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum InstClass {
     /// Simple single-cycle integer ALU operation.

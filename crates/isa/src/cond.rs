@@ -1,13 +1,12 @@
 //! Condition codes and flag evaluation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The NZCV condition flags produced by compare instructions.
 ///
 /// Semantics follow AArch64: `cmp a, b` computes `a - b` and sets
 /// negative/zero/carry/overflow accordingly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Flags {
     /// Result was negative.
     pub n: bool,
@@ -53,7 +52,7 @@ pub fn cond_flags_for_cmp(a: u64, b: u64) -> Flags {
 }
 
 /// Condition codes testable by conditional branches and selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Cond {
     /// Equal (`Z`).

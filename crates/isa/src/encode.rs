@@ -1,7 +1,6 @@
 //! The 64-bit storage encoding of instructions.
 
 use crate::{Cond, Opcode, Reg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors raised when building an encoded instruction from raw fields.
@@ -48,7 +47,7 @@ pub const IMM_MAX: i64 = (1 << 27) - 1;
 /// `Vec<EncodedInst>`. Interpretation of the fields (which registers are
 /// read or written, what the immediate means) is performed by the
 /// `racesim-decoder` crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(transparent)]
 pub struct EncodedInst(pub u64);
 

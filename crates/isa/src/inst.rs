@@ -1,7 +1,6 @@
 //! Decoded instruction representations.
 
 use crate::{Cond, InstClass, Opcode, Reg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of source registers a decoded instruction can carry.
@@ -10,7 +9,7 @@ pub const MAX_SRCS: usize = 4;
 pub const MAX_DSTS: usize = 2;
 
 /// Width of a memory access, in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum MemWidth {
     /// 1 byte.
@@ -64,7 +63,7 @@ impl fmt::Display for MemWidth {
 /// and the decoded operand fields. The same `StaticInst` is shared by every
 /// dynamic execution of the instruction (Sniper caches these per PC; so does
 /// `racesim-sim`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticInst {
     /// The opcode.
     pub opcode: Opcode,
@@ -119,12 +118,6 @@ impl StaticInst {
     pub fn is_store(&self) -> bool {
         self.class == InstClass::Store
     }
-
-    /// Whether the instruction is a load.
-    #[inline]
-    pub fn is_load(&self) -> bool {
-        self.class == InstClass::Load
-    }
 }
 
 /// One dynamically executed instruction: a [`StaticInst`] plus the
@@ -134,7 +127,7 @@ impl StaticInst {
 /// the equivalent of one SIFT record in Sniper: program counter, effective
 /// address for memory operations, and the architecturally resolved branch
 /// outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     /// Program counter of this instruction.
     pub pc: u64,

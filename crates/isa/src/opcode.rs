@@ -1,7 +1,6 @@
 //! Opcode definitions.
 
 use crate::InstClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operation codes of the micro-ISA.
@@ -11,7 +10,7 @@ use std::fmt;
 /// add/mul/div/sqrt pipes, int↔FP conversion, two-lane SIMD, loads/stores,
 /// and the full branch taxonomy (conditional, unconditional, indirect,
 /// call, return).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
     /// No operation.

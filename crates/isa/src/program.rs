@@ -1,7 +1,6 @@
 //! Whole-program container.
 
 use crate::EncodedInst;
-use serde::{Deserialize, Serialize};
 
 /// Default base address for code.
 pub const DEFAULT_CODE_BASE: u64 = 0x0000_1000;
@@ -21,7 +20,7 @@ pub const DEFAULT_STACK_TOP: u64 = 0x7fff_0000;
 /// leaves the array uninitialised — the hazard the paper hit with "a
 /// couple memory-intensive micro-benchmarks \[that\] access an
 /// uninitialized array". Static analysis keys off this flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReservedRegion {
     /// First virtual address of the region.
     pub addr: u64,
@@ -45,7 +44,7 @@ impl ReservedRegion {
 /// Programs are produced by the assembler ([`crate::asm::Asm`]) or by the
 /// workload generators in `racesim-kernels`, and consumed by the functional
 /// front-end that records instruction traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Encoded instructions, laid out contiguously from [`Program::code_base`].
     pub code: Vec<EncodedInst>,
@@ -73,11 +72,6 @@ impl Program {
             init_regs: Vec::new(),
             reserved: Vec::new(),
         }
-    }
-
-    /// The reserved region containing `addr`, if any.
-    pub fn region_containing(&self, addr: u64) -> Option<&ReservedRegion> {
-        self.reserved.iter().find(|r| r.contains(addr))
     }
 
     /// Marks every reserved region as initialised — the paper's remedy of

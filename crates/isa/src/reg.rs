@@ -1,13 +1,12 @@
 //! Architectural register names.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The class an architectural register belongs to.
 ///
 /// Timing models use the class to route dependencies through the correct
 /// register file (integer scoreboard versus FP/SIMD scoreboard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RegClass {
     /// General-purpose 64-bit integer registers (`x0`–`x30`, `sp`, `xzr`).
     Int,
@@ -36,7 +35,7 @@ pub enum RegClass {
 /// assert_eq!(Reg::v(3).class(), RegClass::Vec);
 /// assert!(Reg::XZR.is_zero());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(u8);
 
 impl Reg {

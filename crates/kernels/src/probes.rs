@@ -8,7 +8,7 @@
 //! load-to-use latency.
 
 use crate::micro::helpers::{build_chase, counted_loop};
-use crate::workload::{Category, Scale, Workload};
+use crate::workload::{Category, Workload};
 use racesim_isa::{asm::Asm, Reg};
 
 /// A `lat_mem_rd`-style dependent pointer chase over `size_kb` KiB with
@@ -50,30 +50,6 @@ pub fn probe_ladder() -> Vec<Workload> {
         .iter()
         .map(|kb| lat_mem_rd(*kb, 64))
         .collect()
-}
-
-/// An instruction-side probe: straight-line code of `size_kb` KiB looped,
-/// for estimating the L1I service behaviour.
-pub fn lat_icache(size_kb: u32) -> Workload {
-    let insts = (size_kb as usize * 1024) / racesim_isa::INST_BYTES as usize;
-    let mut a = Asm::new();
-    counted_loop(&mut a, 64, |a| {
-        for i in 0..insts {
-            a.addi(Reg::x(2 + (i % 4) as u8), Reg::x(2 + (i % 4) as u8), 1);
-        }
-    });
-    a.halt();
-    Workload::new(
-        format!("lat_icache_{size_kb}k"),
-        Category::Probe,
-        a.finish(),
-        64 * (insts as u64 + 2),
-    )
-}
-
-/// Ignore-the-details scale marker: probes are fixed-size by design.
-pub fn probe_scale() -> Scale {
-    Scale::FULL
 }
 
 #[cfg(test)]

@@ -55,9 +55,9 @@ impl Scale {
     /// The paper's full dynamic instruction counts.
     ///
     /// Note: at full scale the largest kernel (`MIP`, 66 M instructions)
-    /// needs roughly 2.6 GiB for its in-memory trace; stream through
-    /// [`racesim_trace::TraceWriter`] or choose a larger divisor on
-    /// memory-constrained hosts.
+    /// needs roughly 2.6 GiB as a [`TraceBuffer`] of 40-byte records;
+    /// record it with [`Workload::compact_trace`] (a few bytes a record)
+    /// or choose a larger divisor on memory-constrained hosts.
     pub const FULL: Scale = Scale { divisor: 1 };
     /// 1/128 of the paper's counts — the default for benchmarking.
     pub const DEFAULT: Scale = Scale { divisor: 128 };
@@ -172,6 +172,12 @@ mod tests {
             assert_eq!(compact.escapes().len(), 1, "{}", w.name);
             let per_record = compact.heap_bytes() as f64 / compact.len() as f64;
             assert!(per_record <= 16.0, "{}: {per_record:.1} B/record", w.name);
+            let trace = w.trace().unwrap();
+            assert!(
+                compact.records().eq(trace.iter().copied()),
+                "{}: compact trace does not expand to the recorded trace",
+                w.name
+            );
         }
     }
 

@@ -7,11 +7,10 @@
 //! entries, tag access — are exactly the kind of undisclosed parameters the
 //! racing tuner searches over (steps 3–4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cache replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// Least recently used (true LRU).
     Lru,
@@ -39,7 +38,7 @@ impl fmt::Display for Replacement {
 ///
 /// The paper: *"we implement mask-based, xor-based, and Mersenne modulo
 /// address hashing for cache indexing"* (Section IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexHash {
     /// Classic power-of-two bit selection.
     Mask,
@@ -65,7 +64,7 @@ impl fmt::Display for IndexHash {
 ///
 /// Serial access saves energy but adds a cycle to the hit latency; it is
 /// one of the undisclosed parameters the paper tunes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TagAccess {
     /// Tags and data probed together: no extra latency.
     Parallel,
@@ -83,7 +82,7 @@ impl fmt::Display for TagAccess {
 }
 
 /// Which prefetcher a cache level uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetcherConfig {
     /// No prefetching.
     None,
@@ -137,7 +136,7 @@ impl fmt::Display for PrefetcherConfig {
 }
 
 /// Where a prefetcher trains and prefetches into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetchWhere {
     /// Train on L1D accesses, fill into L1D.
     L1,
@@ -146,7 +145,7 @@ pub enum PrefetchWhere {
 }
 
 /// Configuration of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Capacity in KiB.
     pub size_kb: u32,
@@ -227,7 +226,7 @@ impl CacheConfig {
 }
 
 /// Main-memory timing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Flat access latency, in core cycles.
     pub latency: u64,
@@ -245,7 +244,7 @@ impl Default for DramConfig {
 }
 
 /// TLB configuration (optional model component).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TlbConfig {
     /// Number of entries (fully associative).
     pub entries: u32,
@@ -267,7 +266,7 @@ impl Default for TlbConfig {
 
 /// Full hierarchy configuration: split L1s, unified L2, DRAM, optional TLB
 /// and an optional prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// L1 instruction cache.
     pub l1i: CacheConfig,

@@ -262,22 +262,12 @@ impl MemoryHierarchy {
         1 << self.l1i_shift
     }
 
-    /// The line size of the L1 data cache, in bytes.
-    pub fn l1d_line_bytes(&self) -> u64 {
-        1 << self.l1d_shift
-    }
-
     /// The L1I hit latency (including serial tag access), in cycles.
     ///
     /// Core models use this to separate the pipelined fetch-hit cost from
     /// genuine miss stalls.
     pub fn l1i_hit_latency(&self) -> u64 {
         self.l1i_lat + self.l1i_serial
-    }
-
-    /// The L1D hit latency (including serial tag access), in cycles.
-    pub fn l1d_hit_latency(&self) -> u64 {
-        self.l1d_lat + self.l1d_serial
     }
 
     /// Silently installs the code line containing `addr` into L1I and L2.

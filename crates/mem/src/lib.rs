@@ -17,7 +17,7 @@
 //! Bandwidth is modelled with per-level port regulators, and misses consume
 //! MSHRs.
 //!
-//! All structural parameters live in plain serde-serialisable config types
+//! All structural parameters live in plain `Copy` config types
 //! ([`HierarchyConfig`], [`CacheConfig`], …) so the tuning framework can
 //! mutate them mechanically.
 //!

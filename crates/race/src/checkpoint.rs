@@ -9,7 +9,7 @@
 //!
 //! The on-disk format is a line-oriented `key = value` text file (the
 //! same INI-flavoured idiom as the simulator's config files; the
-//! workspace's vendored `serde` is a no-op shim, so serialization is
+//! workspace has no serialisation library, so serialization is
 //! hand-rolled). Floating-point values are stored as the 16-hex-digit
 //! IEEE-754 bit pattern — exact round-tripping is a correctness
 //! requirement, not a nicety.

@@ -2,7 +2,6 @@
 
 use racesim_mem::{CacheConfig, HierarchyConfig};
 use racesim_uarch::CoreConfig;
-use serde::{Deserialize, Serialize};
 
 /// A complete single-core platform: core timing model plus memory
 /// hierarchy.
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// parameters are fields of [`CoreConfig`] and
 /// [`HierarchyConfig`]; the schema that exposes them to the
 /// tuner lives in `racesim-core`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Human-readable platform name (reports only).
     pub name: String,

@@ -1,6 +1,6 @@
-//! The workspace's one JSON codec: a writer and a parser. The vendored
-//! `serde` is a no-op shim, so — like the checkpoint format — JSON is
-//! hand-rolled here, once, and every crate writes and reads through it.
+//! The workspace's one JSON codec: a writer and a parser. The workspace
+//! has no serialisation library, so — like the checkpoint format — JSON
+//! is hand-rolled here, once, and every crate writes and reads through it.
 //!
 //! * [`Value`] is a small JSON tree. Every `--json` document (`lint`,
 //!   `bounds`, `profile`, `report`, `replay`, `diff`) is built as a

@@ -10,7 +10,7 @@
 //! * an **event journal** — typed [`Event`]s with monotonic
 //!   timestamps, buffered in memory and flushed as JSONL lines
 //!   (hand-rolled serialization, like the checkpoint format; the
-//!   vendored `serde` is a no-op shim).
+//!   workspace has no serialisation library).
 //!
 //! A third piece, the [`Profiler`], lives beside the `Telemetry` handle
 //! rather than inside it: a hierarchical span-based self-profiler with

@@ -1,9 +1,8 @@
 //! In-memory traces.
 
-use crate::format::{TraceReader, TraceWriter};
 use crate::record::{TraceRecord, TraceSink};
 use crate::summary::TraceSummary;
-use std::io::{self, Read, Write};
+use std::io;
 
 /// An in-memory instruction trace: the records themselves, 40 bytes each.
 ///
@@ -28,29 +27,6 @@ impl TraceBuffer {
         TraceBuffer {
             records: Vec::with_capacity(n),
         }
-    }
-
-    /// Drains a [`TraceReader`] into a buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoding errors from the reader.
-    pub fn from_reader<R: Read>(reader: TraceReader<R>) -> io::Result<TraceBuffer> {
-        let records = reader.collect::<io::Result<Vec<_>>>()?;
-        Ok(TraceBuffer { records })
-    }
-
-    /// Serialises the buffer to a writer in the trace format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, w: W) -> io::Result<W> {
-        let mut tw = TraceWriter::new(w)?;
-        for r in &self.records {
-            tw.write(r)?;
-        }
-        tw.finish()
     }
 
     /// The records in execution order.
@@ -112,16 +88,6 @@ impl<'a> IntoIterator for &'a TraceBuffer {
 mod tests {
     use super::*;
     use racesim_isa::EncodedInst;
-
-    #[test]
-    fn buffer_roundtrips_through_serialisation() {
-        let buf: TraceBuffer = (0..100u64)
-            .map(|i| TraceRecord::memory(0x1000 + i * 4, EncodedInst(i), i * 64))
-            .collect();
-        let bytes = buf.write_to(Vec::new()).unwrap();
-        let back = TraceBuffer::from_reader(TraceReader::new(bytes.as_slice()).unwrap()).unwrap();
-        assert_eq!(back, buf);
-    }
 
     #[test]
     fn sink_and_extend() {

@@ -1,13 +1,15 @@
 //! # racesim-trace
 //!
-//! A streaming binary instruction-trace format — the project's equivalent of
-//! Sniper's SIFT (Sniper Instruction Trace Format).
+//! In-memory instruction traces — the project's counterpart of the traces
+//! Sniper replays from SIFT (Sniper Instruction Trace Format) files.
 //!
 //! The paper records each micro-benchmark and SPEC region **once** on the
 //! ARM board and replays the trace through Sniper's timing models for every
 //! simulated configuration. This crate plays the same role: the functional
 //! front-end (in `racesim-kernels`) records a [`TraceRecord`] per executed
 //! instruction, and the timing simulator (`racesim-sim`) replays them.
+//! Recording and replay happen in the same process, so traces never touch
+//! the disk.
 //!
 //! Each record carries exactly what a timing model needs from the
 //! front-end:
@@ -25,26 +27,19 @@
 //! the 40 of a [`TraceRecord`]. A [`TraceBuffer`] holds the records
 //! themselves, for producers and tests that want them one by one.
 //!
-//! The on-disk encoding is compact too: program counters are implicit while
-//! control flow is sequential, instruction words are transmitted only the
-//! first time a PC is seen, and addresses are delta-encoded varints. Loop
-//! traces compress to roughly 2–4 bytes per instruction.
-//!
 //! # Example
 //!
 //! ```
-//! use racesim_trace::{TraceBuffer, TraceReader, TraceRecord, TraceWriter};
+//! use racesim_trace::{CompactTrace, TraceBuffer, TraceRecord, TraceSink};
 //! use racesim_isa::EncodedInst;
 //!
-//! let mut bytes = Vec::new();
-//! let mut w = TraceWriter::new(&mut bytes)?;
-//! w.write(&TraceRecord::plain(0x1000, EncodedInst(1)))?;
-//! w.write(&TraceRecord::memory(0x1004, EncodedInst(33), 0xdead_beef))?;
-//! w.finish()?;
+//! let mut buf = TraceBuffer::new();
+//! buf.push(TraceRecord::plain(0x1000, EncodedInst(1)))?;
+//! buf.push(TraceRecord::memory(0x1004, EncodedInst(33), 0xdead_beef))?;
 //!
-//! let buf = TraceBuffer::from_reader(TraceReader::new(bytes.as_slice())?)?;
-//! assert_eq!(buf.len(), 2);
-//! assert_eq!(buf.records()[1].ea(), Some(0xdead_beef));
+//! let compact = CompactTrace::from_records(buf.records())?;
+//! assert_eq!(compact.to_buffer(), buf);
+//! assert_eq!(compact.iter().nth(1).and_then(|r| r.ea()), Some(0xdead_beef));
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
@@ -53,16 +48,13 @@
 
 mod buffer;
 mod compact;
-mod format;
 mod intmap;
 mod record;
 mod static_summary;
 mod summary;
-mod varint;
 
 pub use buffer::TraceBuffer;
 pub use compact::{CompactRecord, CompactTrace, Iter as CompactIter, MAX_WORDS};
-pub use format::{TraceReader, TraceWriter, FORMAT_VERSION};
 pub use intmap::{IntHasher, IntMap};
 pub use record::{TraceRecord, TraceSink};
 pub use static_summary::StaticSummary;

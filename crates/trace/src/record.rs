@@ -56,9 +56,9 @@ impl TraceRecord {
         }
     }
 
-    /// The record with an effective address attached. The wire format
-    /// admits one on any record kind; a [`CompactTrace`](crate::CompactTrace)
-    /// rejects one on a taken branch, whose payload slot holds the target.
+    /// The record with an effective address attached, on any record kind;
+    /// a [`CompactTrace`](crate::CompactTrace) rejects one on a taken
+    /// branch, whose payload slot holds the target.
     pub fn with_ea(mut self, ea: u64) -> TraceRecord {
         self.ea = ea;
         self.flags |= F_HAS_EA;
@@ -137,16 +137,17 @@ impl TraceRecord {
 /// Anything that can consume a stream of trace records.
 ///
 /// Implemented by [`CompactTrace`](crate::CompactTrace) (the replay
-/// form), [`TraceBuffer`](crate::TraceBuffer) (in-memory records) and
-/// [`TraceWriter`](crate::TraceWriter) (serialised), so trace producers —
-/// the functional front-end in `racesim-kernels` — are agnostic about where
-/// the trace goes.
+/// form) and [`TraceBuffer`](crate::TraceBuffer) (the records
+/// themselves), so trace producers — the functional front-end in
+/// `racesim-kernels` — are agnostic about which form they fill.
 pub trait TraceSink {
     /// Consumes one record.
     ///
     /// # Errors
     ///
-    /// I/O-backed sinks report write failures.
+    /// A sink that cannot hold the record returns `InvalidData`, as a
+    /// [`CompactTrace`](crate::CompactTrace) does for a taken branch with
+    /// an effective address or for a word past its table's capacity.
     fn push(&mut self, record: TraceRecord) -> std::io::Result<()>;
 }
 

@@ -21,10 +21,9 @@ pub use indirect::PathHistoryPredictor;
 pub use ras::ReturnAddressStack;
 
 use racesim_isa::{DynInst, InstClass};
-use serde::{Deserialize, Serialize};
 
 /// Direction-predictor selection and sizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirPredictorConfig {
     /// Always predict taken.
     StaticTaken,
@@ -52,7 +51,7 @@ pub enum DirPredictorConfig {
 }
 
 /// Indirect-target predictor selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndirectPredictorConfig {
     /// No dedicated predictor: indirect branches use the BTB's last-seen
     /// target.
@@ -67,7 +66,7 @@ pub enum IndirectPredictorConfig {
 }
 
 /// Full branch-unit configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchConfig {
     /// Direction predictor.
     pub direction: DirPredictorConfig,

@@ -2,10 +2,9 @@
 
 use crate::branch::BranchConfig;
 use crate::latency::LatencyTable;
-use serde::{Deserialize, Serialize};
 
 /// Which pipeline organisation a core uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreKind {
     /// In-order, dual-issue (Cortex-A53-like).
     InOrder,
@@ -23,7 +22,7 @@ impl std::fmt::Display for CoreKind {
 }
 
 /// Front-end (fetch/decode) configuration, shared by both core kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: u8,
@@ -43,7 +42,7 @@ impl Default for FrontendConfig {
 }
 
 /// Parameters specific to the in-order pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InOrderParams {
     /// Issue width (the A53 dual-issues).
     pub issue_width: u8,
@@ -78,7 +77,7 @@ impl Default for InOrderParams {
 ///
 /// The Cortex-A72 issues into eight pipelines: two simple-ALU, one
 /// multi-cycle integer, two FP/SIMD, one branch, one load and one store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortCounts {
     /// Simple integer ALU ports.
     pub int_alu: u8,
@@ -108,7 +107,7 @@ impl Default for PortCounts {
 }
 
 /// Parameters specific to the out-of-order pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OooParams {
     /// Instructions renamed/dispatched per cycle (A72: 3).
     pub dispatch_width: u8,
@@ -152,7 +151,7 @@ impl Default for OooParams {
 /// information fills some fields (step 1), lmbench-style probes fill cache
 /// latencies (step 2, in the companion `HierarchyConfig`), and iterated
 /// racing searches the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Pipeline organisation.
     pub kind: CoreKind,

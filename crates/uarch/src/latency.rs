@@ -1,7 +1,6 @@
 //! Execution latencies per timing class.
 
 use racesim_isa::InstClass;
-use serde::{Deserialize, Serialize};
 
 /// Execution latency, in cycles, for every instruction class.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// execution units" the paper tunes when the FP/data-parallel
 /// micro-benchmarks expose modelling errors. Memory latencies live in the
 /// cache configs; branch resolution latency lives in the branch config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyTable {
     /// Simple integer ALU ops.
     pub int_alu: u64,

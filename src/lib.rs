@@ -15,8 +15,8 @@
 //! This workspace rebuilds the entire stack from scratch:
 //!
 //! * [`isa`]/[`decoder`]/[`trace`] — an AArch64-like micro-ISA, a decoder
-//!   library (with optional "Capstone-like" dependence bugs), and a
-//!   SIFT-style trace format;
+//!   library (with optional "Capstone-like" dependence bugs), and the
+//!   in-memory traces every simulation replays;
 //! * [`kernels`] — all 40 micro-benchmarks of the paper's Table I, the
 //!   lmbench-style latency probes, 11 SPEC CPU2017 proxy workloads
 //!   (Table II), and the functional emulator that records their traces;

@@ -92,22 +92,6 @@ fn setup_traces_are_pinned_bit_for_bit() {
     );
 }
 
-/// Trace serialisation through the SIFT-like format is lossless for real
-/// kernel traces (not just synthetic records).
-#[test]
-fn kernel_traces_roundtrip_through_the_wire_format() {
-    use racesim::trace::{TraceBuffer, TraceReader};
-    for w in microbench_suite(Scale::TINY).iter().take(6) {
-        let t = w.trace().unwrap();
-        let bytes = t.write_to(Vec::new()).unwrap();
-        let back = TraceBuffer::from_reader(TraceReader::new(bytes.as_slice()).unwrap()).unwrap();
-        assert_eq!(back, t, "{}", w.name);
-        // Compression sanity: loops should cost only a few bytes/record.
-        let per_record = bytes.len() as f64 / t.len() as f64;
-        assert!(per_record < 8.0, "{}: {per_record:.1} B/record", w.name);
-    }
-}
-
 /// The A72 board outruns the A53 board on ILP-rich workloads (it is the
 /// "big" core), and both report internally consistent counters on every
 /// kernel. (At tiny scale, cold-start effects can let the shallow in-order
