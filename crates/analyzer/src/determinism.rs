@@ -4,9 +4,10 @@
 //! depend on invariants nothing else in the tree verifies:
 //!
 //! * **RA501** — a tuner checkpoint must round-trip byte-for-byte through
-//!   `render`/`parse`, including hostile floats (NaN payloads, signed
-//!   zeros, subnormals, infinities): resumed campaigns otherwise diverge
-//!   silently from their uninterrupted twins.
+//!   `render`/`parse`, every float keeping its exact bits, including
+//!   hostile floats (NaN payloads, signed zeros, subnormals, infinities):
+//!   resumed campaigns otherwise diverge silently from their
+//!   uninterrupted twins.
 //! * **RA502** — the same seed must replay to the identical result.
 //! * **RA503** — the thread count must not change the result: parallel
 //!   evaluation merges into per-task slots, so `threads=4` has to equal
@@ -95,6 +96,18 @@ const HOSTILE: [f64; 8] = [
     0.30000000000000004,
 ];
 
+/// Every float a checkpoint holds, as raw bits.
+fn float_bits(cp: &TunerCheckpoint) -> Vec<u64> {
+    let costs = cp.elites.iter().map(|e| e.1);
+    let costs = costs.chain(cp.cache.iter().map(|c| c.2));
+    let costs = costs.chain(cp.history.iter().map(|h| h.best_cost));
+    std::iter::once(cp.spread)
+        .chain(cp.weights.iter().flatten().copied())
+        .chain(costs)
+        .map(f64::to_bits)
+        .collect()
+}
+
 /// Builds a checkpoint exercising every section with hostile payloads.
 fn adversarial_checkpoint(space: &ParamSpace) -> TunerCheckpoint {
     let nan = f64::from_bits(0x7ff8_dead_beef_cafe);
@@ -125,13 +138,14 @@ fn adversarial_checkpoint(space: &ParamSpace) -> TunerCheckpoint {
         retries: 2,
         failed_configs: 1,
         seed: 0xBADC_AB1E,
+        campaign: "core=\"a53\"\nscale=1/4096".to_string(),
         n_instances: 5,
         space_fingerprint: TunerCheckpoint::fingerprint(space),
         rng_state: [1, u64::MAX, 0x8000_0000_0000_0000, 42],
         spread: 5e-324,
         weights,
         elites: vec![(space.default_configuration(), nan), (other.clone(), -0.0)],
-        quarantine: vec![(3, "noisy board: cv 12% > 5%".to_string())],
+        quarantine: vec![(3, "noisy board:\ncv 12% > 5%".to_string())],
         cache: vec![(other, 0, 0.30000000000000004)],
         history: Vec::new(),
     }
@@ -173,7 +187,9 @@ pub fn check(build_space: &dyn Fn() -> ParamSpace) -> Vec<Diagnostic> {
         );
     }
 
-    // RA501: adversarial checkpoint must round-trip byte-for-byte.
+    // RA501: adversarial checkpoint must round-trip byte-for-byte, and
+    // every float must come back with its exact bits (a lossy rendering
+    // can still re-render stably).
     let cp = adversarial_checkpoint(&space);
     let text = cp.render();
     match TunerCheckpoint::parse(&space, &text) {
@@ -185,21 +201,23 @@ pub fn check(build_space: &dyn Fn() -> ParamSpace) -> Vec<Diagnostic> {
             .with("error", format!("{e}")),
         ),
         Ok(back) => {
-            let text2 = back.render();
-            if text2 != text {
-                let line = text
-                    .lines()
-                    .zip(text2.lines())
-                    .find(|(a, b)| a != b)
-                    .map(|(a, b)| format!("`{a}` became `{b}`"))
-                    .unwrap_or_else(|| "length drift".to_string());
+            let (before, after) = (float_bits(&cp), float_bits(&back));
+            let drift = match before.iter().zip(&after).position(|(a, b)| a != b) {
+                Some(i) => Some(format!(
+                    "float {i}: bits {:#018x} came back as {:#018x}",
+                    before[i], after[i]
+                )),
+                None if back.render() != text => Some("the re-rendered text differs".to_string()),
+                None => None,
+            };
+            if let Some(drift) = drift {
                 out.push(
                     Diagnostic::new(
                         Lint::CheckpointRoundtripDrift,
-                        "checkpoint render/parse round-trip is not byte-stable: \
+                        "checkpoint render/parse round-trip is not exact: \
                          a resumed campaign would diverge from its uninterrupted twin",
                     )
-                    .with("first_difference", line),
+                    .with("first_difference", drift),
                 );
             }
         }
@@ -295,6 +313,7 @@ mod tests {
         let text = cp.render();
         let back = TunerCheckpoint::parse(&space, &text).expect("parses");
         assert_eq!(back.render(), text);
+        assert_eq!(float_bits(&back), float_bits(&cp));
     }
 
     #[test]

@@ -1201,13 +1201,14 @@ fn diff_side(
 ) -> Result<(String, Vec<diff::KernelCpi>), String> {
     if let Some(path) = flags.get(file_key) {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        if diff::is_baseline(&text) {
-            let (label, records) = parse_baseline_labeled(path, &text)?;
-            return Ok((label, records));
-        }
+        let not_baseline = match diff::parse_baseline(&text) {
+            Ok((label, records)) => return Ok((format!("{label} ({path})"), records)),
+            Err(e) => e,
+        };
         // A platform config: simulate the fixed-revision suite on it.
-        let platform =
-            config_text::from_text(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+        let platform = config_text::from_text(&text).map_err(|e| {
+            format!("{path} is neither a CPI baseline ({not_baseline}) nor a platform config ({e})")
+        })?;
         let board = board_for(kind);
         let settings = ValidatorSettings {
             kind,
@@ -1233,14 +1234,6 @@ fn diff_side(
         }
     );
     Ok((label, diff::capture_revision(kind, revision, scale)?))
-}
-
-fn parse_baseline_labeled(
-    path: &str,
-    text: &str,
-) -> Result<(String, Vec<diff::KernelCpi>), String> {
-    let (label, records) = diff::parse_baseline(text).map_err(|e| format!("{path}: {e}"))?;
-    Ok((format!("{label} ({path})"), records))
 }
 
 /// `racesim diff`: the differential regression harness. Captures the

@@ -188,6 +188,54 @@ fn json_output(args: &[&str]) -> Value {
 }
 
 #[test]
+fn resume_refuses_a_checkpoint_from_another_scale_but_not_another_thread_count() {
+    let tmp = |name: &str| {
+        let p = std::env::temp_dir().join(format!("racesim_drift_{}_{name}", std::process::id()));
+        p.display().to_string()
+    };
+    let (ckpt, resumed, fresh, journal) =
+        (tmp("s.ckpt"), tmp("r.cfg"), tmp("f.cfg"), tmp("t.jsonl"));
+    let tune = |scale: &str, threads: &str, extra: &[&str]| {
+        let mut args = vec!["tune", "--core", "a53", "--budget", "200"];
+        args.extend(["--scale", scale, "--threads", threads]);
+        args.extend(extra);
+        let out = racesim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "racesim {args:?}: {stderr}");
+        stderr
+    };
+    let _ = std::fs::remove_file(&ckpt);
+    tune(
+        "65536",
+        "1",
+        &["--max-iterations", "1", "--checkpoint", &ckpt],
+    );
+
+    // Another scale: the cached costs belong to another campaign, so the
+    // checkpoint is refused and the run equals a fresh one.
+    let stderr = tune("32768", "1", &["--resume", &ckpt, "--out", &resumed]);
+    assert!(stderr.contains("checkpoint mismatch"), "{stderr}");
+    assert!(stderr.contains("scale=1/65536"), "{stderr}");
+    tune("32768", "1", &["--out", &fresh]);
+    assert_eq!(
+        std::fs::read(&resumed).unwrap(),
+        std::fs::read(&fresh).unwrap(),
+        "a refused checkpoint leaves a fresh run"
+    );
+
+    // Another thread count never changes a cost: the resume goes ahead.
+    let _ = std::fs::remove_file(&journal);
+    let stderr = tune("65536", "2", &["--resume", &ckpt, "--telemetry", &journal]);
+    assert!(!stderr.contains("warning"), "{stderr}");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(text.contains("\"resume\""), "the run resumed: {text}");
+
+    for f in [ckpt, resumed, fresh, journal] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
 fn every_json_command_prints_one_parseable_document() {
     let journal = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -346,5 +394,24 @@ fn flags_a_command_never_reads_are_refused() {
     assert!(
         !out_cfg.exists(),
         "a refused campaign writes no configuration"
+    );
+}
+
+#[test]
+fn diff_names_both_readings_of_a_file_that_is_neither() {
+    let path = std::env::temp_dir().join(format!("racesim_v1_baseline_{}.txt", std::process::id()));
+    std::fs::write(
+        &path,
+        "# racesim cpi baseline v1\nlabel = a53/fixed\nk 1 2 memory ok\n",
+    )
+    .expect("write");
+    let out = racesim(&["diff", "--scale", "65536", "--a", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("is neither a CPI baseline (not JSON")
+            && stderr.contains(") nor a platform config ("),
+        "{stderr}"
     );
 }

@@ -20,7 +20,6 @@ use crate::validator::{CostMetric, Validator, ValidatorSettings};
 use racesim_analyzer::coverage::CoverageMatrix;
 use racesim_hw::{FaultPlan, FaultyBoard, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{Scale, Workload};
-use racesim_race::replay::{decode_value, encode_value};
 use racesim_race::{
     ParamSpace, RacingTuner, TryCostFn, TuneResult, TunerSettings, Value, Watchdog,
 };
@@ -220,7 +219,7 @@ impl CampaignSpec {
     pub fn set_frozen(&mut self, space: &ParamSpace, frozen: &[(usize, Value)]) {
         self.frozen = frozen
             .iter()
-            .map(|(idx, v)| (space.params()[*idx].name.clone(), encode_value(*v)))
+            .map(|(idx, v)| (space.params()[*idx].name.clone(), v.code()))
             .collect();
     }
 
@@ -390,8 +389,11 @@ impl CampaignSpec {
         self.frozen
             .iter()
             .map(|(param, code)| {
-                let v = decode_value(space, param, code)?;
-                Ok((space.index_of(param), v))
+                let idx = space
+                    .try_index_of(param)
+                    .ok_or_else(|| format!("frozen parameter {param:?} is not in the space"))?;
+                let v = space.params()[idx].domain.value_of(code);
+                Ok((idx, v.map_err(|e| format!("frozen {param}: {e}"))?))
             })
             .collect()
     }
@@ -399,7 +401,11 @@ impl CampaignSpec {
     /// The campaign's tuner over `stack`: the race recipe with the
     /// spec's settings, frozen dimensions and `telemetry`. `tune` (after
     /// [`CampaignSpec::set_frozen`]) and `replay` both race with it, so
-    /// replay verifies the code `tune` runs.
+    /// replay verifies the code `tune` runs. Its campaign identity (core,
+    /// scale, fault plan, watchdog: what a cached cost depends on beyond
+    /// the seed) keeps a resume from mixing two campaigns' costs;
+    /// threads, workers and the iteration cap are left out because they
+    /// never change a cost.
     ///
     /// # Errors
     ///
@@ -409,11 +415,20 @@ impl CampaignSpec {
         stack: &CampaignStack,
         telemetry: &Telemetry,
     ) -> Result<RacingTuner, String> {
+        let campaign = format!(
+            "core={} scale=1/{} faults={} fault_seed={} timeout_ms={}",
+            self.core_name(),
+            self.scale.divisor(),
+            self.fault_profile,
+            self.fault_seed,
+            self.timeout_ms.unwrap_or(0)
+        );
         Ok(racing_tuner(
             self.tuner_settings(),
             self.decode_frozen(&stack.space)?,
             telemetry,
-        ))
+        )
+        .with_campaign(campaign))
     }
 
     /// Runs the campaign this spec describes from scratch and returns
@@ -479,6 +494,33 @@ mod tests {
             },
             back
         );
+    }
+
+    #[test]
+    fn frozen_codes_decode_against_the_space() {
+        let mut space = ParamSpace::new();
+        space.add_categorical("mode", &["a", "b", "c"]);
+        space.add_bool("boost");
+        let frozen = |pairs: &[(&str, &str)]| CampaignSpec {
+            frozen: pairs
+                .iter()
+                .map(|(p, c)| (p.to_string(), c.to_string()))
+                .collect(),
+            ..spec()
+        };
+        let ok = frozen(&[("boost", "F1"), ("mode", "C2")]);
+        assert_eq!(
+            ok.decode_frozen(&space),
+            Ok(vec![(1, Value::Flag(true)), (0, Value::Cat(2))])
+        );
+        let err = frozen(&[("nope", "C0")]).decode_frozen(&space).unwrap_err();
+        assert!(err.contains("not in the space"), "{err}");
+        for code in ["F9", "F", "C0"] {
+            let err = frozen(&[("boost", code)])
+                .decode_frozen(&space)
+                .unwrap_err();
+            assert!(err.starts_with("frozen boost: "), "{code:?}: {err}");
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! instructions are kept as the simulator's integer counters, so a record
 //! written to a baseline file by one build and re-read by another is
 //! bit-exact — no float formatting is involved. `racesim diff --save`
-//! writes that baseline; a later `racesim diff --a baseline.txt` compares
-//! the current build against it, which is how the CI perf/correctness
-//! gate detects a model change that silently shifts kernel timing.
+//! writes that baseline as a JSON document; a later `racesim diff --a
+//! baseline.txt` compares the current build against it, which is how the
+//! CI perf/correctness gate detects a model change that silently shifts
+//! kernel timing.
 
 use crate::campaign::board_for;
 use crate::params::Revision;
@@ -15,12 +16,9 @@ use crate::validator::{CostMetric, Validator, ValidatorSettings};
 use racesim_kernels::{Scale, Workload};
 use racesim_race::TunerSettings;
 use racesim_sim::{Platform, SimOptions, Simulator};
-use racesim_telemetry::json::Value;
+use racesim_telemetry::json::{self, Value};
 use racesim_uarch::CoreKind;
 use std::fmt::Write as _;
-
-/// Header line identifying a saved CPI baseline file.
-pub const BASELINE_HEADER: &str = "# racesim cpi baseline v1";
 
 /// One kernel's simulated timing, in exact integer counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,25 +103,19 @@ pub fn capture_revision(
     capture_platform(&base, decoder, &suite)
 }
 
-/// Serialises records to the baseline text format (exact integers only).
+/// Serialises records to a baseline: one JSON document holding the
+/// label and each kernel's exact integer counters.
 pub fn render_baseline(label: &str, records: &[KernelCpi]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{BASELINE_HEADER}");
-    let _ = writeln!(out, "label = {label}");
-    for r in records {
-        let _ = writeln!(
-            out,
-            "k {} {} {} {}",
-            r.cycles, r.instructions, r.category, r.name
-        );
-    }
-    out
-}
-
-/// Whether `text` looks like a saved baseline (so the CLI can tell a
-/// baseline path from a platform config path).
-pub fn is_baseline(text: &str) -> bool {
-    text.lines().next().map(str::trim) == Some(BASELINE_HEADER)
+    let kernels = records.iter().map(|r| {
+        Value::obj([
+            ("name", r.name.as_str().into()),
+            ("category", r.category.as_str().into()),
+            ("cycles", r.cycles.into()),
+            ("instructions", r.instructions.into()),
+        ])
+    });
+    let doc = Value::obj([("label", label.into()), ("kernels", Value::arr(kernels))]);
+    format!("{doc}\n")
 }
 
 /// Parses a baseline produced by [`render_baseline`], returning its label
@@ -131,49 +123,23 @@ pub fn is_baseline(text: &str) -> bool {
 ///
 /// # Errors
 ///
-/// Rejects files without the [`BASELINE_HEADER`] and malformed `k` lines.
+/// Rejects text that is not JSON and documents with a missing or
+/// mistyped field.
 pub fn parse_baseline(text: &str) -> Result<(String, Vec<KernelCpi>), String> {
-    if !is_baseline(text) {
-        return Err(format!("not a CPI baseline (missing {BASELINE_HEADER:?})"));
-    }
-    let mut label = String::from("baseline");
-    let mut records = Vec::new();
-    for (n, line) in text.lines().enumerate().skip(1) {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("label =") {
-            label = rest.trim().to_string();
-            continue;
-        }
-        let Some(rest) = line.strip_prefix("k ") else {
-            return Err(format!("baseline line {}: unrecognised {line:?}", n + 1));
-        };
-        let mut parts = rest.splitn(4, ' ');
-        let parse = |tok: Option<&str>, what: &str| -> Result<u64, String> {
-            tok.ok_or_else(|| format!("baseline line {}: missing {what}", n + 1))?
-                .parse::<u64>()
-                .map_err(|e| format!("baseline line {}: bad {what}: {e}", n + 1))
-        };
-        let cycles = parse(parts.next(), "cycles")?;
-        let instructions = parse(parts.next(), "instructions")?;
-        let category = parts
-            .next()
-            .ok_or_else(|| format!("baseline line {}: missing category", n + 1))?
-            .to_string();
-        let name = parts
-            .next()
-            .ok_or_else(|| format!("baseline line {}: missing name", n + 1))?
-            .to_string();
-        records.push(KernelCpi {
-            name,
-            category,
-            cycles,
-            instructions,
-        });
-    }
-    Ok((label, records))
+    let doc = json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let records = doc
+        .field("kernels", Value::as_arr)?
+        .iter()
+        .map(|k| {
+            Ok(KernelCpi {
+                name: k.field("name", Value::as_str)?.to_string(),
+                category: k.field("category", Value::as_str)?.to_string(),
+                cycles: k.field("cycles", Value::as_u64)?,
+                instructions: k.field("instructions", Value::as_u64)?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok((doc.field("label", Value::as_str)?.to_string(), records))
 }
 
 /// One kernel's comparison across the two sides.
@@ -357,9 +323,14 @@ mod tests {
 
     #[test]
     fn baseline_roundtrips_exactly() {
-        let records = vec![rec("stream_copy", 123_456, 65_432), rec("mip", 7, 3)];
+        let mut records = vec![rec("stream_copy", 123_456, 65_432), rec("mip", 7, 3)];
+        records.push(KernelCpi {
+            name: "a \"quoted\" name".to_string(),
+            category: "two words".to_string(),
+            cycles: u64::MAX,
+            instructions: 0,
+        });
         let text = render_baseline("a53/fixed", &records);
-        assert!(is_baseline(&text));
         let (label, back) = parse_baseline(&text).expect("parses");
         assert_eq!(label, "a53/fixed");
         assert_eq!(back, records);
@@ -409,10 +380,22 @@ mod tests {
     }
 
     #[test]
-    fn garbage_baselines_are_rejected_with_line_numbers() {
-        assert!(parse_baseline("not a baseline").is_err());
-        let text = format!("{BASELINE_HEADER}\nk 1 2 memory ok\nwhat is this\n");
-        let err = parse_baseline(&text).unwrap_err();
-        assert!(err.contains("line 3"), "{err}");
+    fn garbage_baselines_are_rejected_naming_the_field() {
+        for text in ["not a baseline", "[l1d]\nlatency = 4\n", "{\"label\":\"x\""] {
+            assert!(
+                parse_baseline(text).unwrap_err().contains("not JSON"),
+                "{text}"
+            );
+        }
+        let v1 = "# racesim cpi baseline v1\nlabel = a53/fixed\nk 1 2 memory ok\n";
+        assert!(parse_baseline(v1).unwrap_err().contains("not JSON"));
+        let err = parse_baseline("[1, 2]").unwrap_err();
+        assert!(err.contains("\"kernels\""), "{err}");
+        let text = "{\"label\":\"x\",\"kernels\":[{\"name\":\"k\",\"category\":\"memory\",\
+                    \"cycles\":-1,\"instructions\":2}]}";
+        let err = parse_baseline(text).unwrap_err();
+        assert!(err.contains("\"cycles\""), "{err}");
+        let err = parse_baseline("{\"kernels\":[]}").unwrap_err();
+        assert!(err.contains("\"label\""), "{err}");
     }
 }

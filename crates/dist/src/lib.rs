@@ -10,8 +10,9 @@
 //!
 //! - [`wire`] — a framed wire protocol: 4-byte big-endian length prefix
 //!   plus one flat JSON object per frame, costs as exact `f64` bit
-//!   patterns, configurations as the checkpoint format's dotted value
-//!   codes. Torn, oversized, and malformed frames are typed
+//!   patterns, configurations as their
+//!   [`Configuration::code`](racesim_race::Configuration::code). Torn,
+//!   oversized, and malformed frames are typed
 //!   [`WireError`]s.
 //! - [`worker`] — the serve loop behind `racesim worker`: rebuild the
 //!   evaluation stack from the `init` handshake, answer `eval` frames

@@ -82,9 +82,7 @@ use racesim_race::{
 };
 use racesim_telemetry::{Counter, Event, Telemetry};
 
-use crate::wire::{
-    encode_config, read_response, write_request, InitSpec, Request, Response, WireError,
-};
+use crate::wire::{read_response, write_request, InitSpec, Request, Response, WireError};
 
 /// Requests kept in flight per worker: the one it is evaluating plus one
 /// queued behind it on its stdin.
@@ -455,7 +453,7 @@ impl WorkerPool {
             st.next_id += 1;
             let req = Request::Eval {
                 id,
-                config: encode_config(b.space, b.tasks[task]),
+                config: b.tasks[task].code(),
                 instance: b.instance,
                 retry: *b.retry,
             };

@@ -22,9 +22,11 @@
 //! Costs travel as raw `f64` bit patterns ([`f64::to_bits`]) so a
 //! distributed campaign reduces to *bit-identical* results: no decimal
 //! round-trip sits between the worker's simulator and the coordinator's
-//! elimination tests. Configurations travel as the dotted per-parameter
-//! codes the checkpoint format already defines (`C{k}`/`I{k}`/`F{0|1}`,
-//! joined with `.`), so the two sides agree on encoding by construction.
+//! elimination tests. Configurations travel as their
+//! [`Configuration::code`](racesim_race::Configuration::code) (`C{k}`/
+//! `I{k}`/`F{0|1}` per parameter, joined with `.`), the one code
+//! checkpoints and journals also use, so the two sides agree on encoding
+//! by construction.
 //!
 //! The decoder is strict: torn prefixes and payloads, frames above
 //! [`MAX_FRAME`], unknown kinds, and non-finite cost bits are all typed
@@ -33,7 +35,7 @@
 
 use std::io::{Read, Write};
 
-use racesim_race::{replay, Configuration, ParamSpace, RetryPolicy};
+use racesim_race::RetryPolicy;
 use racesim_telemetry::json::{parse_object, FieldError, Fields, Obj};
 
 /// Hard cap on one frame's payload, in bytes. Frames carry one flat JSON
@@ -204,7 +206,7 @@ pub enum Request {
     Eval {
         /// Request id, echoed back in the matching response.
         id: u64,
-        /// Dotted per-parameter value codes (checkpoint encoding).
+        /// The configuration's [`Configuration::code`](racesim_race::Configuration::code).
         config: String,
         /// Benchmark instance index.
         instance: usize,
@@ -475,43 +477,6 @@ pub fn read_response(r: &mut dyn Read) -> Result<Response, WireError> {
     Response::decode(&read_frame(r)?)
 }
 
-/// Encodes a configuration as dotted per-parameter value codes — the
-/// same `C{k}`/`I{k}`/`F{0|1}` alphabet the checkpoint format uses.
-pub fn encode_config(space: &ParamSpace, cfg: &Configuration) -> String {
-    (0..space.len())
-        .map(|i| replay::encode_value(cfg.value(i)))
-        .collect::<Vec<_>>()
-        .join(".")
-}
-
-/// Decodes dotted value codes back into a configuration, validating
-/// arity and every code against `space`.
-///
-/// # Errors
-///
-/// A description of the first arity or per-parameter mismatch.
-pub fn decode_config(space: &ParamSpace, code: &str) -> Result<Configuration, String> {
-    let codes: Vec<&str> = if code.is_empty() {
-        Vec::new()
-    } else {
-        code.split('.').collect()
-    };
-    if codes.len() != space.len() {
-        return Err(format!(
-            "config code has {} values but the space has {} parameters",
-            codes.len(),
-            space.len()
-        ));
-    }
-    let mut cfg = space.default_configuration();
-    for (idx, part) in codes.iter().enumerate() {
-        let name = &space.params()[idx].name;
-        let value = replay::decode_value(space, name, part)?;
-        cfg.set_value(idx, value);
-    }
-    Ok(cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,23 +579,5 @@ mod tests {
             Response::decode("{\"kind\":\"eval\",\"id\":1,\"outcome\":\"maybe\",\"retries\":0}"),
             Err(WireError::UnknownKind("outcome maybe".to_string()))
         );
-    }
-
-    #[test]
-    fn config_codes_roundtrip_and_validate() {
-        let mut space = ParamSpace::new();
-        space.add_categorical("mode", &["fast", "slow"]);
-        space.add_integer("width", &[1, 2, 4]);
-        space.add_bool("fused");
-        let mut cfg = space.default_configuration();
-        cfg.set_value(0, racesim_race::Value::Cat(1));
-        cfg.set_value(1, racesim_race::Value::Int(2));
-        cfg.set_value(2, racesim_race::Value::Flag(true));
-        let code = encode_config(&space, &cfg);
-        assert_eq!(code, "C1.I2.F1");
-        let back = decode_config(&space, &code).unwrap();
-        assert_eq!(encode_config(&space, &back), code);
-        assert!(decode_config(&space, "C1.I2").is_err());
-        assert!(decode_config(&space, "C9.I2.F1").is_err());
     }
 }

@@ -28,13 +28,11 @@ use std::time::Instant;
 use racesim_core::CampaignSpec;
 use racesim_hw::FaultPlan;
 use racesim_kernels::Scale;
-use racesim_race::{eval_with_retry, ParamSpace, TryCostFn};
+use racesim_race::{eval_with_retry, Configuration, ParamSpace, TryCostFn};
 use racesim_telemetry::Telemetry;
 use racesim_uarch::CoreKind;
 
-use crate::wire::{
-    decode_config, read_request, write_response, InitSpec, Outcome, Request, Response, WireError,
-};
+use crate::wire::{read_request, write_response, InitSpec, Outcome, Request, Response, WireError};
 
 /// Fault-injection hooks for a worker under test.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -138,7 +136,7 @@ pub fn serve(
                     return Ok(ServeEnd::Killed);
                 }
                 let started = Instant::now();
-                let (outcome, retries) = match decode_config(&stack.space, &config) {
+                let (outcome, retries) = match Configuration::from_code(&stack.space, &config) {
                     Ok(cfg) => {
                         let (result, retries) = eval_with_retry(
                             stack.cost.as_ref(),
@@ -254,8 +252,8 @@ impl Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_config, read_response, write_request, Request};
-    use racesim_race::{Configuration, EvalError, RetryPolicy};
+    use crate::wire::{read_response, write_request, Request};
+    use racesim_race::{EvalError, RetryPolicy};
 
     struct SquareCost;
     impl TryCostFn for SquareCost {
@@ -305,7 +303,7 @@ mod tests {
         cfg.set_value(0, racesim_race::Value::Int(4));
         Request::Eval {
             id,
-            config: encode_config(&space, &cfg),
+            config: cfg.code(),
             instance,
             retry: RetryPolicy::immediate(1),
         }

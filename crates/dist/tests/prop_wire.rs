@@ -23,7 +23,7 @@ fn any_string() -> impl Strategy<Value = String> {
     collection::vec(any::<u8>(), 0..24).prop_map(|b| String::from_utf8_lossy(&b).into_owned())
 }
 
-/// Dotted config codes of the checkpoint alphabet.
+/// Dotted configuration codes (`Configuration::code`'s alphabet).
 fn any_config_code() -> impl Strategy<Value = String> {
     collection::vec((0..3u8, 0..64u16), 0..12).prop_map(|parts| {
         parts

@@ -7,17 +7,17 @@
 //! so a run killed mid-flight and resumed from its checkpoint produces a
 //! bit-identical result to an uninterrupted run with the same seed.
 //!
-//! The on-disk format is a line-oriented `key = value` text file (the
-//! same INI-flavoured idiom as the simulator's config files; the
-//! workspace has no serialisation library, so serialization is
-//! hand-rolled). Floating-point values are stored as the 16-hex-digit
-//! IEEE-754 bit pattern — exact round-tripping is a correctness
-//! requirement, not a nicety.
+//! On disk a checkpoint is one JSON document written and read through
+//! [`racesim_telemetry::json`], the codec the journal and the wire
+//! frames share. Every `f64` is stored as its IEEE-754 bit pattern in a
+//! JSON unsigned integer, so NaN payloads, `-0.0` and subnormals come
+//! back exact — a correctness requirement, not a nicety.
+//! Configurations are stored as their [`Configuration::code`].
 
-use crate::param::{Configuration, Domain, ParamSpace, Value};
+use crate::param::{Configuration, ParamSpace};
 use crate::race::RaceLogEntry;
 use crate::tuner::{IterationSummary, TunerSettings};
-use std::collections::HashMap;
+use racesim_telemetry::json::{self, Value};
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -30,7 +30,7 @@ pub enum CheckpointError {
     /// The file exists but does not parse as a checkpoint.
     Malformed(String),
     /// The checkpoint parses but belongs to a different run (seed,
-    /// parameter space, or instance count differ).
+    /// campaign, parameter space, or instance count differ).
     Mismatch(String),
 }
 
@@ -62,6 +62,9 @@ pub struct TunerCheckpoint {
     pub failed_configs: u64,
     /// The seed the run was started with.
     pub seed: u64,
+    /// The campaign identity the run was started with (see
+    /// [`RacingTuner::with_campaign`](crate::RacingTuner::with_campaign)).
+    pub campaign: String,
     /// The instance count the run was started with.
     pub n_instances: usize,
     /// Fingerprint of the parameter space (see
@@ -83,100 +86,38 @@ pub struct TunerCheckpoint {
     pub history: Vec<IterationSummary>,
 }
 
-/// Formats an `f64` as its exact IEEE-754 bit pattern.
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// An `f64` as its exact bit pattern.
+fn bits(x: f64) -> Value {
+    x.to_bits().into()
 }
 
-fn parse_f64_hex(s: &str) -> Result<f64, CheckpointError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| CheckpointError::Malformed(format!("bad f64 bit pattern {s:?}")))
+/// An `f64` from its bit pattern (see [`bits`]).
+fn as_float(v: &Value) -> Option<f64> {
+    v.as_u64().map(f64::from_bits)
 }
 
-fn parse_u64(s: &str) -> Result<u64, CheckpointError> {
-    s.parse()
-        .map_err(|_| CheckpointError::Malformed(format!("bad integer {s:?}")))
+fn as_index(v: &Value) -> Option<usize> {
+    v.as_u64()?.try_into().ok()
 }
 
-fn parse_hex_u64(s: &str) -> Result<u64, CheckpointError> {
-    u64::from_str_radix(s, 16)
-        .map_err(|_| CheckpointError::Malformed(format!("bad hex integer {s:?}")))
+/// An array of exactly `N` items.
+fn as_tuple<const N: usize>(v: &Value) -> Option<&[Value; N]> {
+    v.as_arr()?.try_into().ok()
 }
 
-fn parse_usize(s: &str) -> Result<usize, CheckpointError> {
-    s.parse()
-        .map_err(|_| CheckpointError::Malformed(format!("bad index {s:?}")))
+/// An array item, read with `read` (the positional twin of
+/// [`Value::field`]).
+fn item<'a, T>(v: &'a Value, read: impl FnOnce(&'a Value) -> Option<T>) -> Result<T, String> {
+    read(v).ok_or_else(|| format!("unexpected item {v}"))
 }
 
-/// Encodes a configuration as a compact dotted code, e.g. `C0.I3.F1`.
-fn encode_config(cfg: &Configuration, n_params: usize) -> String {
-    (0..n_params)
-        .map(|i| match cfg.value(i) {
-            Value::Cat(k) => format!("C{k}"),
-            Value::Int(k) => format!("I{k}"),
-            Value::Flag(b) => format!("F{}", u8::from(b)),
-        })
-        .collect::<Vec<_>>()
-        .join(".")
-}
-
-/// Decodes a dotted configuration code against `space`, rejecting codes
-/// whose arity, value kinds, or indices do not fit the space.
-fn decode_config(space: &ParamSpace, code: &str) -> Result<Configuration, CheckpointError> {
-    let parts: Vec<&str> = code.split('.').collect();
-    if parts.len() != space.len() {
-        return Err(CheckpointError::Malformed(format!(
-            "configuration {code:?} has {} values, space has {} parameters",
-            parts.len(),
-            space.len()
-        )));
-    }
-    let mut cfg = space.default_configuration();
-    for (idx, part) in parts.iter().enumerate() {
-        let (kind, rest) = part.split_at(1);
-        let domain = &space.params()[idx].domain;
-        let value = match (kind, domain) {
-            ("C", Domain::Categorical(cs)) => {
-                let k = parse_usize(rest)?;
-                if k >= cs.len() {
-                    return Err(CheckpointError::Malformed(format!(
-                        "categorical index {k} out of range in {code:?}"
-                    )));
-                }
-                Value::Cat(k as u16)
-            }
-            ("I", Domain::Integer(vs)) => {
-                let k = parse_usize(rest)?;
-                if k >= vs.len() {
-                    return Err(CheckpointError::Malformed(format!(
-                        "integer index {k} out of range in {code:?}"
-                    )));
-                }
-                Value::Int(k as u16)
-            }
-            ("F", Domain::Bool) => Value::Flag(rest == "1"),
-            _ => {
-                return Err(CheckpointError::Malformed(format!(
-                    "value {part:?} does not fit parameter {} in {code:?}",
-                    space.params()[idx].name
-                )))
-            }
-        };
-        cfg.set_value(idx, value);
-    }
-    Ok(cfg)
-}
-
-/// Flattens a free-form reason onto one line so it cannot break the
-/// line-oriented format.
-fn one_line(reason: &str) -> String {
-    reason.replace(['\n', '\r'], " ")
+fn config(space: &ParamSpace, v: &Value) -> Result<Configuration, String> {
+    Configuration::from_code(space, item(v, Value::as_str)?)
 }
 
 impl TunerCheckpoint {
     /// Format version written by [`render`](Self::render).
-    pub const VERSION: u64 = 1;
+    pub const VERSION: u64 = 2;
 
     /// An FNV-1a fingerprint of the parameter space (names and domains),
     /// used to refuse resuming a checkpoint against a different space.
@@ -197,11 +138,12 @@ impl TunerCheckpoint {
     }
 
     /// Checks that this checkpoint belongs to the run described by
-    /// (`space`, `settings`, `n_instances`).
+    /// (`space`, `settings`, `campaign`, `n_instances`).
     pub fn validate(
         &self,
         space: &ParamSpace,
         settings: &TunerSettings,
+        campaign: &str,
         n_instances: usize,
     ) -> Result<(), CheckpointError> {
         if self.space_fingerprint != Self::fingerprint(space) {
@@ -213,6 +155,12 @@ impl TunerCheckpoint {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint seed {:#x} != settings seed {:#x}",
                 self.seed, settings.seed
+            )));
+        }
+        if self.campaign != campaign {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpoint campaign `{}` != this run's `{campaign}`",
+                self.campaign
             )));
         }
         if self.n_instances != n_instances {
@@ -231,277 +179,181 @@ impl TunerCheckpoint {
         Ok(())
     }
 
-    /// Renders the checkpoint as its on-disk text form.
+    /// Renders the checkpoint as its on-disk JSON document.
     pub fn render(&self) -> String {
-        let n = self.weights.len();
-        let mut out = String::new();
-        out.push_str("# racesim tuner checkpoint\n");
-        out.push_str(&format!("version = {}\n\n", Self::VERSION));
-
-        out.push_str("[tuner]\n");
-        out.push_str(&format!("seed = {:016x}\n", self.seed));
-        out.push_str(&format!("n_instances = {}\n", self.n_instances));
-        out.push_str(&format!(
-            "space_fingerprint = {:016x}\n",
-            self.space_fingerprint
-        ));
-        out.push_str(&format!("next_iteration = {}\n", self.next_iteration));
-        out.push_str(&format!("budget_remaining = {}\n", self.budget_remaining));
-        out.push_str(&format!("evals_used = {}\n", self.evals_used));
-        out.push_str(&format!("retries = {}\n", self.retries));
-        out.push_str(&format!("failed_configs = {}\n\n", self.failed_configs));
-
-        out.push_str("[rng]\n");
-        out.push_str(&format!(
-            "state = {:016x} {:016x} {:016x} {:016x}\n\n",
-            self.rng_state[0], self.rng_state[1], self.rng_state[2], self.rng_state[3]
-        ));
-
-        out.push_str("[model]\n");
-        out.push_str(&format!("spread = {}\n", f64_hex(self.spread)));
-        out.push_str(&format!("weights = {n}\n"));
-        for (i, w) in self.weights.iter().enumerate() {
-            if w.is_empty() {
-                out.push_str(&format!("w{i} = -\n"));
-            } else {
-                let hexes: Vec<String> = w.iter().map(|&x| f64_hex(x)).collect();
-                out.push_str(&format!("w{i} = {}\n", hexes.join(" ")));
-            }
-        }
-        out.push('\n');
-
-        out.push_str("[elites]\n");
-        out.push_str(&format!("count = {}\n", self.elites.len()));
-        for (i, (cfg, cost)) in self.elites.iter().enumerate() {
-            out.push_str(&format!(
-                "e{i} = {} {}\n",
-                encode_config(cfg, n),
-                f64_hex(*cost)
-            ));
-        }
-        out.push('\n');
-
-        out.push_str("[quarantine]\n");
-        out.push_str(&format!("count = {}\n", self.quarantine.len()));
-        for (i, (inst, reason)) in self.quarantine.iter().enumerate() {
-            out.push_str(&format!("q{i} = {inst} {}\n", one_line(reason)));
-        }
-        out.push('\n');
-
-        out.push_str("[cache]\n");
-        out.push_str(&format!("count = {}\n", self.cache.len()));
-        for (i, (cfg, inst, cost)) in self.cache.iter().enumerate() {
-            out.push_str(&format!(
-                "c{i} = {} {inst} {}\n",
-                encode_config(cfg, n),
-                f64_hex(*cost)
-            ));
-        }
-        out.push('\n');
-
-        out.push_str("[history]\n");
-        out.push_str(&format!("count = {}\n", self.history.len()));
-        for (i, h) in self.history.iter().enumerate() {
-            out.push_str(&format!(
-                "h{i} = {} {} {} {} {}\n",
-                h.iteration,
-                h.configs_raced,
-                h.blocks_used,
-                h.evals_used,
-                f64_hex(h.best_cost)
-            ));
-            out.push_str(&format!("h{i}.events = {}\n", h.eliminations.len()));
-            for (j, e) in h.eliminations.iter().enumerate() {
-                match e {
-                    RaceLogEntry::Eliminated {
-                        config,
-                        after_blocks,
-                    } => out.push_str(&format!("h{i}.ev{j} = elim {config} {after_blocks}\n")),
-                    RaceLogEntry::Failed {
-                        config,
-                        after_blocks,
-                        reason,
-                    } => out.push_str(&format!(
-                        "h{i}.ev{j} = failed {config} {after_blocks} {}\n",
-                        one_line(reason)
-                    )),
-                }
-            }
-        }
-        out
+        let history = self.history.iter().map(|h| {
+            let eliminations = h.eliminations.iter().map(|e| match e {
+                RaceLogEntry::Eliminated {
+                    config,
+                    after_blocks,
+                } => Value::obj([
+                    ("config", Value::from(*config)),
+                    ("after_blocks", (*after_blocks).into()),
+                ]),
+                RaceLogEntry::Failed {
+                    config,
+                    after_blocks,
+                    reason,
+                } => Value::obj([
+                    ("config", Value::from(*config)),
+                    ("after_blocks", (*after_blocks).into()),
+                    ("reason", reason.into()),
+                ]),
+            });
+            Value::obj([
+                ("iteration", Value::from(h.iteration)),
+                ("configs_raced", h.configs_raced.into()),
+                ("blocks_used", h.blocks_used.into()),
+                ("evals_used", h.evals_used.into()),
+                ("best_cost", bits(h.best_cost)),
+                ("eliminations", Value::arr(eliminations)),
+            ])
+        });
+        let weights = self
+            .weights
+            .iter()
+            .map(|w| Value::arr(w.iter().map(|&x| bits(x))));
+        let elites = self
+            .elites
+            .iter()
+            .map(|(cfg, cost)| Value::arr([cfg.code().into(), bits(*cost)]));
+        let quarantine = self
+            .quarantine
+            .iter()
+            .map(|(inst, reason)| Value::arr([Value::from(*inst), reason.into()]));
+        let cache = self
+            .cache
+            .iter()
+            .map(|(cfg, inst, cost)| Value::arr([cfg.code().into(), (*inst).into(), bits(*cost)]));
+        let doc = Value::obj([
+            ("version", Value::from(Self::VERSION)),
+            ("seed", self.seed.into()),
+            ("campaign", self.campaign.as_str().into()),
+            ("n_instances", self.n_instances.into()),
+            ("space_fingerprint", self.space_fingerprint.into()),
+            ("next_iteration", self.next_iteration.into()),
+            ("budget_remaining", self.budget_remaining.into()),
+            ("evals_used", self.evals_used.into()),
+            ("retries", self.retries.into()),
+            ("failed_configs", self.failed_configs.into()),
+            ("rng_state", Value::arr(self.rng_state)),
+            ("spread", bits(self.spread)),
+            ("weights", Value::arr(weights)),
+            ("elites", Value::arr(elites)),
+            ("quarantine", Value::arr(quarantine)),
+            ("cache", Value::arr(cache)),
+            ("history", Value::arr(history)),
+        ]);
+        format!("{doc}\n")
     }
 
-    /// Parses the on-disk text form against `space` (needed to decode
-    /// configurations and validate their shape).
+    /// Parses the on-disk JSON document against `space` (needed to
+    /// decode configurations and validate their shape).
     pub fn parse(space: &ParamSpace, text: &str) -> Result<TunerCheckpoint, CheckpointError> {
-        let mut kv: HashMap<&str, &str> = HashMap::new();
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') || line.starts_with('[') {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| CheckpointError::Malformed(format!("line without '=': {line:?}")))?;
-            kv.insert(k.trim(), v.trim());
-        }
-        let get = |key: &str| -> Result<&str, CheckpointError> {
-            kv.get(key)
-                .copied()
-                .ok_or_else(|| CheckpointError::Malformed(format!("missing key {key:?}")))
-        };
+        json::parse(text)
+            .map_err(|e| format!("not JSON: {e}"))
+            .and_then(|doc| Self::from_json(space, &doc))
+            .map_err(CheckpointError::Malformed)
+    }
 
-        let version = parse_u64(get("version")?)?;
+    fn from_json(space: &ParamSpace, doc: &Value) -> Result<TunerCheckpoint, String> {
+        let version = doc.field("version", Value::as_u64)?;
         if version != Self::VERSION {
-            return Err(CheckpointError::Malformed(format!(
-                "unsupported checkpoint version {version}"
-            )));
-        }
-
-        let rng_words: Vec<&str> = get("state")?.split_whitespace().collect();
-        if rng_words.len() != 4 {
-            return Err(CheckpointError::Malformed(
-                "rng state must have 4 words".to_string(),
-            ));
+            return Err(format!("unsupported checkpoint version {version}"));
         }
         let mut rng_state = [0u64; 4];
-        for (slot, w) in rng_state.iter_mut().zip(&rng_words) {
-            *slot = parse_hex_u64(w)?;
+        for (slot, w) in rng_state
+            .iter_mut()
+            .zip(doc.field("rng_state", as_tuple::<4>)?)
+        {
+            *slot = item(w, Value::as_u64)?;
         }
-
-        let n_weights = parse_usize(get("weights")?)?;
-        let mut weights = Vec::with_capacity(n_weights);
-        for i in 0..n_weights {
-            let v = get(&format!("w{i}"))?;
-            if v == "-" {
-                weights.push(Vec::new());
-            } else {
-                weights.push(
-                    v.split_whitespace()
-                        .map(parse_f64_hex)
-                        .collect::<Result<Vec<f64>, _>>()?,
-                );
-            }
-        }
-
-        // The `count` keys collide across sections in the flat map, so
-        // the four lists are parsed in a second, section-aware pass (the
-        // counts are implied by the lines present).
-        let mut elites = Vec::new();
-        let mut quarantine = Vec::new();
-        let mut cache = Vec::new();
-        let mut history: Vec<IterationSummary> = Vec::new();
-        let mut section = String::new();
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.starts_with('[') {
-                section = line
-                    .trim_start_matches('[')
-                    .trim_end_matches(']')
-                    .to_string();
-                continue;
-            }
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (k, v) = match line.split_once('=') {
-                Some((k, v)) => (k.trim(), v.trim()),
-                None => continue,
-            };
-            match (section.as_str(), k) {
-                ("elites", k) if k.starts_with('e') => {
-                    let (code, cost) = v.split_once(' ').ok_or_else(|| {
-                        CheckpointError::Malformed(format!("bad elite line {v:?}"))
-                    })?;
-                    elites.push((decode_config(space, code)?, parse_f64_hex(cost.trim())?));
-                }
-                ("quarantine", k) if k.starts_with('q') => {
-                    let (inst, reason) = match v.split_once(' ') {
-                        Some((i, r)) => (i, r.to_string()),
-                        None => (v, String::new()),
-                    };
-                    quarantine.push((parse_usize(inst)?, reason));
-                }
-                ("cache", k) if k.starts_with('c') && k != "count" => {
-                    let fields: Vec<&str> = v.split_whitespace().collect();
-                    if fields.len() != 3 {
-                        return Err(CheckpointError::Malformed(format!("bad cache line {v:?}")));
-                    }
-                    cache.push((
-                        decode_config(space, fields[0])?,
-                        parse_usize(fields[1])?,
-                        parse_f64_hex(fields[2])?,
-                    ));
-                }
-                ("history", k) if k.starts_with('h') => {
-                    if k.ends_with(".events") {
-                        continue; // implied by the ev lines
-                    }
-                    if let Some((_, ev)) = k.split_once(".ev") {
-                        let _ = parse_usize(ev)?;
-                        let h = history.last_mut().ok_or_else(|| {
-                            CheckpointError::Malformed("event before history entry".to_string())
-                        })?;
-                        let fields: Vec<&str> = v.splitn(4, ' ').collect();
-                        match fields.as_slice() {
-                            ["elim", config, after] => {
-                                h.eliminations.push(RaceLogEntry::Eliminated {
-                                    config: parse_usize(config)?,
-                                    after_blocks: parse_usize(after)?,
-                                })
-                            }
-                            ["failed", config, after] => {
-                                h.eliminations.push(RaceLogEntry::Failed {
-                                    config: parse_usize(config)?,
-                                    after_blocks: parse_usize(after)?,
-                                    reason: String::new(),
-                                })
-                            }
-                            ["failed", config, after, reason] => {
-                                h.eliminations.push(RaceLogEntry::Failed {
-                                    config: parse_usize(config)?,
-                                    after_blocks: parse_usize(after)?,
-                                    reason: (*reason).to_string(),
-                                })
-                            }
-                            _ => {
-                                return Err(CheckpointError::Malformed(format!(
-                                    "bad history event {v:?}"
-                                )))
-                            }
-                        }
-                    } else {
-                        let fields: Vec<&str> = v.split_whitespace().collect();
-                        if fields.len() != 5 {
-                            return Err(CheckpointError::Malformed(format!(
-                                "bad history line {v:?}"
-                            )));
-                        }
-                        history.push(IterationSummary {
-                            iteration: parse_usize(fields[0])?,
-                            configs_raced: parse_usize(fields[1])?,
-                            blocks_used: parse_usize(fields[2])?,
-                            evals_used: parse_u64(fields[3])?,
-                            best_cost: parse_f64_hex(fields[4])?,
-                            eliminations: Vec::new(),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-
+        let weights = doc
+            .field("weights", Value::as_arr)?
+            .iter()
+            .map(|w| {
+                item(w, Value::as_arr)?
+                    .iter()
+                    .map(|x| item(x, as_float))
+                    .collect()
+            })
+            .collect::<Result<_, _>>()?;
+        let elites = doc
+            .field("elites", Value::as_arr)?
+            .iter()
+            .map(|e| {
+                let [cfg, cost] = item(e, as_tuple)?;
+                Ok((config(space, cfg)?, item(cost, as_float)?))
+            })
+            .collect::<Result<_, String>>()?;
+        let quarantine = doc
+            .field("quarantine", Value::as_arr)?
+            .iter()
+            .map(|q| {
+                let [inst, reason] = item(q, as_tuple)?;
+                Ok((
+                    item(inst, as_index)?,
+                    item(reason, Value::as_str)?.to_string(),
+                ))
+            })
+            .collect::<Result<_, String>>()?;
+        let cache = doc
+            .field("cache", Value::as_arr)?
+            .iter()
+            .map(|c| {
+                let [cfg, inst, cost] = item(c, as_tuple)?;
+                Ok((
+                    config(space, cfg)?,
+                    item(inst, as_index)?,
+                    item(cost, as_float)?,
+                ))
+            })
+            .collect::<Result<_, String>>()?;
+        let elimination = |e: &Value| -> Result<RaceLogEntry, String> {
+            let config = e.field("config", as_index)?;
+            let after_blocks = e.field("after_blocks", as_index)?;
+            Ok(match e.get("reason") {
+                None => RaceLogEntry::Eliminated {
+                    config,
+                    after_blocks,
+                },
+                Some(reason) => RaceLogEntry::Failed {
+                    config,
+                    after_blocks,
+                    reason: item(reason, Value::as_str)?.to_string(),
+                },
+            })
+        };
+        let history = doc
+            .field("history", Value::as_arr)?
+            .iter()
+            .map(|h| {
+                Ok(IterationSummary {
+                    iteration: h.field("iteration", as_index)?,
+                    configs_raced: h.field("configs_raced", as_index)?,
+                    blocks_used: h.field("blocks_used", as_index)?,
+                    evals_used: h.field("evals_used", Value::as_u64)?,
+                    best_cost: h.field("best_cost", as_float)?,
+                    eliminations: h
+                        .field("eliminations", Value::as_arr)?
+                        .iter()
+                        .map(elimination)
+                        .collect::<Result<_, _>>()?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
         Ok(TunerCheckpoint {
-            next_iteration: parse_usize(get("next_iteration")?)?,
-            budget_remaining: parse_u64(get("budget_remaining")?)?,
-            evals_used: parse_u64(get("evals_used")?)?,
-            retries: parse_u64(get("retries")?)?,
-            failed_configs: parse_u64(get("failed_configs")?)?,
-            seed: parse_hex_u64(get("seed")?)?,
-            n_instances: parse_usize(get("n_instances")?)?,
-            space_fingerprint: parse_hex_u64(get("space_fingerprint")?)?,
+            next_iteration: doc.field("next_iteration", as_index)?,
+            budget_remaining: doc.field("budget_remaining", Value::as_u64)?,
+            evals_used: doc.field("evals_used", Value::as_u64)?,
+            retries: doc.field("retries", Value::as_u64)?,
+            failed_configs: doc.field("failed_configs", Value::as_u64)?,
+            seed: doc.field("seed", Value::as_u64)?,
+            campaign: doc.field("campaign", Value::as_str)?.to_string(),
+            n_instances: doc.field("n_instances", as_index)?,
+            space_fingerprint: doc.field("space_fingerprint", Value::as_u64)?,
             rng_state,
-            spread: parse_f64_hex(get("spread")?)?,
+            spread: doc.field("spread", as_float)?,
             weights,
             elites,
             quarantine,
@@ -574,15 +426,23 @@ mod tests {
             retries: 3,
             failed_configs: 1,
             seed: 0xBADC_AB1E,
+            campaign: "core=a53 scale=1/4096".into(),
             n_instances: 12,
             space_fingerprint: TunerCheckpoint::fingerprint(space),
             rng_state: [1, u64::MAX, 0xdead_beef, 42],
             spread: 0.36,
             weights: vec![vec![0.75, 0.25], Vec::new(), vec![0.1, 0.9]],
-            elites: vec![(elite, 0.125)],
-            quarantine: vec![(3, "transient fault persisted through 4 attempts".into())],
-            // 0.1 is inexact in binary; its bit pattern must round-trip.
-            cache: vec![(space.default_configuration(), 7, 0.1)],
+            elites: vec![(elite.clone(), 0.125)],
+            // A multi-line reason with quotes comes back as written.
+            quarantine: vec![(3, "transient fault\npersisted \"4\" times".into())],
+            // 0.1 is inexact in binary; its bit pattern must round-trip,
+            // and so must a NaN payload, -0.0 and a subnormal.
+            cache: vec![
+                (space.default_configuration(), 7, 0.1),
+                (elite, 0, f64::from_bits(0x7ff8_dead_beef_cafe)),
+                (space.default_configuration(), 1, -0.0),
+                (space.default_configuration(), 2, 5e-324),
+            ],
             history: vec![IterationSummary {
                 iteration: 0,
                 configs_raced: 8,
@@ -614,56 +474,14 @@ mod tests {
         assert_eq!(back.rng_state, cp.rng_state);
         assert_eq!(back.spread.to_bits(), cp.spread.to_bits());
         assert_eq!(back.elites, cp.elites);
-        assert_eq!(back.cache[0].2.to_bits(), cp.cache[0].2.to_bits());
+        assert_eq!(back.cache.len(), cp.cache.len());
+        for (a, b) in back.cache.iter().zip(&cp.cache) {
+            assert_eq!((&a.0, a.1, a.2.to_bits()), (&b.0, b.1, b.2.to_bits()));
+        }
+        assert_eq!(back.campaign, cp.campaign);
         assert_eq!(back.quarantine, cp.quarantine);
         assert_eq!(back.history.len(), 1);
         assert_eq!(back.history[0].eliminations, cp.history[0].eliminations);
-    }
-
-    #[test]
-    fn legacy_checkpoint_with_a_pruned_line_parses_and_resumes() {
-        use crate::tuner::{CostFn, RacingTuner, Tuner};
-        struct Bowl;
-        impl CostFn for Bowl {
-            fn cost(&self, cfg: &Configuration, space: &ParamSpace, instance: usize) -> f64 {
-                let rob = cfg.integer(space, "rob") as f64;
-                (rob - 64.0).abs() + f64::from(cfg.flag(space, "prefetch")) + instance as f64
-            }
-        }
-        let s = space();
-        let settings = |max_iterations| TunerSettings {
-            budget: 400,
-            seed: 5,
-            max_iterations,
-            ..TunerSettings::default()
-        };
-        let full = RacingTuner::new(settings(None)).tune(&s, &Bowl, 6);
-        assert!(full.history.len() >= 2, "the resume has work left to do");
-
-        // Checkpoints written while the tuner still had a pruner carry a
-        // `pruned = N` line in `[tuner]`; it is ignored on load.
-        let dir = std::env::temp_dir().join("racesim-checkpoint-legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.txt");
-        let _ = std::fs::remove_file(&path);
-        RacingTuner::new(settings(Some(1)))
-            .with_checkpoint(&path)
-            .tune(&s, &Bowl, 6);
-        let text = std::fs::read_to_string(&path).expect("checkpoint written");
-        let legacy = text.replacen("retries = ", "pruned = 9\nretries = ", 1);
-        assert!(legacy.contains("\npruned = 9\n"), "{legacy}");
-        std::fs::write(&path, &legacy).unwrap();
-        let cp = TunerCheckpoint::parse(&s, &legacy).expect("legacy text parses");
-        assert_eq!(cp.render(), text, "the pruned line is the only difference");
-
-        let resumed = RacingTuner::new(settings(None))
-            .with_resume(&path)
-            .tune(&s, &Bowl, 6);
-        assert!(resumed.warnings.is_empty(), "{:?}", resumed.warnings);
-        assert_eq!(resumed.best, full.best);
-        assert_eq!(resumed.best_cost.to_bits(), full.best_cost.to_bits());
-        assert_eq!(resumed.evals_used, full.evals_used);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -688,20 +506,25 @@ mod tests {
             seed: 0xBADC_AB1E,
             ..TunerSettings::default()
         };
-        assert!(cp.validate(&s, &st, 12).is_ok());
+        let campaign = cp.campaign.as_str();
+        assert!(cp.validate(&s, &st, campaign, 12).is_ok());
         assert!(matches!(
-            cp.validate(&s, &st, 13),
+            cp.validate(&s, &st, campaign, 13),
+            Err(CheckpointError::Mismatch(_))
+        ));
+        assert!(matches!(
+            cp.validate(&s, &st, "core=a53 scale=1/8192", 12),
             Err(CheckpointError::Mismatch(_))
         ));
         let other_seed = TunerSettings { seed: 1, ..st };
         assert!(matches!(
-            cp.validate(&s, &other_seed, 12),
+            cp.validate(&s, &other_seed, campaign, 12),
             Err(CheckpointError::Mismatch(_))
         ));
         let mut other_space = ParamSpace::new();
         other_space.add_bool("different");
         assert!(matches!(
-            cp.validate(&other_space, &st, 12),
+            cp.validate(&other_space, &st, campaign, 12),
             Err(CheckpointError::Mismatch(_))
         ));
     }
@@ -709,19 +532,25 @@ mod tests {
     #[test]
     fn corrupt_text_is_a_typed_error() {
         let s = space();
-        assert!(matches!(
-            TunerCheckpoint::parse(&s, "version = 99\n"),
-            Err(CheckpointError::Malformed(_))
-        ));
-        assert!(matches!(
-            TunerCheckpoint::parse(&s, "not a checkpoint"),
-            Err(CheckpointError::Malformed(_))
-        ));
+        for bad in [
+            "not a checkpoint",
+            "version = 99\n",
+            "{\"version\":99}",
+            "{\"version\":2}",
+            "[]",
+        ] {
+            assert!(matches!(
+                TunerCheckpoint::parse(&s, bad),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
         let cp = sample(&s);
-        let mangled = cp.render().replace("F0", "Z9");
-        assert!(matches!(
-            TunerCheckpoint::parse(&s, &mangled),
-            Err(CheckpointError::Malformed(_))
-        ));
+        for (from, to) in [("F0", "Z9"), ("F0", "F9"), ("\"spread\":", "\"spread\":-")] {
+            let mangled = cp.render().replacen(from, to, 1);
+            assert!(matches!(
+                TunerCheckpoint::parse(&s, &mangled),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
     }
 }

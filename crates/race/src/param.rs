@@ -30,6 +30,28 @@ impl Domain {
             Domain::Bool => 2,
         }
     }
+
+    /// Decodes a [`Value::code`] against this domain. Only the exact
+    /// code [`Value::code`] writes for one of the domain's candidates is
+    /// accepted: `C{k}`/`I{k}` with `k` in range, and `F0` or `F1`.
+    ///
+    /// # Errors
+    ///
+    /// Names the code that does not fit.
+    pub fn value_of(&self, code: &str) -> Result<Value, String> {
+        let index = |kind: char, n: usize| {
+            let k: u16 = code.strip_prefix(kind)?.parse().ok()?;
+            (usize::from(k) < n).then_some(k)
+        };
+        let value = match self {
+            Domain::Categorical(cs) => index('C', cs.len()).map(Value::Cat),
+            Domain::Integer(vs) => index('I', vs.len()).map(Value::Int),
+            Domain::Bool => Some(Value::Flag(code == "F1")),
+        };
+        value
+            .filter(|v| v.code() == code)
+            .ok_or_else(|| format!("value code {code:?} does not fit the domain {self}"))
+    }
 }
 
 /// One tunable parameter.
@@ -51,6 +73,20 @@ pub enum Value {
     Int(u16),
     /// A boolean.
     Flag(bool),
+}
+
+impl Value {
+    /// The value's code: `C{k}` or `I{k}` for the `k`-th candidate of a
+    /// categorical or integer domain, `F0`/`F1` for a flag. Checkpoints,
+    /// wire frames and `frozen` journal events carry values this way;
+    /// [`Domain::value_of`] reads them back.
+    pub fn code(self) -> String {
+        match self {
+            Value::Cat(k) => format!("C{k}"),
+            Value::Int(k) => format!("I{k}"),
+            Value::Flag(b) => format!("F{}", u8::from(b)),
+        }
+    }
 }
 
 /// An ordered collection of parameters.
@@ -307,6 +343,41 @@ impl Configuration {
         }
     }
 
+    /// The configuration's code: its [`Value::code`]s joined by dots,
+    /// e.g. `C0.I3.F1`.
+    pub fn code(&self) -> String {
+        let codes: Vec<String> = self.values.iter().map(|v| v.code()).collect();
+        codes.join(".")
+    }
+
+    /// Decodes a [`code`](Self::code) against `space`, checking its arity
+    /// and every value against its parameter's domain.
+    ///
+    /// # Errors
+    ///
+    /// Describes the arity mismatch or the first value that does not fit.
+    pub fn from_code(space: &ParamSpace, code: &str) -> Result<Configuration, String> {
+        let codes: Vec<&str> = if code.is_empty() {
+            Vec::new()
+        } else {
+            code.split('.').collect()
+        };
+        if codes.len() != space.len() {
+            return Err(format!(
+                "configuration code {code:?} has {} values, the space has {} parameters",
+                codes.len(),
+                space.len()
+            ));
+        }
+        let values = space
+            .params()
+            .iter()
+            .zip(codes)
+            .map(|(p, c)| p.domain.value_of(c).map_err(|e| format!("{}: {e}", p.name)))
+            .collect::<Result<_, _>>()?;
+        Ok(Configuration { values })
+    }
+
     /// Renders the configuration as `name=value` pairs.
     pub fn render(&self, space: &ParamSpace) -> String {
         let mut out = String::new();
@@ -412,6 +483,48 @@ mod tests {
             Domain::Integer(vs) => assert_eq!(vs, &[8, 4, 8]),
             d => panic!("unexpected domain {d}"),
         }
+    }
+
+    #[test]
+    fn value_codes_roundtrip_and_validate() {
+        let s = space();
+        let mut c = s.default_configuration();
+        c.set_value(0, Value::Cat(2));
+        c.set_value(1, Value::Int(3));
+        c.set_value(2, Value::Flag(true));
+        assert_eq!(c.code(), "C2.I3.F1");
+        assert_eq!(Configuration::from_code(&s, &c.code()), Ok(c));
+        assert_eq!(s.default_configuration().code(), "C0.I0.F0");
+        for bad in [
+            "C2.I3",
+            "C3.I3.F1",
+            "C2.I4.F1",
+            "I0.I3.F1",
+            "C2.I3.F9",
+            "C2.I3.F",
+            "C2.I3.Fx",
+            "C2.I3.F01",
+            "C+1.I3.F1",
+            "C.I3.F1",
+            "C2.I3.F1.F1",
+            "",
+            "C2.I3.é",
+        ] {
+            assert!(
+                Configuration::from_code(&s, bad).is_err(),
+                "{bad:?} must not decode"
+            );
+        }
+        let flag = &s.params()[2].domain;
+        assert_eq!(flag.value_of("F0"), Ok(Value::Flag(false)));
+        for bad in ["F9", "F", "F10", "C0", ""] {
+            assert!(flag.value_of(bad).is_err(), "{bad:?} must not decode");
+        }
+        let empty = ParamSpace::new();
+        assert_eq!(
+            Configuration::from_code(&empty, ""),
+            Ok(empty.default_configuration())
+        );
     }
 
     #[test]

@@ -34,52 +34,6 @@ use racesim_telemetry::{Event, JournalEntry};
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::param::{Domain, ParamSpace, Value};
-
-/// Encodes one frozen value in checkpoint code form (`C<i>`, `I<i>`,
-/// `F0`/`F1`) for the `frozen` journal event.
-pub fn encode_value(v: Value) -> String {
-    match v {
-        Value::Cat(k) => format!("C{k}"),
-        Value::Int(k) => format!("I{k}"),
-        Value::Flag(b) => format!("F{}", u8::from(b)),
-    }
-}
-
-/// Decodes a frozen-value code against one parameter of `space`,
-/// rejecting codes whose kind or index does not fit the domain.
-pub fn decode_value(space: &ParamSpace, param: &str, code: &str) -> Result<Value, String> {
-    let idx = space
-        .try_index_of(param)
-        .ok_or_else(|| format!("frozen parameter {param:?} is not in the space"))?;
-    let (kind, rest) = code.split_at(if code.is_empty() { 0 } else { 1 });
-    let domain = &space.params()[idx].domain;
-    let index = || {
-        rest.parse::<usize>()
-            .map_err(|_| format!("bad frozen code {code:?} for {param:?}"))
-    };
-    match (kind, domain) {
-        ("C", Domain::Categorical(cs)) => {
-            let k = index()?;
-            if k >= cs.len() {
-                return Err(format!("frozen index {k} out of range for {param:?}"));
-            }
-            Ok(Value::Cat(k as u16))
-        }
-        ("I", Domain::Integer(vs)) => {
-            let k = index()?;
-            if k >= vs.len() {
-                return Err(format!("frozen index {k} out of range for {param:?}"));
-            }
-            Ok(Value::Int(k as u16))
-        }
-        ("F", Domain::Bool) => Ok(Value::Flag(rest == "1")),
-        _ => Err(format!(
-            "frozen code {code:?} does not fit parameter {param:?}"
-        )),
-    }
-}
-
 /// One elimination, in journal order within its iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EliminationRecord {
@@ -835,25 +789,5 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-    }
-
-    #[test]
-    fn value_codes_roundtrip_against_a_space() {
-        let mut space = ParamSpace::new();
-        space.add_categorical("mode", &["a", "b", "c"]);
-        space.add_integer("depth", &[1, 2, 4]);
-        space.add_bool("boost");
-        for (param, v) in [
-            ("mode", Value::Cat(2)),
-            ("depth", Value::Int(0)),
-            ("boost", Value::Flag(true)),
-        ] {
-            let code = encode_value(v);
-            assert_eq!(decode_value(&space, param, &code).unwrap(), v);
-        }
-        assert!(decode_value(&space, "mode", "C9").is_err());
-        assert!(decode_value(&space, "mode", "F1").is_err());
-        assert!(decode_value(&space, "nope", "C0").is_err());
-        assert!(decode_value(&space, "boost", "").is_err());
     }
 }

@@ -203,6 +203,7 @@ pub trait Tuner {
 pub struct RacingTuner {
     settings: TunerSettings,
     frozen: Vec<(usize, Value)>,
+    campaign: String,
     checkpoint: Option<PathBuf>,
     resume: Option<PathBuf>,
     cancel: Option<Arc<AtomicBool>>,
@@ -216,6 +217,7 @@ impl std::fmt::Debug for RacingTuner {
         f.debug_struct("RacingTuner")
             .field("settings", &self.settings)
             .field("frozen", &self.frozen)
+            .field("campaign", &self.campaign)
             .field("checkpoint", &self.checkpoint)
             .field("resume", &self.resume)
             .field("telemetry", &self.telemetry)
@@ -231,6 +233,7 @@ impl RacingTuner {
         RacingTuner {
             settings,
             frozen: Vec::new(),
+            campaign: String::new(),
             checkpoint: None,
             resume: None,
             cancel: None,
@@ -265,6 +268,16 @@ impl RacingTuner {
         self
     }
 
+    /// Names the campaign the costs come from: every input outside the
+    /// tuner a cost depends on (for `racesim tune`: core, scale, fault
+    /// plan and watchdog). Checkpoints record it, and a resume refuses a
+    /// checkpoint whose campaign differs, so cached costs of one campaign
+    /// are never raced against fresh evaluations of another.
+    pub fn with_campaign(mut self, campaign: impl Into<String>) -> RacingTuner {
+        self.campaign = campaign.into();
+        self
+    }
+
     /// Writes a [`TunerCheckpoint`] to `path` (atomically: temp file,
     /// then rename) after every completed iteration.
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> RacingTuner {
@@ -273,7 +286,7 @@ impl RacingTuner {
     }
 
     /// Resumes from the checkpoint at `path`, if it exists and matches
-    /// this run (same seed, same parameter space, same instance count).
+    /// this run (same seed, campaign, parameter space and instance count).
     /// A missing file starts a fresh run; a mismatched or corrupt one is
     /// ignored with a [`TuneResult::warnings`] entry.
     pub fn with_resume(mut self, path: impl Into<PathBuf>) -> RacingTuner {
@@ -377,7 +390,7 @@ impl RacingTuner {
 
         if let Some(path) = &self.resume {
             match TunerCheckpoint::read(path, space) {
-                Ok(cp) => match cp.validate(space, st, n_instances) {
+                Ok(cp) => match cp.validate(space, st, &self.campaign, n_instances) {
                     Ok(()) => {
                         first_iter = cp.next_iteration;
                         budget = cp.budget_remaining;
@@ -600,6 +613,7 @@ impl RacingTuner {
                     retries: retries_total,
                     failed_configs: failed_total,
                     seed: st.seed,
+                    campaign: self.campaign.clone(),
                     n_instances,
                     space_fingerprint: TunerCheckpoint::fingerprint(space),
                     rng_state: rng.state(),

@@ -195,14 +195,23 @@ fn resume_from_a_missing_checkpoint_is_a_normal_fresh_run() {
 fn corrupt_or_foreign_checkpoints_are_ignored_with_a_warning() {
     let s = space();
 
-    // Corrupt text.
+    // Corrupt text, and a checkpoint in the retired `key = value` text
+    // format: each is one warning and a fresh run.
+    let fresh = RacingTuner::new(settings(2)).try_tune(&s, &Synthetic, 12);
+    let legacy = "# racesim tuner checkpoint\nversion = 1\n\n[tuner]\n\
+                  seed = 0000000000000002\nn_instances = 12\nnext_iteration = 1\n\
+                  budget_remaining = 700\n\n[rng]\nstate = 1 2 3 4\n\n\
+                  [elites]\ncount = 1\ne0 = I3.I2.C0.F1 3ff0000000000000\n";
     let path = tmp("corrupt");
-    std::fs::write(&path, "not a checkpoint at all").unwrap();
-    let r = RacingTuner::new(settings(2))
-        .with_resume(&path)
-        .try_tune(&s, &Synthetic, 12);
-    assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
-    assert!(r.best_cost.is_finite());
+    for text in ["not a checkpoint at all", legacy] {
+        std::fs::write(&path, text).unwrap();
+        let r = RacingTuner::new(settings(2))
+            .with_resume(&path)
+            .try_tune(&s, &Synthetic, 12);
+        assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
+        assert!(r.warnings[0].contains("checkpoint"), "{:?}", r.warnings);
+        assert_bit_identical(&fresh, &r);
+    }
     let _ = std::fs::remove_file(&path);
 
     // Valid checkpoint, wrong run shape (different seed).
@@ -221,6 +230,22 @@ fn corrupt_or_foreign_checkpoints_are_ignored_with_a_warning() {
     assert!(r.warnings[0].contains("checkpoint"), "{:?}", r.warnings);
     // The foreign state was not absorbed: the run equals a fresh one.
     let fresh = RacingTuner::new(settings(4)).try_tune(&s, &Synthetic, 12);
+    assert_bit_identical(&fresh, &r);
+
+    // Same seed, another campaign: its cached costs are not raced.
+    RacingTuner::new(TunerSettings {
+        max_iterations: Some(1),
+        ..settings(4)
+    })
+    .with_campaign("scale=1/65536")
+    .with_checkpoint(&path)
+    .try_tune(&s, &Synthetic, 12);
+    let r = RacingTuner::new(settings(4))
+        .with_campaign("scale=1/32768")
+        .with_resume(&path)
+        .try_tune(&s, &Synthetic, 12);
+    assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
+    assert!(r.warnings[0].contains("campaign"), "{:?}", r.warnings);
     assert_bit_identical(&fresh, &r);
     let _ = std::fs::remove_file(&path);
 }

@@ -53,7 +53,7 @@ pub enum Event {
     Frozen {
         /// Parameter name.
         param: String,
-        /// Frozen value, in checkpoint code form (`C<i>`, `I<i>`, `F0`/`F1`).
+        /// Frozen value as its `Value::code` (`C<i>`, `I<i>`, `F0`/`F1`).
         code: String,
     },
     /// A checkpoint was successfully applied; this segment continues an

@@ -1,11 +1,12 @@
 //! The workspace's one JSON codec: a writer and a parser. The workspace
-//! has no serialisation library, so — like the checkpoint format — JSON
-//! is hand-rolled here, once, and every crate writes and reads through it.
+//! has no serialisation library, so JSON is hand-rolled here, once, and
+//! every crate writes and reads through it.
 //!
 //! * [`Value`] is a small JSON tree. Every `--json` document (`lint`,
-//!   `bounds`, `profile`, `report`, `replay`, `diff`) is built as a
-//!   `Value` and rendered with its `Display`; [`parse`]
-//!   reads any JSON document back into one.
+//!   `bounds`, `profile`, `report`, `replay`, `diff`), the tuner
+//!   checkpoint and the `racesim diff --save` CPI baseline are built as a
+//!   `Value` and rendered with its `Display`; [`parse`] reads any JSON
+//!   document back into one.
 //! * Journal lines and wire frames stay flat: [`Obj`] builds one flat
 //!   object, and [`parse_object`] — [`parse`] plus a check that rejects
 //!   nested values, `null` included — reads it back as `(key, Scalar)`
@@ -144,6 +145,46 @@ impl Value {
         match self {
             Value::Num(token) => token.parse().ok(),
             Value::Str(s) => non_finite(s),
+            _ => None,
+        }
+    }
+
+    /// The field `key` of this object, read with `read` (such as
+    /// [`Value::as_u64`]).
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when the field is missing or `read` rejects it.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(read)
+            .ok_or_else(|| format!("field {key:?} is missing or mistyped"))
+    }
+
+    /// An unsigned-integer number, parsed exactly from its token.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(token) => token.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// A string's contents.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// An array's items.
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
             _ => None,
         }
     }

@@ -8,9 +8,10 @@
 //!   log-bucketed [`Histogram`]s (p50/p90/p99), resolved once at
 //!   registration so hot paths pay one relaxed atomic op — and
 //! * an **event journal** — typed [`Event`]s with monotonic
-//!   timestamps, buffered in memory and flushed as JSONL lines
-//!   (hand-rolled serialization, like the checkpoint format; the
-//!   workspace has no serialisation library).
+//!   timestamps, buffered in memory and flushed as JSONL lines through
+//!   [`json`], the workspace's one JSON codec (it has no serialisation
+//!   library), which also writes and reads tuner checkpoints and CPI
+//!   baselines.
 //!
 //! A third piece, the [`Profiler`], lives beside the `Telemetry` handle
 //! rather than inside it: a hierarchical span-based self-profiler with
