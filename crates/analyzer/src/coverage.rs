@@ -115,6 +115,7 @@ fn requirement_for(name: &str, base: &Platform) -> Requirement {
         return Sites("call/return");
     }
     if name.starts_with("branch.indirect") {
+        // Indirect calls (`blr`) predict through the indirect path too.
         return Sites("indirect branch");
     }
     if name.starts_with("branch.btb") {
@@ -125,9 +126,11 @@ fn requirement_for(name: &str, base: &Platform) -> Requirement {
         return Sites("conditional branch");
     }
     let cache_cap = |cfg: &racesim_mem::CacheConfig| cfg.size_kb as u64 * 1024;
-    for (level, cap) in [
-        ("l1d.", cache_cap(&base.mem.l1d)),
-        ("l2.", cache_cap(&base.mem.l2)),
+    for (level, cap, hit_path) in [
+        ("l1d.", cache_cap(&base.mem.l1d), Sites("memory access")),
+        // L1I misses fill through the L2, so every kernel reaches its hit
+        // path.
+        ("l2.", cache_cap(&base.mem.l2), Any),
     ] {
         if let Some(field) = name.strip_prefix(level) {
             return match field {
@@ -135,7 +138,7 @@ fn requirement_for(name: &str, base: &Platform) -> Requirement {
                 // capacity; everything else is on the hit path.
                 "replacement" | "victim_entries" | "hash" => FootprintOver(cap),
                 "write_allocate" => Sites("store"),
-                _ => Sites("memory access"),
+                _ => hit_path,
             };
         }
     }
@@ -145,11 +148,13 @@ fn requirement_for(name: &str, base: &Platform) -> Requirement {
         return Any;
     }
     if name.starts_with("pf.") {
-        return Sites("load");
+        // Stores train the prefetchers as well as loads.
+        return Sites("memory access");
     }
     if name.starts_with("dram.") {
-        // Compulsory misses reach DRAM even for cache-resident kernels.
-        return Sites("memory access");
+        // Compulsory misses reach DRAM even for cache-resident kernels,
+        // and instruction fetches miss too, so every kernel sees it.
+        return Any;
     }
     if name.contains("width") || name.contains("ports") || name.contains("units") {
         return Ilp;
@@ -177,11 +182,10 @@ fn observes(req: &Requirement, p: &KernelProfile) -> bool {
             "simd fp multiply" => s.has_class(racesim_isa::InstClass::SimdFpMul),
             "simd fma" => s.has_class(racesim_isa::InstClass::SimdFma),
             "conditional branch" => s.cond_branches() > 0,
-            "indirect branch" => s.indirect_branches() > 0,
+            "indirect branch" => s.indirect_branches() > 0 || p.indirect_calls > 0,
             "call/return" => s.calls() > 0 && s.returns() > 0,
             "branch" => s.branches() > 0,
             "store" => s.stores() > 0,
-            "load" => s.loads() > 0,
             "memory access" => s.memory_ops() > 0,
             _ => true,
         },
@@ -394,6 +398,7 @@ mod tests {
             summary: StaticSummary::default(),
             code_bytes: 64,
             data_bytes: 0,
+            indirect_calls: 0,
             blocks: 1,
             reachable_blocks: 1,
             loops: 0,

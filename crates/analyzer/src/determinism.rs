@@ -125,12 +125,12 @@ fn adversarial_checkpoint(space: &ParamSpace) -> TunerCheckpoint {
     // using a value valid for that dimension's actual domain.
     let mut other = space.default_configuration();
     let p0 = &space.params()[0];
-    let j = if other.value(0) == crate::param::candidate_value(&p0.domain, 0) {
+    let j = if other.value(0) == p0.domain.candidate(0) {
         1 % p0.domain.cardinality()
     } else {
         0
     };
-    other.set_value(0, crate::param::candidate_value(&p0.domain, j));
+    other.set_value(0, p0.domain.candidate(j));
     TunerCheckpoint {
         next_iteration: 3,
         budget_remaining: 1234,

@@ -500,6 +500,9 @@ pub struct KernelProfile {
     pub code_bytes: u64,
     /// Data footprint in bytes: data images plus reserved regions.
     pub data_bytes: u64,
+    /// Reachable indirect-call (`blr`) sites. They count as calls in
+    /// `summary`, but predict their targets like indirect branches.
+    pub indirect_calls: u64,
     /// Total basic blocks.
     pub blocks: usize,
     /// Reachable basic blocks.
@@ -524,7 +527,8 @@ pub fn profile(name: &str, prog: &Program) -> KernelProfile {
             None
         }
     });
-    let summary = StaticSummary::of_insts(reachable_insts);
+    let summary = StaticSummary::of_insts(reachable_insts.clone());
+    let indirect_calls = reachable_insts.filter(|i| i.opcode == Opcode::Blr).count() as u64;
     let data_bytes = prog.data.iter().map(|(_, b)| b.len() as u64).sum::<u64>()
         + prog.reserved.iter().map(|r| r.len).sum::<u64>();
     KernelProfile {
@@ -532,6 +536,7 @@ pub fn profile(name: &str, prog: &Program) -> KernelProfile {
         summary,
         code_bytes: prog.code_bytes(),
         data_bytes,
+        indirect_calls,
         blocks: ir.blocks.len(),
         reachable_blocks: ir.reachable.iter().filter(|&&r| r).count(),
         loops: ir.loops.len(),

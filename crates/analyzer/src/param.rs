@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::{Diagnostic, Lint, Severity};
 use crate::platform as platform_pass;
-use racesim_race::{Configuration, Domain, ParamSpace, Value};
+use racesim_race::{Configuration, Domain, ParamSpace};
 use racesim_sim::Platform;
 
 /// Structural lints that need only the space itself.
@@ -153,7 +153,7 @@ pub fn check_model(
         for (i, p) in space.params().iter().enumerate() {
             for (j, value_label) in candidate_labels(&p.domain).into_iter().enumerate() {
                 let mut cfg = (*anchor).clone();
-                cfg.set_value(i, candidate_value(&p.domain, j));
+                cfg.set_value(i, p.domain.candidate(j));
                 let probed = apply(&cfg);
                 if probed != anchor_platform {
                     live[i] = true;
@@ -299,14 +299,6 @@ fn candidate_labels(domain: &Domain) -> Vec<String> {
     }
 }
 
-pub(crate) fn candidate_value(domain: &Domain, j: usize) -> Value {
-    match domain {
-        Domain::Categorical(_) => Value::Cat(j as u16),
-        Domain::Integer(_) => Value::Int(j as u16),
-        Domain::Bool => Value::Flag(j == 1),
-    }
-}
-
 /// Whether parameter `i` can change the platform at all: a direct sweep
 /// away from `anchor`, or a sweep after any single-parameter activation
 /// (e.g. `pf.table` only matters once `pf.kind` selects a table-based
@@ -328,7 +320,7 @@ pub fn parameter_is_live(
     let mut found = false;
     for j in 0..space.params()[i].domain.cardinality() {
         let mut cfg = anchor.clone();
-        cfg.set_value(i, candidate_value(&space.params()[i].domain, j));
+        cfg.set_value(i, space.params()[i].domain.candidate(j));
         let probed = apply(&cfg);
         if probed != base {
             diff_paths(&base_flat, &flatten_debug(&format!("{probed:#?}")), touched);
@@ -354,12 +346,12 @@ fn activates_anywhere(
         }
         for w in 0..other.domain.cardinality() {
             let mut variant = anchor.clone();
-            variant.set_value(q, candidate_value(&other.domain, w));
+            variant.set_value(q, other.domain.candidate(w));
             let base = apply(&variant);
             let base_flat = flatten_debug(&format!("{base:#?}"));
             for j in 0..space.params()[i].domain.cardinality() {
                 let mut cfg = variant.clone();
-                cfg.set_value(i, candidate_value(&space.params()[i].domain, j));
+                cfg.set_value(i, space.params()[i].domain.candidate(j));
                 let probed = apply(&cfg);
                 if probed != base {
                     diff_paths(&base_flat, &flatten_debug(&format!("{probed:#?}")), touched);

@@ -236,6 +236,42 @@ fn resume_refuses_a_checkpoint_from_another_scale_but_not_another_thread_count()
 }
 
 #[test]
+fn resume_refuses_a_checkpoint_from_another_budget() {
+    let tmp = |name: &str| {
+        let p = std::env::temp_dir().join(format!("racesim_budget_{}_{name}", std::process::id()));
+        p.display().to_string()
+    };
+    let (ckpt, resumed, fresh) = (tmp("b.ckpt"), tmp("r.cfg"), tmp("f.cfg"));
+    let tune = |budget: &str, extra: &[&str]| {
+        let mut args = vec!["tune", "--core", "a53", "--scale", "65536"];
+        args.extend(["--threads", "1", "--budget", budget]);
+        args.extend(extra);
+        let out = racesim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "racesim {args:?}: {stderr}");
+        stderr
+    };
+    let _ = std::fs::remove_file(&ckpt);
+    tune("200", &["--max-iterations", "1", "--checkpoint", &ckpt]);
+
+    // The checkpoint's remaining budget belongs to a budget-200 campaign:
+    // resuming it at 800 would silently end like that campaign.
+    let stderr = tune("800", &["--resume", &ckpt, "--out", &resumed]);
+    assert!(stderr.contains("checkpoint mismatch"), "{stderr}");
+    assert!(stderr.contains("budget=200"), "{stderr}");
+    tune("800", &["--out", &fresh]);
+    assert_eq!(
+        std::fs::read(&resumed).unwrap(),
+        std::fs::read(&fresh).unwrap(),
+        "a refused checkpoint leaves a fresh run"
+    );
+
+    for f in [ckpt, resumed, fresh] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+#[test]
 fn every_json_command_prints_one_parseable_document() {
     let journal = concat!(
         env!("CARGO_MANIFEST_DIR"),

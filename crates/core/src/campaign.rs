@@ -403,7 +403,8 @@ impl CampaignSpec {
     /// [`CampaignSpec::set_frozen`]) and `replay` both race with it, so
     /// replay verifies the code `tune` runs. Its campaign identity (core,
     /// scale, fault plan, watchdog: what a cached cost depends on beyond
-    /// the seed) keeps a resume from mixing two campaigns' costs;
+    /// the seed; and the budget, which a resume would otherwise inherit
+    /// from the checkpoint) keeps a resume from mixing two campaigns;
     /// threads, workers and the iteration cap are left out because they
     /// never change a cost.
     ///
@@ -416,9 +417,10 @@ impl CampaignSpec {
         telemetry: &Telemetry,
     ) -> Result<RacingTuner, String> {
         let campaign = format!(
-            "core={} scale=1/{} faults={} fault_seed={} timeout_ms={}",
+            "core={} scale=1/{} budget={} faults={} fault_seed={} timeout_ms={}",
             self.core_name(),
             self.scale.divisor(),
+            self.budget,
             self.fault_profile,
             self.fault_seed,
             self.timeout_ms.unwrap_or(0)

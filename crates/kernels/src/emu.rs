@@ -52,30 +52,81 @@ impl fmt::Display for EmuError {
 
 impl std::error::Error for EmuError {}
 
-/// Sparse, paged, byte-addressed memory. Unmapped reads return zero and
-/// map nothing.
+/// Sparse, paged, byte-addressed memory over a read-only data image.
 ///
-/// An access that fits in one page costs one page-map lookup. A read that
-/// straddles a page boundary goes byte by byte; a write, and the data
-/// image, go one page-sized slice at a time. Trace recording hits
-/// this once per memory instruction, and the 4 MiB `lat_mem_rd` probe
-/// loads its whole data image through it, so per-byte lookups would
-/// dominate campaign set-up.
+/// A byte nobody wrote reads from the image in place; a byte outside both
+/// reads as zero, and no read maps a page. The first write to a page
+/// copies that page's image bytes into a private page (copy-on-write), so
+/// the image itself is never mutated and a program that only reads its
+/// data — the 4 MiB `lat_mem_rd` chase — never materialises it.
+///
+/// An access that fits in one page costs one page-map lookup, plus a walk
+/// over the image's few segments when the page is unwritten. A read that
+/// straddles a page boundary goes byte by byte; a write goes one
+/// page-sized slice at a time. Trace recording hits this once per memory
+/// instruction, so per-byte lookups would dominate campaign set-up.
 #[derive(Debug, Default)]
-pub struct PagedMem {
+pub struct PagedMem<'a> {
+    /// `(address, bytes)` segments; a later one wins where they overlap.
+    image: &'a [(u64, Vec<u8>)],
     pages: IntMap<u64, Box<[u8; PAGE_BYTES]>>,
 }
 
-impl PagedMem {
+/// One past the last address of a segment (`2^64` for a segment that
+/// ends the address space).
+fn segment_end(start: u64, bytes: &[u8]) -> u128 {
+    u128::from(start) + bytes.len() as u128
+}
+
+/// Copies the bytes of `image` that fall in `[addr, addr + out.len())`
+/// into `out`, segment by segment in order, leaving the others as they
+/// are. The range must not wrap.
+fn copy_image(image: &[(u64, Vec<u8>)], addr: u64, out: &mut [u8]) {
+    let end = u128::from(addr) + out.len() as u128;
+    for (start, bytes) in image {
+        let lo = addr.max(*start);
+        let hi = end.min(segment_end(*start, bytes));
+        if u128::from(lo) < hi {
+            let len = (hi - u128::from(lo)) as usize;
+            out[(lo - addr) as usize..][..len]
+                .copy_from_slice(&bytes[(lo - start) as usize..][..len]);
+        }
+    }
+}
+
+impl<'a> PagedMem<'a> {
     /// Creates an empty memory image.
-    pub fn new() -> PagedMem {
+    pub fn new() -> PagedMem<'a> {
         PagedMem::default()
     }
 
+    /// A memory whose unwritten bytes read from `image`, `(address,
+    /// bytes)` segments as in [`Program::data`]. Where segments overlap, a
+    /// later one wins, exactly as writing them in order would leave memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment runs past the top of the address space.
+    pub fn with_image(image: &'a [(u64, Vec<u8>)]) -> PagedMem<'a> {
+        assert!(
+            image
+                .iter()
+                .all(|(start, bytes)| segment_end(*start, bytes) <= 1 << 64),
+            "a data segment wraps past the top of the address space"
+        );
+        PagedMem {
+            image,
+            pages: IntMap::default(),
+        }
+    }
+
     fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_BYTES] {
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_BYTES]))
+        let image = self.image;
+        self.pages.entry(page).or_insert_with(|| {
+            let mut bytes = Box::new([0u8; PAGE_BYTES]);
+            copy_image(image, page * PAGE_BYTES as u64, &mut bytes[..]);
+            bytes
+        })
     }
 
     /// The byte offset of `addr` in its page, if `n` bytes from `addr`
@@ -92,11 +143,12 @@ impl PagedMem {
                 v | self.read_le(addr.wrapping_add(i), 1) << (8 * i)
             });
         };
-        let Some(page) = self.pages.get(&(addr / PAGE_BYTES as u64)) else {
-            return 0;
-        };
         let mut le = [0u8; 8];
-        le[..n as usize].copy_from_slice(&page[off..off + n as usize]);
+        let out = &mut le[..n as usize];
+        match self.pages.get(&(addr / PAGE_BYTES as u64)) {
+            Some(page) => out.copy_from_slice(&page[off..off + n as usize]),
+            None => copy_image(self.image, addr, out),
+        }
         u64::from_le_bytes(le)
     }
 
@@ -116,7 +168,8 @@ impl PagedMem {
         }
     }
 
-    /// Number of mapped pages (footprint diagnostic).
+    /// Number of written pages (footprint diagnostic; image pages that
+    /// were only read are not counted).
     pub fn mapped_pages(&self) -> usize {
         self.pages.len()
     }
@@ -136,18 +189,20 @@ pub struct Machine<'p> {
     x: [u64; 33],
     v: [[u64; 2]; 32],
     flags: Flags,
-    /// Byte-addressed data memory.
-    pub mem: PagedMem,
+    /// Byte-addressed data memory, reading the program's data image in
+    /// place.
+    pub mem: PagedMem<'p>,
     idx: usize,
 }
 
 impl<'p> Machine<'p> {
-    /// Loads a program: data image, initial registers, stack pointer.
+    /// Loads a program: data image (read in place, copied a page at a
+    /// time on first write), initial registers, stack pointer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a data segment runs past the top of the address space.
     pub fn new(program: &'p Program) -> Machine<'p> {
-        let mut mem = PagedMem::new();
-        for (addr, bytes) in &program.data {
-            mem.write_bytes(*addr, bytes);
-        }
         let mut x = [0u64; 33];
         x[Reg::SP.index()] = DEFAULT_STACK_TOP;
         for &(r, val) in &program.init_regs {
@@ -160,7 +215,7 @@ impl<'p> Machine<'p> {
             x,
             v: [[0; 2]; 32],
             flags: Flags::default(),
-            mem,
+            mem: PagedMem::with_image(&program.data),
             idx: 0,
         }
     }

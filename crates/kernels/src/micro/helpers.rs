@@ -37,11 +37,20 @@ pub fn lcg_next(a: &mut Asm) {
 }
 
 /// Builds a pointer-chase cycle over `nodes` cache lines starting at a
-/// fresh data region; returns the address of the first node. The
-/// traversal order is a deterministic pseudo-random permutation so
-/// hardware prefetchers cannot follow it.
+/// fresh data region; returns the address of the first node. Each node's
+/// first 8 bytes point at the next node. The traversal order is a
+/// deterministic pseudo-random permutation so hardware prefetchers cannot
+/// follow it.
+///
+/// # Panics
+///
+/// Panics if `nodes < 2` or `line` is not a non-zero multiple of 8.
 pub fn build_chase(a: &mut Asm, nodes: usize, line: u64, seed: u64) -> u64 {
     assert!(nodes >= 2, "a chase needs at least two nodes");
+    assert!(
+        line > 0 && line.is_multiple_of(8),
+        "a node must hold an aligned pointer"
+    );
     // Deterministic Fisher-Yates with an xorshift generator.
     let mut order: Vec<usize> = (0..nodes).collect();
     let mut s = seed | 1;
@@ -60,13 +69,12 @@ pub fn build_chase(a: &mut Asm, nodes: usize, line: u64, seed: u64) -> u64 {
     // the same alignment lands exactly there.
     let region = a.reserve(0, line);
     // node order[k] points at node order[k+1]; last points at first.
-    let mut words = vec![0u64; (nodes as u64 * line / 8) as usize];
+    let stride = line as usize;
+    let mut bytes = vec![0u8; nodes * stride];
     for k in 0..nodes {
-        let from = order[k];
-        let to = order[(k + 1) % nodes];
-        words[from * (line as usize / 8)] = region + to as u64 * line;
+        let (from, to) = (order[k], order[(k + 1) % nodes]);
+        bytes[from * stride..][..8].copy_from_slice(&(region + to as u64 * line).to_le_bytes());
     }
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     let addr = a.data_bytes(bytes, line);
     debug_assert_eq!(addr, region);
     region + (order[0] as u64 * line)

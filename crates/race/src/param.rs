@@ -31,6 +31,16 @@ impl Domain {
         }
     }
 
+    /// The `j`-th candidate value (`j < cardinality()`; for a flag, 0 is
+    /// `false` and 1 is `true`).
+    pub fn candidate(&self, j: usize) -> Value {
+        match self {
+            Domain::Categorical(_) => Value::Cat(j as u16),
+            Domain::Integer(_) => Value::Int(j as u16),
+            Domain::Bool => Value::Flag(j == 1),
+        }
+    }
+
     /// Decodes a [`Value::code`] against this domain. Only the exact
     /// code [`Value::code`] writes for one of the domain's candidates is
     /// accepted: `C{k}`/`I{k}` with `k` in range, and `F0` or `F1`.
