@@ -180,20 +180,6 @@ lints! {
     /// future change that reorders evaluations (work stealing, async
     /// collection) would silently change results.
     FloatReductionOrder = ("RA505", "float-reduction-order", Info),
-
-    // ---- RA6xx: static CPI bounds -----------------------------------
-    /// A kernel whose static CPI lower bound never exceeds the trivial
-    /// issue-width floor: the bounds engine can prove nothing about it,
-    /// so its interval says nothing a measurement would not.
-    BoundVacuous = ("RA601", "vacuous-bound", Info),
-    /// A static CPI interval with its lower bound above its upper bound:
-    /// the bounds lattice produced a claim no execution can satisfy, so
-    /// the engine is unsound for that kernel.
-    BoundInversion = ("RA602", "bound-inversion", Error),
-    /// A tuned parameter that moves no kernel's static CPI interval
-    /// anywhere in its domain: the bounds engine treats every candidate
-    /// alike along this dimension.
-    BoundInsensitiveParameter = ("RA603", "suite-insensitive-parameter", Info),
 }
 
 /// One finding: a lint instance attached to a concrete offender.
@@ -335,7 +321,7 @@ impl Report {
     /// Machine-readable JSON rendering. The schema is stable:
     ///
     /// ```json
-    /// {"version":2,
+    /// {"version":3,
     ///  "summary":{"error":N,"warn":N,"info":N},
     ///  "diagnostics":[
     ///    {"code":"RA001","lint":"degenerate-dimension","severity":"warn",
@@ -346,14 +332,15 @@ impl Report {
     /// first for run-to-run stable diagnostic order.
     ///
     /// Schema history: version 2 added the RA6xx static-bounds lints and
-    /// the `bounds` section of `racesim lint --suite --json`.
+    /// the `bounds` section of `racesim lint --suite --json`; version 3
+    /// removed both again.
     pub fn render_json(&self) -> String {
         self.render_json_with(&[])
     }
 
     /// Like [`Report::render_json`], but appends extra top-level sections
     /// after `"diagnostics"`, in order (the `--suite` path uses this to
-    /// embed the parameter-coverage matrix and the static bounds).
+    /// embed the parameter-coverage matrix).
     pub fn render_json_with(&self, sections: &[(&str, Value)]) -> String {
         let diagnostics = self.diagnostics.iter().map(|d| {
             Value::obj([
@@ -368,7 +355,7 @@ impl Report {
             ])
         });
         let head = [
-            ("version", Value::from(2u64)),
+            ("version", Value::from(3u64)),
             (
                 "summary",
                 Value::obj(
@@ -435,7 +422,7 @@ mod tests {
                 .with("param", "l1d.latency"),
         );
         let json = r.render_json();
-        assert!(json.starts_with("{\"version\":2,"));
+        assert!(json.starts_with("{\"version\":3,"));
         assert!(json.contains("\"say \\\"twice\\\"\\n\""));
         assert!(json.contains("\"context\":{\"param\":\"l1d.latency\"}"));
         assert!(json.contains("\"summary\":{\"error\":0,\"warn\":1,\"info\":0}"));

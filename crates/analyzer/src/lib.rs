@@ -21,11 +21,6 @@
 //! * [`ir`] — static CFG/dataflow IR per kernel (RA4xx): dead register
 //!   writes, degenerate and inescapable loops, static trip counts, and
 //!   the [`ir::KernelProfile`] the coverage matrix is built from.
-//! * [`bounds`] / [`interval`] — abstract interpretation over the kernel
-//!   IR computing per-(kernel, configuration) CPI intervals (RA6xx):
-//!   sound lower bounds from issue-width, port-occupancy and
-//!   dependence-chain arguments, upper bounds from serialised worst-case
-//!   costs. `racesim bounds` prints them; the tuner does not use them.
 //! * [`coverage`] — the campaign-level parameter-coverage matrix
 //!   (RA41x): which kernels can statically observe each `ParamSpace`
 //!   dimension, which dimensions no kernel observes, and which kernels
@@ -40,12 +35,10 @@
 //! All passes emit [`Diagnostic`]s with stable `RA...` codes; see
 //! `DESIGN.md` for the full table.
 
-pub mod bounds;
 pub mod coverage;
 pub mod determinism;
 pub mod diag;
 pub mod effects;
-pub mod interval;
 pub mod ir;
 pub mod kernel;
 pub mod param;

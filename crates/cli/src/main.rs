@@ -14,7 +14,6 @@
 //! racesim replay   <JOURNAL> [--json]
 //! racesim diff     [--core a53] [--revision-a REV] [--revision-b REV] [--tolerance PCT]
 //! racesim profile  [--suite micro|spec|all] [--workload NAME] [--json] [--folded FILE]
-//! racesim bounds   [--core a53] [--workload NAME] [--json]
 //! racesim lint     [--json] [--suite] [--revision fixed|initial] [--deny-warnings]
 //! ```
 
@@ -59,8 +58,6 @@ COMMANDS:
                                   platform configs, or saved baselines (the regression gate)
     profile                       self-profile the simulator: per-kernel phase tree of where
                                   wall time goes (fetch/decode/execute, memory levels, stalls)
-    bounds                        static CPI intervals of every kernel on a platform preset,
-                                  from abstract interpretation (no simulation, no board)
     lint                          statically check platforms, parameter spaces and kernels
     help                          show this message
 
@@ -79,16 +76,10 @@ COMMON OPTIONS:
 LINT OPTIONS:
     --suite                       whole-campaign analysis: kernel IR lints (RA4xx),
                                   the parameter-coverage matrix and suite-level
-                                  coverage lints (RA41x), the determinism
-                                  audit (RA5xx), and the static CPI bounds
-                                  lints (RA6xx)
+                                  coverage lints (RA41x) and the determinism
+                                  audit (RA5xx)
     --deny-warnings               exit non-zero on warnings too, not just errors
                                   (for CI gates)
-
-BOUNDS OPTIONS:
-    --core <a53|a72>              platform preset the intervals are computed on (default a53)
-    --workload <NAME>             restrict to one kernel
-    --json                        machine-readable intervals (stable schema)
 
 TUNE OPTIONS:
     --seed <N>                    tuner RNG seed (default 0xBADCAB1E); runs are deterministic per seed
@@ -160,7 +151,6 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ("replay", "", "json"),
     ("diff", "core scale revision-a revision-b a b tolerance save", "json"),
     ("profile", "suite workload scale platform folded", "json"),
-    ("bounds", "core workload scale", "json"),
     ("lint", "revision scale platform", "json suite deny-warnings"),
     ("help", "", ""),
 ];
@@ -1409,97 +1399,6 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `racesim bounds`: the static CPI interval of every kernel on a
-/// platform preset, from abstract interpretation over the kernel IR —
-/// no simulation, no board. Lint RA601–603 police the same intervals.
-fn cmd_bounds(flags: &HashMap<String, String>) -> Result<(), String> {
-    let scale = scale_of(flags)?;
-    let kind = core_of(flags)?;
-    let (label, _, base) = cores()
-        .into_iter()
-        .find(|c| c.1 == kind)
-        .expect("every core kind is listed");
-    let mut suite = racesim_kernels::microbench_suite_initialized(scale);
-    suite.extend(spec_suite(scale));
-    if let Some(name) = flags.get("workload") {
-        suite.retain(|w| &w.name == name);
-        if suite.is_empty() {
-            return Err(format!("unknown workload {name:?} (see `racesim list`)"));
-        }
-    }
-    let sb = racesim_analyzer::bounds::SuiteBounds::build(
-        suite.iter().map(|w| (w.name.as_str(), &w.program)),
-        &racesim_analyzer::bounds::BoundsOptions::default(),
-    );
-    let residency_label = |kb: &racesim_analyzer::bounds::KernelBounds| {
-        use racesim_analyzer::bounds::MemResidency;
-        match kb.residency(&base.mem) {
-            MemResidency::L1Resident => "l1",
-            MemResidency::L2Resident => "l2",
-            MemResidency::DramBound => "dram",
-        }
-    };
-    if flags.get("json").is_some() {
-        let kernels = sb.kernels.iter().map(|kb| {
-            let iv = kb.cpi_interval(&base);
-            Value::obj([
-                ("kernel", kb.name.as_str().into()),
-                ("insts_lo", kb.dyn_insts.lo.into()),
-                ("insts_hi", kb.dyn_insts.hi.into()),
-                ("residency", residency_label(kb).into()),
-                ("chains", kb.chains.len().into()),
-                ("cycles", kb.cycles.len().into()),
-                ("cpi_lo", iv.lo.into()),
-                ("cpi_hi", iv.hi.into()),
-            ])
-        });
-        let doc = Value::obj([
-            ("schema_version", Value::from(1u64)),
-            ("core", label.into()),
-            ("scale", scale.divisor().into()),
-            ("kernels", Value::arr(kernels)),
-        ]);
-        println!("{doc}");
-    } else {
-        let rows: Vec<Vec<String>> = sb
-            .kernels
-            .iter()
-            .map(|kb| {
-                let iv = kb.cpi_interval(&base);
-                vec![
-                    kb.name.clone(),
-                    format!("{:.0}..{:.0}", kb.dyn_insts.lo, kb.dyn_insts.hi),
-                    residency_label(kb).to_string(),
-                    kb.chains.len().to_string(),
-                    kb.cycles.len().to_string(),
-                    format!("{:.4}", iv.lo),
-                    format!("{:.4}", iv.hi),
-                ]
-            })
-            .collect();
-        println!(
-            "static CPI bounds on {label} (scale 1/{}):",
-            scale.divisor()
-        );
-        print!(
-            "{}",
-            report::table(
-                &[
-                    "kernel",
-                    "dyn insts",
-                    "residency",
-                    "chains",
-                    "cycles",
-                    "cpi lo",
-                    "cpi hi"
-                ],
-                &rows
-            )
-        );
-    }
-    Ok(())
-}
-
 /// `racesim lint`: the static-analysis gate. Checks the shipped platform
 /// presets, the tuning parameter spaces for both cores, and every
 /// micro-benchmark kernel — all before a single cycle is simulated.
@@ -1610,38 +1509,6 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
                 .insert(0, ("audit".to_string(), "determinism".to_string()));
             report.push(d);
         }
-
-        // 6. Static CPI bounds over the same suite (RA6xx): vacuous
-        //    bounds, interval inversions, and parameters the bounds are
-        //    insensitive to across the whole suite, per core space.
-        let sb = racesim_analyzer::bounds::SuiteBounds::build(
-            all.iter().map(|w| (w.name.as_str(), &w.program)),
-            &racesim_analyzer::bounds::BoundsOptions::default(),
-        );
-        let mut bounds_json = Vec::new();
-        for (label, kind, base) in cores() {
-            let space = racesim_core::params::build_space(kind, revision);
-            let apply =
-                |cfg: &racesim_race::Configuration| racesim_core::params::apply(&space, cfg, &base);
-            let mut diags = Vec::new();
-            racesim_analyzer::bounds::check_suite_bounds(&sb.kernels, &space, &apply, &mut diags);
-            for mut d in diags {
-                d.context
-                    .insert(0, ("space".to_string(), label.to_string()));
-                report.push(d);
-            }
-            let default = apply(&space.default_configuration());
-            let kernels = sb.kernels.iter().map(|kb| {
-                let iv = kb.cpi_interval(&default);
-                Value::obj([
-                    ("kernel", kb.name.as_str().into()),
-                    ("cpi_lo", iv.lo.into()),
-                    ("cpi_hi", iv.hi.into()),
-                ])
-            });
-            bounds_json.push((label, Value::arr(kernels)));
-        }
-        sections.push(("bounds", Value::obj(bounds_json)));
     }
 
     report.sort();
@@ -1705,7 +1572,6 @@ fn run(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
         "replay" => cmd_replay(journal()?, &flags),
         "diff" => cmd_diff(&flags),
         "profile" => done(cmd_profile(&flags)),
-        "bounds" => done(cmd_bounds(&flags)),
         "lint" => cmd_lint(&flags),
         "help" => {
             print!("{USAGE}");

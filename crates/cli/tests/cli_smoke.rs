@@ -21,10 +21,13 @@ fn help_is_printed() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = racesim(&["frobnicate"]);
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("unknown command"));
+    // `bounds` was a command until the static CPI bounds were removed.
+    for cmd in ["frobnicate", "bounds"] {
+        let out = racesim(&[cmd]);
+        assert!(!out.status.success(), "racesim {cmd} succeeded");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("unknown command"), "racesim {cmd}: {text}");
+    }
 }
 
 #[test]
@@ -277,12 +280,10 @@ fn every_json_command_prints_one_parseable_document() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/fixtures/golden_campaign.jsonl"
     );
-    let commands: [&[&str]; 8] = [
+    let commands: [&[&str]; 6] = [
         &["report", journal, "--json"],
         &["replay", journal, "--json"],
         &["diff", "--scale", "65536", "--json"],
-        &["bounds", "--core", "a53", "--scale", "65536", "--json"],
-        &["bounds", "--core", "a72", "--scale", "65536", "--json"],
         &["lint", "--json"],
         &["lint", "--suite", "--scale", "65536", "--json"],
         &["profile", "--workload", "ED1", "--json"],

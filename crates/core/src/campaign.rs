@@ -112,11 +112,10 @@ pub struct CampaignSpec {
     pub workers: usize,
     /// Iteration cap for staged runs (`None` = run to completion).
     pub max_iterations: Option<usize>,
-    /// Must be `false`: static pre-elimination is gone, and
-    /// [`CampaignSpec::build_stack`] refuses `true`. The field stays only
-    /// because the campaign benchmark still builds this struct by literal
-    /// rather than with `..Default::default()`; it goes at the next
-    /// benchmark change.
+    /// Must be `false`: static pre-elimination and the static CPI bounds
+    /// are gone, and [`CampaignSpec::build_stack`] refuses `true`. The
+    /// field is kept only until the campaign benchmark stops naming it in
+    /// a struct literal and builds the spec with `..Default::default()`.
     pub static_bounds: bool,
     /// Per-evaluation watchdog timeout in milliseconds.
     pub timeout_ms: Option<u64>,
@@ -339,8 +338,9 @@ impl CampaignSpec {
     pub fn build_stack(&self, telemetry: &Telemetry) -> Result<CampaignStack, String> {
         if self.static_bounds {
             return Err(
-                "static_bounds must be false: static pre-elimination was removed \
-                        (`racesim bounds` still reports the CPI intervals)"
+                "static_bounds must be false: static pre-elimination and the static \
+                        CPI bounds were removed (the field is kept only for source \
+                        compatibility)"
                     .to_string(),
             );
         }

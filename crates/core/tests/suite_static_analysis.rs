@@ -172,32 +172,3 @@ fn coverage_matrix_is_total_and_matches_the_suite() {
         assert_eq!(indirect, vec!["CRm", "CS1", "CS3"]);
     }
 }
-
-/// The shipped suite must produce no RA602 bound-inversions: an inverted
-/// static CPI interval would make the bounds lattice unsound for that
-/// kernel, and `racesim bounds` would report a claim no run satisfies. Probes
-/// every parameter one-at-a-time across both tuning spaces, exactly as
-/// `racesim lint --suite` does.
-#[test]
-fn shipped_suite_has_no_bound_inversions() {
-    use racesim_analyzer::bounds::{check_suite_bounds, BoundsOptions, KernelBounds};
-
-    let suite = whole_suite();
-    let kernels: Vec<KernelBounds> = suite
-        .iter()
-        .map(|w| KernelBounds::build(&w.name, &w.program, &BoundsOptions::default()))
-        .collect();
-    for kind in [CoreKind::InOrder, CoreKind::OutOfOrder] {
-        let space = build_space(kind, Revision::Fixed);
-        let base = Platform::a53_like();
-        let apply =
-            |cfg: &racesim_race::Configuration| racesim_core::params::apply(&space, cfg, &base);
-        let mut diags = Vec::new();
-        check_suite_bounds(&kernels, &space, &apply, &mut diags);
-        let inversions: Vec<_> = diags.iter().filter(|d| d.lint.code() == "RA602").collect();
-        assert!(
-            inversions.is_empty(),
-            "RA602 bound-inversions on the shipped suite: {inversions:?}"
-        );
-    }
-}

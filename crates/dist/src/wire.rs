@@ -173,10 +173,10 @@ pub struct InitSpec {
     /// The worker's slot index in the pool.
     pub worker: usize,
     /// Must be `false`, and is not sent on the wire: static
-    /// pre-elimination is gone, and `campaign_stack` refuses `true`. The
-    /// field stays only because the campaign benchmark still builds this
-    /// struct by literal rather than with `..Default::default()`; it goes
-    /// at the next benchmark change.
+    /// pre-elimination and the static CPI bounds are gone, and
+    /// `campaign_stack` refuses `true`. The field is kept only until the
+    /// campaign benchmark stops naming it in a struct literal and builds
+    /// the spec with `..Default::default()`.
     pub static_bounds: bool,
 }
 
