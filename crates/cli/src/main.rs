@@ -544,6 +544,8 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
             ..racesim_dist::InitSpec::default()
         };
         let mut pool_opts = racesim_dist::PoolOptions::new(spec.workers, init);
+        // The workers build their stacks from this process's probes.
+        pool_opts.estimates = Some(stack.estimates);
         pool_opts.request_timeout =
             Duration::from_millis(parse_u64(flags, "worker-timeout", 120_000)?);
         pool_opts.workloads = (0..n_instances)
@@ -636,6 +638,8 @@ struct CampaignSummary {
     quarantines: Vec<(String, String)>,
     /// Worker processes spawned (including respawns after failures).
     worker_spawns: u64,
+    /// The slowest spawn's launch-to-`ready` time, in milliseconds.
+    worker_init_ms_max: u64,
     worker_failures: Vec<(usize, String)>,
     /// worker slot → failure count at quarantine time.
     worker_quarantines: Vec<(usize, u64)>,
@@ -727,7 +731,10 @@ impl CampaignSummary {
                 Event::Quarantine { instance, reason } => {
                     s.quarantines.push((instance.clone(), reason.clone()));
                 }
-                Event::WorkerSpawned { .. } => s.worker_spawns += 1,
+                Event::WorkerSpawned { init_ms, .. } => {
+                    s.worker_spawns += 1;
+                    s.worker_init_ms_max = s.worker_init_ms_max.max(*init_ms);
+                }
                 Event::WorkerFailed { worker, reason } => {
                     s.worker_failures.push((*worker, reason.clone()));
                 }
@@ -938,8 +945,9 @@ impl CampaignSummary {
         if self.worker_spawns > 0 {
             let _ = writeln!(
                 out,
-                "\nworkers: {} spawned, {} failures, {} quarantined",
+                "\nworkers: {} spawned (slowest init {} ms), {} failures, {} quarantined",
                 self.worker_spawns,
+                self.worker_init_ms_max,
                 self.worker_failures.len(),
                 self.worker_quarantines.len()
             );
@@ -1075,6 +1083,7 @@ impl CampaignSummary {
                 "workers",
                 Value::obj([
                     ("spawned", self.worker_spawns.into()),
+                    ("max_init_ms", self.worker_init_ms_max.into()),
                     ("failed", self.worker_failures.len().into()),
                     ("quarantined", self.worker_quarantines.len().into()),
                 ]),

@@ -15,6 +15,7 @@
 //! ([`Validator::run`]) and every campaign driver here.
 
 use crate::fallible::LazySuiteCost;
+use crate::latency::{estimate_latencies, LatencyEstimates};
 use crate::params::{build_space, Revision};
 use crate::validator::{CostMetric, Validator, ValidatorSettings};
 use racesim_analyzer::coverage::CoverageMatrix;
@@ -129,13 +130,16 @@ pub struct CampaignSpec {
 }
 
 /// The assembled evaluation stack of a campaign: the tunable space, the
-/// latency-estimated base platform, and the (possibly fault-injected)
-/// lazy suite cost function.
+/// latency-estimated base platform and its estimates, and the (possibly
+/// fault-injected) lazy suite cost function.
 pub struct CampaignStack {
     /// The tunable parameter space for the spec's core.
     pub space: ParamSpace,
     /// The base platform after latency estimation (steps 1–2).
     pub base: Platform,
+    /// The latency estimates plugged into `base`; a coordinator ships
+    /// them to its workers so they need not probe the board again.
+    pub estimates: LatencyEstimates,
     /// The workloads being raced (same order as the cost instances).
     pub suite: Vec<Workload>,
     /// The fallible cost function over the suite.
@@ -151,6 +155,7 @@ impl std::fmt::Debug for CampaignStack {
         f.debug_struct("CampaignStack")
             .field("space", &self.space)
             .field("base", &self.base)
+            .field("estimates", &self.estimates)
             .field("cost", &self.cost)
             .finish_non_exhaustive()
     }
@@ -326,28 +331,40 @@ impl CampaignSpec {
         }
     }
 
-    /// Assembles the evaluation stack: board (fault-injected if the spec
-    /// says so), latency-estimated base platform, parameter space, and
-    /// the lazy suite cost — all threaded through `telemetry` — wrapped
-    /// in the spec's watchdog.
+    /// Assembles the evaluation stack: probes the clean board's
+    /// latencies (step 2), then [`CampaignSpec::build_stack_from`].
     ///
     /// # Errors
     ///
     /// Refuses `static_bounds` before any work, and propagates
     /// probe/measurement failures and unknown fault profiles.
     pub fn build_stack(&self, telemetry: &Telemetry) -> Result<CampaignStack, String> {
-        if self.static_bounds {
-            return Err(
-                "static_bounds must be false: static pre-elimination and the static \
-                        CPI bounds were removed (the field is kept only for source \
-                        compatibility)"
-                    .to_string(),
-            );
-        }
+        self.refuse_static_bounds()?;
+        let estimates = estimate_latencies(&self.board()).map_err(|e| e.to_string())?;
+        self.build_stack_from(estimates, telemetry)
+    }
+
+    /// Assembles the evaluation stack from latency estimates probed
+    /// earlier (by this process or, for a worker, by its coordinator):
+    /// board (fault-injected if the spec says so), base platform with
+    /// `estimates` plugged in, parameter space, and the lazy suite cost —
+    /// all threaded through `telemetry` — wrapped in the spec's watchdog.
+    /// Runs no probe.
+    ///
+    /// # Errors
+    ///
+    /// Refuses `static_bounds`, and propagates unknown fault profiles and
+    /// suite set-up failures.
+    pub fn build_stack_from(
+        &self,
+        estimates: LatencyEstimates,
+        telemetry: &Telemetry,
+    ) -> Result<CampaignStack, String> {
+        self.refuse_static_bounds()?;
         let board = self.board();
         let settings = self.validator_settings();
         let v = Validator::new(&board, settings.clone());
-        let base = v.base_platform().map_err(|e| e.to_string())?;
+        let base = v.base_platform_from(&estimates);
         let space = build_space(self.kind, settings.revision);
         let decoder = v.decoder();
         let suite = v.suite();
@@ -374,10 +391,23 @@ impl CampaignSpec {
         Ok(CampaignStack {
             space,
             base,
+            estimates,
             suite,
             cost,
             eval,
         })
+    }
+
+    fn refuse_static_bounds(&self) -> Result<(), String> {
+        if self.static_bounds {
+            return Err(
+                "static_bounds must be false: static pre-elimination and the static \
+                        CPI bounds were removed (the field is kept only for source \
+                        compatibility)"
+                    .to_string(),
+            );
+        }
+        Ok(())
     }
 
     /// Decodes the spec's frozen dimensions against `space`.

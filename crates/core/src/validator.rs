@@ -2,7 +2,7 @@
 
 use crate::campaign::{racing_tuner, unobserved_dimensions};
 use crate::fallible::LazySuiteCost;
-use crate::latency::{apply_estimates, estimate_latencies};
+use crate::latency::{apply_estimates, estimate_latencies, LatencyEstimates};
 use crate::params::{apply, best_guess, build_space, Revision};
 use racesim_analyzer::{Diagnostic, Severity};
 use racesim_decoder::{Decoder, Quirks};
@@ -332,13 +332,18 @@ impl<'hw> Validator<'hw> {
     ///
     /// Propagates probe-measurement failures.
     pub fn base_platform(&self) -> Result<Platform, MeasureError> {
+        Ok(self.base_platform_from(&estimate_latencies(self.board)?))
+    }
+
+    /// The base platform from latency estimates already probed: the
+    /// core's preset with `est` plugged in. No board is touched.
+    pub fn base_platform_from(&self, est: &LatencyEstimates) -> Platform {
         let mut base = match self.settings.kind {
             CoreKind::InOrder => Platform::a53_like(),
             CoreKind::OutOfOrder => Platform::a72_like(),
         };
-        let est = estimate_latencies(self.board)?;
-        apply_estimates(&mut base, &est);
-        Ok(base)
+        apply_estimates(&mut base, est);
+        base
     }
 
     /// Runs the full methodology: steps 1–4 and 6. (Step 5 — error

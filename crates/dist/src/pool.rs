@@ -10,8 +10,10 @@
 //! **generation** (a pool-wide spawn counter). Per batch the loop:
 //!
 //! 1. spawns every missing worker at once — launch each process, send
-//!    each `init` — and takes the `ready` replies off the merged channel
-//!    like any other frame, so first-batch spawn runs in parallel;
+//!    each `init` (with [`PoolOptions::estimates`], so a worker need not
+//!    probe the board) — and takes the `ready` replies off the merged
+//!    channel like any other frame, so first-batch spawn runs in
+//!    parallel;
 //! 2. keeps up to two requests in flight per ready slot, filling the
 //!    least-loaded slot first: when a worker answers one request the
 //!    next is already waiting on its stdin, so it never idles for a
@@ -77,6 +79,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use racesim_core::latency::LatencyEstimates;
 use racesim_race::{
     eval_with_retry, Configuration, EvalDispatch, EvalError, ParamSpace, RetryPolicy, TryCostFn,
 };
@@ -179,19 +182,25 @@ pub struct PoolOptions {
     /// spec) should be the tighter bound — this is the backstop against
     /// a wedged process.
     pub request_timeout: Duration,
-    /// Deadline for spawn + handshake (stack building includes latency
-    /// estimation, so this is deliberately generous).
+    /// Deadline for spawn + handshake (a worker sent no `estimates`
+    /// probes the board while it builds its stack, so this is
+    /// deliberately generous).
     pub spawn_timeout: Duration,
     /// Failures before a slot is quarantined for good.
     pub max_failures: u32,
     /// Workload name per instance, for the `evaluation` events the pool
     /// journals; instances past the end are named by index.
     pub workloads: Vec<String>,
+    /// The coordinator's latency estimates, sent in each `init` so the
+    /// workers build their stacks without probing the board. `None` (the
+    /// default) leaves each worker to probe for itself.
+    pub estimates: Option<LatencyEstimates>,
 }
 
 impl PoolOptions {
     /// Defaults: 2-minute request backstop, 5-minute spawn deadline,
-    /// quarantine after 3 failures, no workload names.
+    /// quarantine after 3 failures, no workload names, no latency
+    /// estimates.
     pub fn new(workers: usize, init: InitSpec) -> PoolOptions {
         PoolOptions {
             workers: workers.max(1),
@@ -200,6 +209,7 @@ impl PoolOptions {
             spawn_timeout: Duration::from_secs(300),
             max_failures: 3,
             workloads: Vec::new(),
+            estimates: None,
         }
     }
 }
@@ -379,9 +389,13 @@ impl WorkerPool {
                 }
             })
             .map_err(|e| format!("reader thread spawn failed: {e}"))?;
-        let mut init = self.opts.init.clone();
-        init.worker = w;
-        write_request(&mut conn.writer, &Request::Init(init))
+        let mut spec = self.opts.init.clone();
+        spec.worker = w;
+        let init = Request::Init {
+            spec,
+            estimates: self.opts.estimates,
+        };
+        write_request(&mut conn.writer, &init)
             .map_err(|e| format!("init handshake send failed: {e}"))?;
         Ok(conn)
     }
@@ -487,6 +501,7 @@ impl WorkerPool {
                     self.telemetry.emit(Event::WorkerSpawned {
                         worker: w,
                         pid: conn.pid,
+                        init_ms: conn.since.elapsed().as_millis() as u64,
                     });
                     return;
                 }
@@ -709,16 +724,19 @@ mod tests {
     }
 
     /// Serves a synthetic stack evaluating with `cost` over a socketpair,
-    /// in a thread.
+    /// in a thread. `on_init` is handed the latency estimates the
+    /// worker's `init` carried.
     fn serve_in_thread(
         opts: WorkerOptions,
         cost: Arc<dyn TryCostFn + Send + Sync>,
+        on_init: impl FnOnce(Option<LatencyEstimates>) + Send + 'static,
     ) -> Result<WorkerLink, String> {
         let (coord, work) = UnixStream::pair().map_err(|e| e.to_string())?;
         std::thread::spawn(move || {
             let mut reader = work.try_clone().expect("clone socket");
             let mut writer = work;
-            let _ = serve(&mut reader, &mut writer, &opts, |_| {
+            let _ = serve(&mut reader, &mut writer, &opts, |_, estimates| {
+                on_init(estimates);
                 Ok(WorkerStack {
                     space: space(),
                     cost,
@@ -742,7 +760,7 @@ mod tests {
 
     impl WorkerLauncher for Loopback {
         fn launch(&self, _worker: usize) -> Result<WorkerLink, String> {
-            serve_in_thread(self.opts.clone(), Arc::new(LinearCost))
+            serve_in_thread(self.opts.clone(), Arc::new(LinearCost), |_| {})
         }
     }
 
@@ -751,7 +769,7 @@ mod tests {
 
     impl WorkerLauncher for Slow {
         fn launch(&self, _worker: usize) -> Result<WorkerLink, String> {
-            serve_in_thread(WorkerOptions::default(), Arc::new(SlowCost(self.0)))
+            serve_in_thread(WorkerOptions::default(), Arc::new(SlowCost(self.0)), |_| {})
         }
     }
 
@@ -786,7 +804,20 @@ mod tests {
                 } else {
                     Arc::new(LinearCost)
                 };
-            serve_in_thread(WorkerOptions::default(), cost)
+            serve_in_thread(WorkerOptions::default(), cost, |_| {})
+        }
+    }
+
+    /// Serves [`LinearCost`] workers and sends on the latency estimates
+    /// each one's `init` carried.
+    struct Recording(mpsc::Sender<Option<LatencyEstimates>>);
+
+    impl WorkerLauncher for Recording {
+        fn launch(&self, _worker: usize) -> Result<WorkerLink, String> {
+            let seen = self.0.clone();
+            serve_in_thread(WorkerOptions::default(), Arc::new(LinearCost), move |est| {
+                let _ = seen.send(est);
+            })
         }
     }
 
@@ -1109,6 +1140,34 @@ mod tests {
             .count();
         assert!(failed >= 4, "expected >= 4 worker failures, saw {failed}");
         assert_eq!(quarantined, 2, "both slots quarantine");
+    }
+
+    #[test]
+    fn workers_are_sent_the_pools_latency_estimates() {
+        let est = LatencyEstimates {
+            l1d: 3,
+            l2: 23,
+            dram: 171,
+        };
+        for estimates in [Some(est), None] {
+            let (tx, rx) = mpsc::channel();
+            let pool = WorkerPool::new(
+                Box::new(Recording(tx)),
+                PoolOptions {
+                    estimates,
+                    ..PoolOptions::new(2, InitSpec::default())
+                },
+                Arc::new(LinearCost),
+                Telemetry::disabled(),
+            );
+            let space = space();
+            let cfgs = configs(&space, &[1, 6]);
+            let tasks: Vec<&Configuration> = cfgs.iter().collect();
+            pool.eval_batch(&space, &tasks, 0, &RetryPolicy::immediate(1));
+            drop(pool);
+            let seen: Vec<_> = rx.iter().collect();
+            assert_eq!(seen, vec![estimates; 2]);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! coordinator                          worker
-//!     | -- init {core,scale,faults,...} -> |   (once, on spawn)
+//!     | -- init {core,scale,lat_*,...} --> |   (once, on spawn)
 //!     | <- ready {worker,n_instances,...}  |
 //!     | -- eval {id,cfg,inst,retry...} --> |   (repeated, pipelined)
 //!     | <- eval {id,outcome,retries,us} -- |
@@ -35,6 +35,7 @@
 
 use std::io::{Read, Write};
 
+use racesim_core::latency::LatencyEstimates;
 use racesim_race::RetryPolicy;
 use racesim_telemetry::json::{parse_object, FieldError, Fields, Obj};
 
@@ -200,8 +201,15 @@ impl Default for InitSpec {
 /// A coordinator-to-worker frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Handshake: campaign context, sent once after spawn.
-    Init(InitSpec),
+    /// Handshake, sent once after spawn.
+    Init {
+        /// The campaign context.
+        spec: InitSpec,
+        /// The coordinator's probed latencies (`lat_l1d`, `lat_l2`,
+        /// `lat_dram` on the wire). A worker handed them builds its stack
+        /// without probing; `None` makes it probe the board itself.
+        estimates: Option<LatencyEstimates>,
+    },
     /// Evaluate one configuration on one instance.
     Eval {
         /// Request id, echoed back in the matching response.
@@ -270,7 +278,7 @@ impl Request {
     pub fn encode(&self) -> String {
         let mut o = Obj::new();
         match self {
-            Request::Init(spec) => {
+            Request::Init { spec, estimates } => {
                 o.str("kind", "init")
                     .str("core", &spec.core)
                     .u64("scale", spec.scale)
@@ -278,6 +286,11 @@ impl Request {
                     .u64("fault_seed", spec.fault_seed)
                     .u64("timeout_ms", spec.timeout_ms)
                     .u64("worker", spec.worker as u64);
+                if let Some(est) = estimates {
+                    o.u64("lat_l1d", est.l1d)
+                        .u64("lat_l2", est.l2)
+                        .u64("lat_dram", est.dram);
+                }
             }
             Request::Eval {
                 id,
@@ -306,20 +319,24 @@ impl Request {
     /// # Errors
     ///
     /// [`WireError::Json`] for malformed payloads, [`WireError::Field`]
-    /// for missing/mistyped fields (including a non-finite retry factor),
-    /// [`WireError::UnknownKind`] for unrecognised `kind`s.
+    /// for missing/mistyped fields (including a non-finite retry factor,
+    /// an `init` with some but not all latency estimates, and a zero
+    /// latency), [`WireError::UnknownKind`] for unrecognised `kind`s.
     pub fn decode(payload: &str) -> Result<Request, WireError> {
         let f = Fields(parse_object(payload).map_err(WireError::Json)?);
         match f.str("kind")?.as_str() {
-            "init" => Ok(Request::Init(InitSpec {
-                core: f.str("core")?,
-                scale: f.u64("scale")?,
-                faults: f.str("faults")?,
-                fault_seed: f.u64("fault_seed")?,
-                timeout_ms: f.u64("timeout_ms")?,
-                worker: f.usize("worker")?,
-                static_bounds: false,
-            })),
+            "init" => Ok(Request::Init {
+                spec: InitSpec {
+                    core: f.str("core")?,
+                    scale: f.u64("scale")?,
+                    faults: f.str("faults")?,
+                    fault_seed: f.u64("fault_seed")?,
+                    timeout_ms: f.u64("timeout_ms")?,
+                    worker: f.usize("worker")?,
+                    static_bounds: false,
+                },
+                estimates: decode_estimates(&f)?,
+            }),
             "eval" => {
                 let factor = f64::from_bits(f.u64("r_factor_bits")?);
                 if !factor.is_finite() {
@@ -345,6 +362,28 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             other => Err(WireError::UnknownKind(other.to_string())),
         }
+    }
+}
+
+/// The optional latency estimates of an `init` frame: all three or none.
+/// Each is at least 1, as the probe clamps it; a 0 is a corrupt frame,
+/// not a latency.
+fn decode_estimates(f: &Fields) -> Result<Option<LatencyEstimates>, WireError> {
+    let lat = |key| f.or(key, None, |f, k| f.u64(k).map(Some));
+    match (lat("lat_l1d")?, lat("lat_l2")?, lat("lat_dram")?) {
+        (None, None, None) => Ok(None),
+        (Some(l1d), Some(l2), Some(dram)) => {
+            if l1d == 0 || l2 == 0 || dram == 0 {
+                return Err(WireError::Field(format!(
+                    "latency estimates must be at least 1 cycle, got \
+                     l1d={l1d} l2={l2} dram={dram}"
+                )));
+            }
+            Ok(Some(LatencyEstimates { l1d, l2, dram }))
+        }
+        _ => Err(WireError::Field(
+            "init carries some but not all of lat_l1d, lat_l2 and lat_dram".to_string(),
+        )),
     }
 }
 

@@ -2,11 +2,13 @@
 //! framed evaluation requests over any `Read`/`Write` pair.
 //!
 //! A worker is stateless between requests. It learns the campaign context
-//! from the [`Request::Init`] handshake, rebuilds the evaluation stack
-//! locally (board, latency-estimated base platform, parameter space, lazy
-//! suite cost — exactly what the coordinator built), replies
-//! [`Response::Ready`], then answers [`Request::Eval`] frames until it is
-//! shut down or its stream closes.
+//! and the coordinator's latency estimates from the [`Request::Init`]
+//! handshake, rebuilds the evaluation stack locally (board, base platform
+//! with those estimates plugged in, parameter space, lazy suite cost —
+//! exactly what the coordinator built, without probing the board again),
+//! replies [`Response::Ready`], then answers [`Request::Eval`] frames
+//! until it is shut down or its stream closes. Only an `init` without
+//! estimates makes the worker run the latency probes itself.
 //!
 //! Every evaluation goes through [`racesim_race::eval_with_retry`] — the
 //! same single classification point the sequential and in-process-thread
@@ -25,7 +27,8 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use racesim_core::CampaignSpec;
+use racesim_core::latency::LatencyEstimates;
+use racesim_core::{CampaignSpec, CampaignStack};
 use racesim_hw::FaultPlan;
 use racesim_kernels::Scale;
 use racesim_race::{eval_with_retry, Configuration, ParamSpace, TryCostFn};
@@ -79,9 +82,9 @@ pub enum ServeEnd {
 /// Serves framed evaluation requests until shutdown, EOF, or injected
 /// death.
 ///
-/// Reads the [`Request::Init`] handshake, calls `build` to assemble the
-/// evaluation stack for that campaign, replies [`Response::Ready`], then
-/// loops over [`Request::Eval`] frames.
+/// Reads the [`Request::Init`] handshake, calls `build` with its spec and
+/// latency estimates to assemble the evaluation stack for that campaign,
+/// replies [`Response::Ready`], then loops over [`Request::Eval`] frames.
 ///
 /// # Errors
 ///
@@ -91,10 +94,10 @@ pub fn serve(
     reader: &mut dyn Read,
     writer: &mut dyn Write,
     opts: &WorkerOptions,
-    build: impl FnOnce(&InitSpec) -> Result<WorkerStack, String>,
+    build: impl FnOnce(&InitSpec, Option<LatencyEstimates>) -> Result<WorkerStack, String>,
 ) -> Result<ServeEnd, WireError> {
-    let init = match read_request(reader)? {
-        Request::Init(spec) => spec,
+    let (init, estimates) = match read_request(reader)? {
+        Request::Init { spec, estimates } => (spec, estimates),
         Request::Shutdown => {
             write_response(writer, &Response::Bye)?;
             return Ok(ServeEnd::Shutdown);
@@ -105,8 +108,8 @@ pub fn serve(
             )))
         }
     };
-    let stack =
-        build(&init).map_err(|e| WireError::Field(format!("worker stack build failed: {e}")))?;
+    let stack = build(&init, estimates)
+        .map_err(|e| WireError::Field(format!("worker stack build failed: {e}")))?;
     write_response(
         writer,
         &Response::Ready {
@@ -166,7 +169,7 @@ pub fn serve(
                 write_response(writer, &Response::Bye)?;
                 return Ok(ServeEnd::Shutdown);
             }
-            Request::Init(_) => {
+            Request::Init { .. } => {
                 return Err(WireError::Field(
                     "duplicate init frame after handshake".to_string(),
                 ))
@@ -175,17 +178,23 @@ pub fn serve(
     }
 }
 
-/// Builds the evaluation stack a spawned worker serves: the campaign's
-/// own `build_stack` and its (watchdog-wrapped) `eval`, with telemetry
-/// disabled (the coordinator journals; workers stay silent) and the
-/// fault seed re-keyed per worker slot via [`FaultPlan::worker_seed`] so
-/// concurrent workers draw distinct, deterministic fault schedules.
+/// Builds the campaign stack a spawned worker serves, through the same
+/// [`CampaignSpec::build_stack_from`] the coordinator's stack went
+/// through: with the coordinator's latency `estimates` it runs no probe;
+/// with `None` it probes the board first ([`CampaignSpec::build_stack`]).
+/// Telemetry is disabled (the coordinator journals; workers stay silent)
+/// and the fault seed is re-keyed per worker slot via
+/// [`FaultPlan::worker_seed`] so concurrent workers draw distinct,
+/// deterministic fault schedules.
 ///
 /// # Errors
 ///
-/// Unknown core names, and any probe/measurement failure from
-/// `CampaignSpec::build_stack`.
-pub fn campaign_stack(init: &InitSpec) -> Result<WorkerStack, String> {
+/// Unknown core names, and any probe/measurement failure from the stack
+/// build.
+pub fn campaign_stack(
+    init: &InitSpec,
+    estimates: Option<LatencyEstimates>,
+) -> Result<CampaignStack, String> {
     let kind = match init.core.as_str() {
         "a53" => CoreKind::InOrder,
         "a72" => CoreKind::OutOfOrder,
@@ -205,12 +214,22 @@ pub fn campaign_stack(init: &InitSpec) -> Result<WorkerStack, String> {
         frozen: Vec::new(),
         static_bounds: init.static_bounds,
     };
-    let stack = spec.build_stack(&Telemetry::disabled())?;
-    Ok(WorkerStack {
-        n_instances: stack.cost.len(),
-        space: stack.space,
-        cost: stack.eval,
-    })
+    let telemetry = Telemetry::disabled();
+    match estimates {
+        Some(est) => spec.build_stack_from(est, &telemetry),
+        None => spec.build_stack(&telemetry),
+    }
+}
+
+/// A worker serves the campaign stack's (watchdog-wrapped) `eval`.
+impl From<CampaignStack> for WorkerStack {
+    fn from(stack: CampaignStack) -> WorkerStack {
+        WorkerStack {
+            n_instances: stack.cost.len(),
+            space: stack.space,
+            cost: stack.eval,
+        }
+    }
 }
 
 /// Runs a spawned worker over stdin/stdout: frames on the standard
@@ -224,7 +243,9 @@ pub fn serve_stdio(opts: &WorkerOptions) -> Result<ServeEnd, WireError> {
     let stdout = std::io::stdout();
     let mut reader = stdin.lock();
     let mut writer = std::io::BufWriter::new(stdout.lock());
-    serve(&mut reader, &mut writer, opts, campaign_stack)
+    serve(&mut reader, &mut writer, opts, |init, estimates| {
+        campaign_stack(init, estimates).map(WorkerStack::from)
+    })
 }
 
 impl Outcome {
@@ -277,7 +298,10 @@ mod tests {
         space
     }
 
-    fn test_build(_init: &InitSpec) -> Result<WorkerStack, String> {
+    fn test_build(
+        _init: &InitSpec,
+        _estimates: Option<LatencyEstimates>,
+    ) -> Result<WorkerStack, String> {
         Ok(WorkerStack {
             space: test_space(),
             cost: Arc::new(SquareCost),
@@ -309,16 +333,23 @@ mod tests {
         }
     }
 
-    fn init_req(worker: usize) -> Request {
-        Request::Init(InitSpec {
-            core: "a53".to_string(),
+    fn init_spec(core: &str, worker: usize) -> InitSpec {
+        InitSpec {
+            core: core.to_string(),
             scale: 2048,
             faults: "none".to_string(),
             fault_seed: 1,
             timeout_ms: 0,
             worker,
             static_bounds: false,
-        })
+        }
+    }
+
+    fn init_req(worker: usize) -> Request {
+        Request::Init {
+            spec: init_spec("a53", worker),
+            estimates: None,
+        }
     }
 
     #[test]
@@ -449,13 +480,61 @@ mod tests {
 
     #[test]
     fn campaign_stacks_refuse_the_removed_bounds_toggle() {
-        let Request::Init(mut init) = init_req(0) else {
-            unreachable!()
+        let init = InitSpec {
+            static_bounds: true,
+            ..init_spec("a53", 0)
         };
-        init.static_bounds = true;
-        let Err(err) = campaign_stack(&init) else {
-            panic!("a bounds-on init must be refused");
-        };
-        assert!(err.contains("static_bounds must be false"), "{err}");
+        for estimates in [
+            None,
+            Some(LatencyEstimates {
+                l1d: 3,
+                l2: 20,
+                dram: 150,
+            }),
+        ] {
+            let Err(err) = campaign_stack(&init, estimates) else {
+                panic!("a bounds-on init must be refused");
+            };
+            assert!(err.contains("static_bounds must be false"), "{err}");
+        }
+    }
+
+    #[test]
+    fn campaign_stacks_use_the_coordinators_estimates_instead_of_probing() {
+        for core in ["a53", "a72"] {
+            let init = init_spec(core, 1);
+            // What the coordinator builds: it probes the board.
+            let kind = match core {
+                "a53" => CoreKind::InOrder,
+                _ => CoreKind::OutOfOrder,
+            };
+            let coordinator = CampaignSpec {
+                kind,
+                scale: Scale::divide_by(init.scale),
+                ..CampaignSpec::default()
+            }
+            .build_stack(&Telemetry::disabled())
+            .unwrap();
+            let shipped = campaign_stack(&init, Some(coordinator.estimates)).unwrap();
+            assert_eq!(shipped.base, coordinator.base, "{core}");
+            assert_eq!(shipped.space.len(), coordinator.space.len(), "{core}");
+
+            // Estimates no probe would give land in the worker's base
+            // unchanged: the worker uses what it is sent.
+            let odd = LatencyEstimates {
+                l1d: 1,
+                l2: 2,
+                dram: 7,
+            };
+            let stack = campaign_stack(&init, Some(odd)).unwrap();
+            assert_eq!(stack.estimates, odd, "{core}");
+            let mem = &stack.base.mem;
+            assert_eq!(
+                (mem.l1d.latency, mem.l2.latency, mem.dram.latency),
+                (1, 2, 7),
+                "{core}"
+            );
+            assert_ne!(stack.base, coordinator.base, "{core}");
+        }
     }
 }

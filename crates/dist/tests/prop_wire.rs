@@ -7,11 +7,14 @@
 //!    decode (costs travel as raw `f64` bits, so even subnormals and
 //!    signed zeros survive exactly);
 //! 2. the decoder never accepts a damaged stream: torn prefixes, torn
-//!    payloads, oversized lengths and non-finite cost bits all come back
-//!    as typed `WireError`s, never as a plausible-looking frame.
+//!    payloads, oversized lengths, non-finite cost bits, and `init`
+//!    frames with partial or zero latency estimates all come back as
+//!    typed `WireError`s, never as a plausible-looking frame (and never
+//!    as an `init` that would silently make the worker probe).
 
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
+use racesim_core::latency::LatencyEstimates;
 use racesim_dist::wire::{
     read_frame, read_request, read_response, write_request, write_response, InitSpec, Outcome,
     Request, Response, WireError, MAX_FRAME,
@@ -50,6 +53,20 @@ fn any_retry() -> impl Strategy<Value = RetryPolicy> {
     )
 }
 
+/// Latencies as the probe reports them: each at least 1 cycle.
+fn any_latencies() -> impl Strategy<Value = (u64, u64, u64)> {
+    (1..=u64::MAX, 1..=u64::MAX, 1..=u64::MAX)
+}
+
+/// An `init`'s estimates: absent (the worker probes) or all three.
+fn any_estimates() -> BoxedStrategy<Option<LatencyEstimates>> {
+    prop_oneof![
+        Just(None),
+        any_latencies().prop_map(|(l1d, l2, dram)| Some(LatencyEstimates { l1d, l2, dram })),
+    ]
+    .boxed()
+}
+
 fn any_request() -> BoxedStrategy<Request> {
     prop_oneof![
         (
@@ -59,18 +76,24 @@ fn any_request() -> BoxedStrategy<Request> {
             any::<u64>(),
             any::<u64>(),
             0..64usize,
+            any_estimates(),
         )
-            .prop_map(|(core, scale, faults, fault_seed, timeout_ms, worker)| {
-                Request::Init(InitSpec {
-                    core,
-                    scale,
-                    faults,
-                    fault_seed,
-                    timeout_ms,
-                    worker,
-                    static_bounds: false,
-                })
-            }),
+            .prop_map(
+                |(core, scale, faults, fault_seed, timeout_ms, worker, estimates)| {
+                    Request::Init {
+                        spec: InitSpec {
+                            core,
+                            scale,
+                            faults,
+                            fault_seed,
+                            timeout_ms,
+                            worker,
+                            static_bounds: false,
+                        },
+                        estimates,
+                    }
+                }
+            ),
         (any::<u64>(), any_config_code(), 0..256usize, any_retry()).prop_map(
             |(id, config, instance, retry)| Request::Eval {
                 id,
@@ -127,6 +150,28 @@ fn any_response() -> BoxedStrategy<Response> {
         Just(Response::Bye),
     ]
     .boxed()
+}
+
+/// An `init` payload carrying the `lat_*` fields whose bit is set in
+/// `mask` (bit 0 `lat_l1d`, bit 1 `lat_l2`, bit 2 `lat_dram`).
+fn init_with_latencies(mask: u8, (l1d, l2, dram): (u64, u64, u64)) -> String {
+    let mut payload = Request::Init {
+        spec: InitSpec::default(),
+        estimates: None,
+    }
+    .encode();
+    assert_eq!(payload.pop(), Some('}'));
+    for (bit, key, v) in [
+        (1, "lat_l1d", l1d),
+        (2, "lat_l2", l2),
+        (4, "lat_dram", dram),
+    ] {
+        if mask & bit != 0 {
+            payload.push_str(&format!(",\"{key}\":{v}"));
+        }
+    }
+    payload.push('}');
+    payload
 }
 
 proptest! {
@@ -204,6 +249,40 @@ proptest! {
             Response::decode(&payload),
             Err(WireError::Field(_))
         ));
+    }
+
+    /// An `init` with one or two of the three latencies is a typed field
+    /// error: the worker neither panics nor quietly probes instead.
+    #[test]
+    fn partial_latency_estimates_are_typed(mask in 1..7u8, lat in any_latencies()) {
+        let decoded = Request::decode(&init_with_latencies(mask, lat));
+        prop_assert!(
+            matches!(&decoded, Err(WireError::Field(e)) if e.contains("some but not all")),
+            "mask {:#b} gave {:?}", mask, decoded
+        );
+        // All three decode; none means the worker probes for itself.
+        prop_assert!(matches!(
+            Request::decode(&init_with_latencies(7, lat)),
+            Ok(Request::Init { estimates: Some(_), .. })
+        ));
+        prop_assert!(matches!(
+            Request::decode(&init_with_latencies(0, lat)),
+            Ok(Request::Init { estimates: None, .. })
+        ));
+    }
+
+    /// A zero latency is a typed field error: the probe clamps every
+    /// estimate to at least one cycle, so a zero is a corrupt frame.
+    #[test]
+    fn zero_latencies_are_typed(zeroed in 1..8u8, lat in any_latencies()) {
+        let (l1d, l2, dram) = lat;
+        let pick = |bit: u8, v: u64| if zeroed & bit != 0 { 0 } else { v };
+        let lat = (pick(1, l1d), pick(2, l2), pick(4, dram));
+        let decoded = Request::decode(&init_with_latencies(7, lat));
+        prop_assert!(
+            matches!(&decoded, Err(WireError::Field(e)) if e.contains("at least 1 cycle")),
+            "{:?} gave {:?}", lat, decoded
+        );
     }
 
     /// Flipping `kind` to an unknown tag is typed, not silently coerced.

@@ -176,6 +176,9 @@ pub enum Event {
         /// OS process id of the spawned worker (0 when not applicable,
         /// e.g. in-memory loopback workers in tests).
         pid: u64,
+        /// Milliseconds from launch to the worker's `ready`: spawn plus
+        /// stack build. Journals that predate it read as 0.
+        init_ms: u64,
     },
     /// A distributed evaluation worker failed (process exit, torn
     /// frame, handshake mismatch, or per-request timeout). Its in-flight
@@ -404,8 +407,14 @@ impl JournalEntry {
                     .bool("aborted", *aborted)
                     .u64("micros", *micros);
             }
-            Event::WorkerSpawned { worker, pid } => {
-                o.u64("worker", *worker as u64).u64("pid", *pid);
+            Event::WorkerSpawned {
+                worker,
+                pid,
+                init_ms,
+            } => {
+                o.u64("worker", *worker as u64)
+                    .u64("pid", *pid)
+                    .u64("init_ms", *init_ms);
             }
             Event::WorkerFailed { worker, reason } => {
                 o.u64("worker", *worker as u64).str("reason", reason);
@@ -525,6 +534,7 @@ impl JournalEntry {
             "worker_spawned" => Event::WorkerSpawned {
                 worker: f.usize("worker")?,
                 pid: f.u64("pid")?,
+                init_ms: f.or("init_ms", 0, Fields::u64)?,
             },
             "worker_failed" => Event::WorkerFailed {
                 worker: f.usize("worker")?,
@@ -658,6 +668,7 @@ mod tests {
         roundtrip(Event::WorkerSpawned {
             worker: 1,
             pid: 48_213,
+            init_ms: 37,
         });
         roundtrip(Event::WorkerFailed {
             worker: 0,
@@ -716,6 +727,20 @@ mod tests {
             JournalEntry::parse(bad),
             Err(JournalError::Field(_))
         ));
+    }
+
+    #[test]
+    fn worker_spawned_without_init_ms_parses_as_zero() {
+        let line = r#"{"t":374211,"ev":"worker_spawned","worker":1,"pid":4242}"#;
+        let e = JournalEntry::parse(line).expect("old journals stay parseable");
+        assert_eq!(
+            e.event,
+            Event::WorkerSpawned {
+                worker: 1,
+                pid: 4242,
+                init_ms: 0,
+            }
+        );
     }
 
     #[test]

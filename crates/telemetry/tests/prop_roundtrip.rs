@@ -146,7 +146,13 @@ fn any_event() -> BoxedStrategy<Event> {
                     }
                 }
             ),
-        (0..64usize, any::<u64>()).prop_map(|(worker, pid)| Event::WorkerSpawned { worker, pid }),
+        (0..64usize, any::<u64>(), any::<u64>()).prop_map(|(worker, pid, init_ms)| {
+            Event::WorkerSpawned {
+                worker,
+                pid,
+                init_ms,
+            }
+        }),
         (0..64usize, any_string())
             .prop_map(|(worker, reason)| Event::WorkerFailed { worker, reason }),
         (0..64usize, any::<u64>())
