@@ -5,7 +5,7 @@
 //! forever so downstream tooling can filter on it. Codes are grouped by
 //! pass: `RA0xx` parameter space, `RA1xx` platform invariants, `RA2xx`
 //! kernel static analysis, `RA3xx` measurement effects, `RA4xx` kernel IR
-//! and campaign coverage, `RA5xx` determinism audit.
+//! and campaign coverage.
 
 use racesim_telemetry::json::Value;
 use std::fmt;
@@ -161,25 +161,6 @@ lints! {
     /// A kernel whose static observability signature is covered by
     /// another kernel's: it exercises no parameter uniquely.
     SuiteRedundantKernel = ("RA412", "suite-redundant-kernel", Info),
-
-    // ---- RA5xx: determinism audit -----------------------------------
-    /// A tuner checkpoint failed to round-trip byte-identically through
-    /// render -> parse -> render (adversarial float bit patterns).
-    CheckpointRoundtripDrift = ("RA501", "checkpoint-roundtrip-drift", Error),
-    /// Two tuner runs with the same seed diverged: the resume guarantee
-    /// and any reproducibility claim are void.
-    ReplayDivergence = ("RA502", "replay-divergence", Error),
-    /// A multi-threaded tuner run diverged from the single-threaded run
-    /// with the same seed: parallel racing is not order-independent.
-    ThreadDivergence = ("RA503", "thread-divergence", Error),
-    /// Two independent constructions of the parameter space produced
-    /// different fingerprints or iteration orders: checkpoints written by
-    /// one process would be rejected (or silently misapplied) by another.
-    SpaceOrderInstability = ("RA504", "space-order-instability", Error),
-    /// The cost aggregation is float-reduction-order sensitive: any
-    /// future change that reorders evaluations (work stealing, async
-    /// collection) would silently change results.
-    FloatReductionOrder = ("RA505", "float-reduction-order", Info),
 }
 
 /// One finding: a lint instance attached to a concrete offender.

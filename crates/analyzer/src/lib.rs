@@ -25,9 +25,6 @@
 //!   (RA41x): which kernels can statically observe each `ParamSpace`
 //!   dimension, which dimensions no kernel observes, and which kernels
 //!   observe nothing uniquely.
-//! * [`determinism`] — audits the invariants resume and parallel racing
-//!   depend on (RA5xx): checkpoint byte-stability, replay and thread
-//!   determinism, space construction order, float reduction order.
 //! * [`effects`] — checks a board's measurement noise against the race's
 //!   statistical resolution (can the significance tests distinguish
 //!   near-elite configurations at all?).
@@ -36,7 +33,6 @@
 //! `DESIGN.md` for the full table.
 
 pub mod coverage;
-pub mod determinism;
 pub mod diag;
 pub mod effects;
 pub mod ir;

@@ -70,7 +70,7 @@ fn json_rendering_matches_golden() {
     check_golden("report.json", &sample_report().render_json());
 }
 
-/// A report exercising the `--suite` additions: RA4xx/RA5xx codes and an
+/// A report exercising the `--suite` additions: RA4xx codes and an
 /// appended `coverage` section rendered through `render_json_with`.
 fn sample_suite_report() -> (Report, Value) {
     let mut r = Report::new();
@@ -100,10 +100,11 @@ fn sample_suite_report() -> (Report, Value) {
     );
     r.push(
         Diagnostic::new(
-            Lint::FloatReductionOrder,
-            "cost aggregation is order-sensitive",
+            Lint::SuiteRedundantKernel,
+            "2 kernels share an identical coverage row: none observes a parameter the others do not",
         )
-        .with("audit", "determinism"),
+        .with("space", "a53")
+        .with("kernels", "chain, looped"),
     );
     r.sort();
     let coverage = concat!(

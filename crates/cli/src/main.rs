@@ -27,7 +27,7 @@ use racesim_race::replay::{compare, RecordedCampaign, Verdict};
 use racesim_race::{RaceSettings, TunerSettings};
 use racesim_sim::{config_text, Platform, Simulator};
 use racesim_telemetry::json::Value;
-use racesim_telemetry::{parse_journal, read_journal_lossy, Event, JournalEntry, Telemetry};
+use racesim_telemetry::{parse_journal, read_journal, Event, JournalEntry, Telemetry};
 use racesim_uarch::CoreKind;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -76,8 +76,7 @@ COMMON OPTIONS:
 LINT OPTIONS:
     --suite                       whole-campaign analysis: kernel IR lints (RA4xx),
                                   the parameter-coverage matrix and suite-level
-                                  coverage lints (RA41x) and the determinism
-                                  audit (RA5xx)
+                                  coverage lints (RA41x)
     --deny-warnings               exit non-zero on warnings too, not just errors
                                   (for CI gates)
 
@@ -155,14 +154,22 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ("help", "", ""),
 ];
 
+/// Parses a command's flags. `report` and `replay` also take one
+/// positional operand, the journal path, anywhere among their flags; it
+/// is stored under the key `journal`, which no flag of theirs uses.
 fn parse_flags(cmd: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
     let Some(&(_, values, bools)) = COMMANDS.iter().find(|(c, ..)| *c == cmd) else {
         return Err(format!("unknown command {cmd:?}\n\n{USAGE}"));
     };
+    let takes_journal = cmd == "report" || cmd == "replay";
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
+            if takes_journal && !flags.contains_key("journal") {
+                flags.insert("journal".to_string(), a.clone());
+                continue;
+            }
             return Err(format!("unexpected argument {a:?}"));
         };
         if bools.split_whitespace().any(|f| f == key) {
@@ -1113,7 +1120,7 @@ impl CampaignSummary {
 fn cmd_report(journal: &str, flags: &HashMap<String, String>) -> Result<(), String> {
     let path = PathBuf::from(journal);
     let (entries, warnings) =
-        read_journal_lossy(&path).map_err(|e| format!("cannot read {journal}: {e}"))?;
+        read_journal(&path).map_err(|e| format!("cannot read {journal}: {e}"))?;
     for w in &warnings {
         eprintln!("warning: {journal}: {w}");
     }
@@ -1138,7 +1145,7 @@ fn cmd_report(journal: &str, flags: &HashMap<String, String>) -> Result<(), Stri
 fn cmd_replay(journal: &str, flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     let path = PathBuf::from(journal);
     let (entries, warnings) =
-        read_journal_lossy(&path).map_err(|e| format!("cannot read {journal}: {e}"))?;
+        read_journal(&path).map_err(|e| format!("cannot read {journal}: {e}"))?;
     for w in &warnings {
         eprintln!("warning: {journal}: {w}");
     }
@@ -1163,9 +1170,12 @@ fn cmd_replay(journal: &str, flags: &HashMap<String, String>) -> Result<ExitCode
     spec.run(&t)?;
     t.flush();
     let text = t.lines().join("\n");
-    let (fresh, errors) = parse_journal(&text);
-    if let Some((line, e)) = errors.first() {
-        return Err(format!("replay journal line {line} unparseable: {e}"));
+    let (fresh, warnings) = parse_journal(&text);
+    if let Some(w) = warnings.first() {
+        return Err(format!(
+            "replay journal line {} unparseable: {}",
+            w.line, w.error
+        ));
     }
     let replayed = RecordedCampaign::digest(&fresh).map_err(|e| format!("replay journal: {e}"))?;
 
@@ -1474,9 +1484,8 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
         ));
     }
 
-    // 5. Whole-campaign analysis (--suite): kernel IR lints, the
-    //    parameter-coverage matrix per core space, and the determinism
-    //    audit.
+    // 5. Whole-campaign analysis (--suite): kernel IR lints and the
+    //    parameter-coverage matrix per core space.
     let mut sections: Vec<(&str, Value)> = Vec::new();
     let mut coverage_text = String::new();
     if flags.get("suite").is_some() {
@@ -1511,13 +1520,6 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
             coverage_json.push((label, matrix.to_json()));
         }
         sections.push(("coverage", Value::obj(coverage_json)));
-
-        let build = || racesim_core::params::build_space(CoreKind::InOrder, revision);
-        for mut d in racesim_analyzer::determinism::check(&build) {
-            d.context
-                .insert(0, ("audit".to_string(), "determinism".to_string()));
-            report.push(d);
-        }
     }
 
     report.sort();
@@ -1551,21 +1553,16 @@ fn main() -> ExitCode {
 
 /// Runs one command on the arguments that follow its name.
 fn run(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
-    // `report` and `replay` take one positional operand (the journal
-    // path); every other command is flags-only.
-    let (journal, flag_args) = match args.split_first() {
-        Some((j, rest)) if (cmd == "report" || cmd == "replay") && !j.starts_with("--") => {
-            (Some(j.as_str()), rest)
-        }
-        _ => (None, args),
-    };
     let cmd = match cmd {
         "--help" | "-h" => "help",
         c => c,
     };
-    let flags = parse_flags(cmd, flag_args)?;
+    let flags = parse_flags(cmd, args)?;
     let journal = || {
-        journal.ok_or_else(|| format!("{cmd} needs a journal path: racesim {cmd} <FILE> [--json]"))
+        flags
+            .get("journal")
+            .map(String::as_str)
+            .ok_or_else(|| format!("{cmd} needs a journal path: racesim {cmd} <FILE> [--json]"))
     };
     let done = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
     match cmd {
@@ -1605,6 +1602,20 @@ mod tests {
         assert_eq!(f.get("workload").unwrap(), "MD");
         assert!(parse_flags("simulate", &["--workload".to_string()]).is_err());
         assert!(parse_flags("simulate", &["positional".to_string()]).is_err());
+        // `report`/`replay` take one journal path, before or after flags.
+        for cmd in ["report", "replay"] {
+            for args in [["j.jsonl", "--json"], ["--json", "j.jsonl"]] {
+                let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+                let f = parse_flags(cmd, &args).unwrap();
+                assert_eq!(f.get("journal").unwrap(), "j.jsonl");
+                assert!(f.contains_key("json"));
+            }
+            let two = vec!["a.jsonl".to_string(), "b.jsonl".to_string()];
+            assert_eq!(
+                parse_flags(cmd, &two).unwrap_err(),
+                "unexpected argument \"b.jsonl\""
+            );
+        }
         // `--suite` is boolean for lint, value-taking for profile.
         let args = vec!["--suite".to_string()];
         assert_eq!(
@@ -1641,8 +1652,8 @@ mod tests {
             Err("simulated failure".to_string())
         };
         assert!(early_return().is_err());
-        let (entries, errors) = read_journal_lossy(&path).expect("journal readable");
-        assert!(errors.is_empty(), "no torn lines: {errors:?}");
+        let (entries, warnings) = read_journal(&path).expect("journal readable");
+        assert!(warnings.is_empty(), "no torn lines: {warnings:?}");
         assert_eq!(entries.len(), 1, "the buffered event was flushed");
         let _ = std::fs::remove_file(&path);
     }

@@ -280,9 +280,12 @@ fn every_json_command_prints_one_parseable_document() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/fixtures/golden_campaign.jsonl"
     );
-    let commands: [&[&str]; 6] = [
+    // The journal path may come before or after `--json`.
+    let commands: [&[&str]; 8] = [
         &["report", journal, "--json"],
+        &["report", "--json", journal],
         &["replay", journal, "--json"],
+        &["replay", "--json", journal],
         &["diff", "--scale", "65536", "--json"],
         &["lint", "--json"],
         &["lint", "--suite", "--scale", "65536", "--json"],

@@ -407,6 +407,33 @@ mod tests {
     }
 
     #[test]
+    fn space_construction_order_is_stable() {
+        // Checkpoint compatibility and the sampling model's weight layout
+        // both key off the dimension order, so every build of a space
+        // must give the same names in the same order.
+        use racesim_race::TunerCheckpoint;
+        let names = |s: &ParamSpace| {
+            s.params()
+                .iter()
+                .map(|p| p.name.clone())
+                .collect::<Vec<_>>()
+        };
+        for kind in [CoreKind::InOrder, CoreKind::OutOfOrder] {
+            for revision in [Revision::Initial, Revision::Fixed] {
+                let first = build_space(kind, revision);
+                for _ in 0..3 {
+                    let again = build_space(kind, revision);
+                    assert_eq!(names(&again), names(&first), "{kind:?} {revision:?}");
+                    assert_eq!(
+                        TunerCheckpoint::fingerprint(&again),
+                        TunerCheckpoint::fingerprint(&first)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn best_guess_applies_cleanly_to_both_kinds() {
         for (kind, base) in [
             (CoreKind::InOrder, Platform::a53_like()),

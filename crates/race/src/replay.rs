@@ -3,7 +3,7 @@
 //! same way, and compare the two **bit for bit**.
 //!
 //! What is compared (all deterministic given seed, space, suite and
-//! fault plan — see the determinism audit, RA5xx):
+//! fault plan; DESIGN.md §7 names the tests that hold this):
 //!
 //! * campaign setup: seed, budget, instance and parameter counts;
 //! * per iteration: candidate count, survivors, best cost (as f64

@@ -76,8 +76,8 @@ fn journal_captures_the_campaign_shape() {
         .try_tune(&s, &Synthetic, 12);
     assert!(!result.aborted);
 
-    let (entries, errors) = parse_journal(&tel.lines().join("\n"));
-    assert!(errors.is_empty(), "{errors:?}");
+    let (entries, warnings) = parse_journal(&tel.lines().join("\n"));
+    assert!(warnings.is_empty(), "{warnings:?}");
 
     // Opens with the campaign header, carrying the run's shape.
     assert!(matches!(
@@ -267,8 +267,8 @@ fn killed_then_resumed_run_appends_one_well_formed_journal() {
 
     // The merged journal parses cleanly and shows both segments.
     let text = std::fs::read_to_string(&journal).expect("journal readable");
-    let (entries, errors) = parse_journal(&text);
-    assert!(errors.is_empty(), "{errors:?}");
+    let (entries, warnings) = parse_journal(&text);
+    assert!(warnings.is_empty(), "{warnings:?}");
     let count = |pred: &dyn Fn(&Event) -> bool| entries.iter().filter(|e| pred(&e.event)).count();
     assert_eq!(count(&|e| matches!(e, Event::CampaignStart { .. })), 2);
     assert_eq!(count(&|e| matches!(e, Event::CampaignEnd { .. })), 2);

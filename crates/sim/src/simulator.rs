@@ -499,12 +499,16 @@ mod tests {
         let plat = Platform::a53_like();
         let plain = Simulator::new(plat.clone()).run(&t).unwrap();
 
-        let prof = Profiler::enabled();
-        let sim = Simulator::new(plat).with_profiler(prof.clone());
-        let profiled = sim.run(&t).unwrap();
-        assert_eq!(profiled, plain, "profiling must not change simulation");
+        let profiled_run = || {
+            let prof = Profiler::enabled();
+            let sim = Simulator::new(plat.clone()).with_profiler(prof.clone());
+            let profiled = sim.run(&t).unwrap();
+            assert_eq!(profiled, plain, "profiling must not change simulation");
+            prof.snapshot()
+        };
+        let runs = [profiled_run(), profiled_run(), profiled_run()];
 
-        let snap = prof.snapshot();
+        let snap = &runs[0];
         let simulate = snap.find(&["simulate"]).expect("root phase");
         assert_eq!(simulate.count, 1);
         assert_eq!(simulate.insts, plain.core.instructions);
@@ -524,13 +528,25 @@ mod tests {
         let execute = snap.find(&["simulate", "execute"]).unwrap();
         assert_eq!(fetch.count, 9000);
         assert!(execute.count >= 9000);
-        // Chunked fetch + execute cover nearly all of the run.
+        // Chunked fetch + execute cover nearly all of the run. The spans
+        // are wall-clock, and a preemption inside `simulate` but outside
+        // its children can only lower one run's share, so the bound is
+        // asked of the best of three runs.
+        let shares: Vec<(u64, u64)> = runs
+            .iter()
+            .map(|snap| {
+                let ns = |path: &[&str]| snap.find(path).unwrap().total_ns;
+                (
+                    ns(&["simulate", "fetch"]) + ns(&["simulate", "execute"]),
+                    ns(&["simulate"]),
+                )
+            })
+            .collect();
         assert!(
-            fetch.total_ns + execute.total_ns >= simulate.total_ns * 9 / 10,
-            "fetch {} + execute {} vs simulate {}",
-            fetch.total_ns,
-            execute.total_ns,
-            simulate.total_ns
+            shares
+                .iter()
+                .any(|&(covered, simulate)| covered >= simulate * 9 / 10),
+            "(fetch + execute, simulate) ns per run: {shares:?}"
         );
         // The loop load hits L1 after warmup, so l1 accounts accesses.
         let l1 = snap.find(&["simulate", "execute", "mem", "l1"]).unwrap();

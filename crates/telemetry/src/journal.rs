@@ -110,33 +110,6 @@ impl Drop for Buffered {
     }
 }
 
-/// A parsed journal: its entries plus one `(line number, error)` pair
-/// per unparseable line.
-pub type ParsedJournal = (Vec<JournalEntry>, Vec<(usize, JournalError)>);
-
-/// Parses a whole journal (one JSON object per line; blank lines are
-/// skipped). Returns the entries plus one error per unparseable line,
-/// so a journal truncated by a crash still yields its good prefix.
-pub fn parse_journal(text: &str) -> ParsedJournal {
-    let mut entries = Vec::new();
-    let mut errors = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match JournalEntry::parse(line) {
-            Ok(e) => entries.push(e),
-            Err(e) => errors.push((idx + 1, e)),
-        }
-    }
-    (entries, errors)
-}
-
-/// Reads and parses a journal file.
-pub fn read_journal(path: &PathBuf) -> std::io::Result<ParsedJournal> {
-    Ok(parse_journal(&std::fs::read_to_string(path)?))
-}
-
 /// One unparseable journal line, classified for reporting.
 ///
 /// A malformed **final** line is the expected signature of a writer that
@@ -169,39 +142,42 @@ impl std::fmt::Display for JournalWarning {
     }
 }
 
-/// A parsed journal with classified warnings instead of raw errors.
-pub type LossyJournal = (Vec<JournalEntry>, Vec<JournalWarning>);
+/// A parsed journal: its entries plus one warning per unparseable line.
+pub type ParsedJournal = (Vec<JournalEntry>, Vec<JournalWarning>);
 
-/// Like [`parse_journal`], but classifies each unparseable line: a JSON
-/// error on the final non-empty line is a *torn tail* (a crash mid-write
-/// truncated it), anything else is corruption. Parsing never aborts —
-/// the valid prefix (and any valid lines after a bad one) always comes
-/// back.
-pub fn parse_journal_lossy(text: &str) -> LossyJournal {
-    let last_line = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, _)| i + 1)
-        .last();
-    let (entries, errors) = parse_journal(text);
-    let warnings = errors
-        .into_iter()
-        .map(|(line, error)| {
-            let torn_tail = Some(line) == last_line && matches!(error, JournalError::Json(_));
-            JournalWarning {
-                line,
+/// Parses a whole journal (one JSON object per line; blank lines are
+/// skipped). Returns the entries plus one warning per unparseable line,
+/// so a journal truncated by a crash still yields its good prefix (and
+/// any valid lines after a bad one). A JSON error on the final non-empty
+/// line is a *torn tail* (a crash mid-write truncated it); anything else
+/// is corruption. Strict readers check that no warning came back.
+pub fn parse_journal(text: &str) -> ParsedJournal {
+    let mut entries = Vec::new();
+    let mut warnings = Vec::new();
+    let mut last_line = 0;
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        last_line = idx + 1;
+        match JournalEntry::parse(line) {
+            Ok(e) => entries.push(e),
+            Err(error) => warnings.push(JournalWarning {
+                line: idx + 1,
                 error,
-                torn_tail,
-            }
-        })
-        .collect();
+                torn_tail: false,
+            }),
+        }
+    }
+    if let Some(w) = warnings.last_mut() {
+        w.torn_tail = w.line == last_line && matches!(w.error, JournalError::Json(_));
+    }
     (entries, warnings)
 }
 
-/// Reads and parses a journal file with classified warnings.
-pub fn read_journal_lossy(path: &PathBuf) -> std::io::Result<LossyJournal> {
-    Ok(parse_journal_lossy(&std::fs::read_to_string(path)?))
+/// Reads and parses a journal file.
+pub fn read_journal(path: &PathBuf) -> std::io::Result<ParsedJournal> {
+    Ok(parse_journal(&std::fs::read_to_string(path)?))
 }
 
 #[cfg(test)]
@@ -227,8 +203,8 @@ mod tests {
         }
         let lines = b.lines();
         assert_eq!(lines.len(), FLUSH_EVERY * 2 + 3);
-        let (entries, errors) = parse_journal(&lines.join("\n"));
-        assert!(errors.is_empty());
+        let (entries, warnings) = parse_journal(&lines.join("\n"));
+        assert!(warnings.is_empty());
         assert_eq!(entries.len(), lines.len());
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(e.t_us, i as u64);
@@ -252,9 +228,9 @@ mod tests {
             b.flush();
             assert_eq!(b.io_errors(), 0);
         }
-        let (entries, errors) = read_journal(&path).unwrap();
+        let (entries, warnings) = read_journal(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(errors.is_empty());
+        assert!(warnings.is_empty());
         assert_eq!(entries.len(), 2, "append must not truncate");
         assert_eq!(entries[0].t_us, 1);
         assert_eq!(entries[1].t_us, 2);
@@ -284,31 +260,22 @@ mod tests {
     fn parse_journal_survives_a_torn_tail() {
         let good = entry(1).render();
         let text = format!("{good}\n\n{{\"t\":2,\"ev\":\"iteration_st");
-        let (entries, errors) = parse_journal(&text);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].0, 3, "line numbers are 1-based");
-    }
-
-    #[test]
-    fn lossy_parse_classifies_a_torn_tail() {
-        let good = entry(1).render();
-        let text = format!("{good}\n{{\"t\":2,\"ev\":\"iteration_st");
-        let (entries, warnings) = parse_journal_lossy(&text);
+        let (entries, warnings) = parse_journal(&text);
         assert_eq!(entries.len(), 1);
         assert_eq!(warnings.len(), 1);
+        assert_eq!(warnings[0].line, 3, "line numbers are 1-based");
         assert!(warnings[0].torn_tail, "final malformed line is a tear");
         assert!(warnings[0].to_string().contains("torn final line"));
     }
 
     #[test]
-    fn lossy_parse_flags_mid_file_garbage_as_corruption() {
+    fn parse_journal_flags_mid_file_garbage_as_corruption() {
         let good = entry(1).render();
         let also_good = entry(2).render();
         // Garbage in the middle, then a valid line: not a torn tail, and
         // the valid suffix is still kept.
         let text = format!("{good}\ngarbage not json\n{also_good}");
-        let (entries, warnings) = parse_journal_lossy(&text);
+        let (entries, warnings) = parse_journal(&text);
         assert_eq!(entries.len(), 2, "valid lines around the bad one survive");
         assert_eq!(warnings.len(), 1);
         assert!(!warnings[0].torn_tail);
@@ -316,7 +283,7 @@ mod tests {
         // An unknown event on the final line is a version mismatch, not
         // a tear.
         let text = format!("{good}\n{{\"t\":3,\"ev\":\"warp_drive\"}}");
-        let (_, warnings) = parse_journal_lossy(&text);
+        let (_, warnings) = parse_journal(&text);
         assert_eq!(warnings.len(), 1);
         assert!(!warnings[0].torn_tail);
     }

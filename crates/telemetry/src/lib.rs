@@ -51,10 +51,7 @@ mod metrics;
 mod profiler;
 
 pub use event::{Event, JournalEntry, JournalError};
-pub use journal::{
-    parse_journal, parse_journal_lossy, read_journal, read_journal_lossy, JournalWarning,
-    LossyJournal, ParsedJournal,
-};
+pub use journal::{parse_journal, read_journal, JournalWarning, ParsedJournal};
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, MetricsSnapshot};
 pub use profiler::{PhaseNode, PhaseTimer, ProfileSnapshot, Profiler, Span};
 
@@ -272,8 +269,8 @@ mod tests {
             });
         }
         let lines = t.lines();
-        let (entries, errors) = parse_journal(&lines.join("\n"));
-        assert!(errors.is_empty());
+        let (entries, warnings) = parse_journal(&lines.join("\n"));
+        assert!(warnings.is_empty());
         let stamps: Vec<u64> = entries.iter().map(|e| e.t_us).collect();
         let mut sorted = stamps.clone();
         sorted.sort_unstable();
@@ -287,8 +284,8 @@ mod tests {
         t.gauge("g").set(9);
         t.histogram("h").record(100);
         t.emit_metrics();
-        let (entries, errors) = parse_journal(&t.lines().join("\n"));
-        assert!(errors.is_empty());
+        let (entries, warnings) = parse_journal(&t.lines().join("\n"));
+        assert!(warnings.is_empty());
         assert_eq!(entries.len(), 3);
         assert!(matches!(
             &entries[0].event,

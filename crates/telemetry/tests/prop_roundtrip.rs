@@ -362,8 +362,8 @@ proptest! {
             .map(|(t_us, event)| JournalEntry { t_us, event })
             .collect();
         let rendered: Vec<String> = entries.iter().map(JournalEntry::render).collect();
-        let (parsed, errors) = parse_journal(&rendered.join("\n"));
-        prop_assert!(errors.is_empty(), "parse errors: {errors:?}");
+        let (parsed, warnings) = parse_journal(&rendered.join("\n"));
+        prop_assert!(warnings.is_empty(), "parse warnings: {warnings:?}");
         prop_assert_eq!(parsed.len(), entries.len());
         for (back, line) in parsed.iter().zip(&rendered) {
             prop_assert_eq!(&back.render(), line);

@@ -9,7 +9,7 @@
 
 use racesim::core::CampaignSpec;
 use racesim::race::replay::{compare, RecordedCampaign, Verdict};
-use racesim::telemetry::{parse_journal, read_journal_lossy, Event, Telemetry};
+use racesim::telemetry::{parse_journal, read_journal, Event, Telemetry};
 use std::path::PathBuf;
 
 fn fixture() -> PathBuf {
@@ -18,7 +18,7 @@ fn fixture() -> PathBuf {
 
 /// Replays the committed campaign and returns (recorded, replayed).
 fn replay_golden() -> (RecordedCampaign, RecordedCampaign) {
-    let (entries, warnings) = read_journal_lossy(&fixture()).expect("fixture readable");
+    let (entries, warnings) = read_journal(&fixture()).expect("fixture readable");
     assert!(warnings.is_empty(), "golden journal is clean: {warnings:?}");
     let recorded = RecordedCampaign::digest(&entries).expect("digestible");
     assert_eq!(recorded.segments, 2, "fixture spans a checkpoint resume");
@@ -29,8 +29,8 @@ fn replay_golden() -> (RecordedCampaign, RecordedCampaign) {
     spec.run(&t).expect("replay runs");
     t.flush();
     let text = t.lines().join("\n");
-    let (fresh, errors) = parse_journal(&text);
-    assert!(errors.is_empty(), "replay journal parses: {errors:?}");
+    let (fresh, warnings) = parse_journal(&text);
+    assert!(warnings.is_empty(), "replay journal parses: {warnings:?}");
     let replayed = RecordedCampaign::digest(&fresh).expect("digestible");
     (recorded, replayed)
 }
@@ -73,7 +73,7 @@ fn golden_campaign_replays_bit_for_bit() {
 
 #[test]
 fn golden_campaign_detects_a_one_ulp_perturbation() {
-    let (entries, _) = read_journal_lossy(&fixture()).expect("fixture readable");
+    let (entries, _) = read_journal(&fixture()).expect("fixture readable");
     let recorded = RecordedCampaign::digest(&entries).expect("digestible");
 
     // Nudge one recorded iteration cost by one ulp — the smallest
@@ -98,13 +98,13 @@ fn golden_campaign_detects_a_one_ulp_perturbation() {
 
 #[test]
 fn golden_journal_survives_a_torn_tail() {
-    // Chop the final line mid-JSON, as a crashed writer would: the lossy
+    // Chop the final line mid-JSON, as a crashed writer would: the
     // reader must keep every whole line and classify the tear.
     let text = std::fs::read_to_string(fixture()).expect("fixture readable");
     let cut = text.trim_end().len() - 7;
-    let (entries, warnings) = racesim::telemetry::parse_journal_lossy(&text[..cut]);
+    let (entries, warnings) = parse_journal(&text[..cut]);
     assert_eq!(warnings.len(), 1, "{warnings:?}");
     assert!(warnings[0].torn_tail, "classified as torn: {warnings:?}");
-    let (full, _) = racesim::telemetry::parse_journal_lossy(&text);
+    let (full, _) = parse_journal(&text);
     assert_eq!(entries.len(), full.len() - 1, "only the torn line is lost");
 }
