@@ -17,9 +17,10 @@
 //! racesim lint     [--json] [--suite] [--revision fixed|initial] [--deny-warnings]
 //! ```
 
+use racesim_core::validator::lint_platform;
 use racesim_core::{
-    analysis, board_for, diff, latency, report, unobserved_dimensions, CampaignSpec, Revision,
-    Validator, ValidatorSettings,
+    analysis, board_for, core_kind, diff, latency, report, unobserved_dimensions, CampaignSpec,
+    Revision, Validator, ValidatorSettings,
 };
 use racesim_hw::{FaultPlan, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{microbench_suite, probes, spec_suite, Scale, Workload};
@@ -27,13 +28,12 @@ use racesim_race::replay::{compare, RecordedCampaign, Verdict};
 use racesim_race::{RaceSettings, TunerSettings};
 use racesim_sim::{config_text, Platform, Simulator};
 use racesim_telemetry::json::Value;
-use racesim_telemetry::{parse_journal, read_journal, Event, JournalEntry, Telemetry};
+use racesim_telemetry::{parse_journal, read_journal, Telemetry};
 use racesim_uarch::CoreKind;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "\
 racesim — hardware-validated simulation toolkit
@@ -96,8 +96,6 @@ TUNE OPTIONS:
                                   order and the journal digest are bit-identical to --workers 0
     --worker-cmd <CMD>            command (split on whitespace) to spawn one worker
                                   (default: this binary with the `worker` subcommand)
-    --worker-timeout <MS>         coordinator-side deadline per dispatched evaluation; a worker
-                                  that blows it is killed and its task re-dispatched (default 120000)
 
 WORKER OPTIONS:
     --exit-after <N>              die (close the stream, no reply) on the Nth evaluation request —
@@ -144,7 +142,7 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ("config", "platform", ""),
     ("validate", "core scale budget threads out", ""),
     ("tune", "core scale budget seed threads workers max-iterations timeout faults fault-seed \
-              telemetry checkpoint resume worker-cmd worker-timeout out", ""),
+              telemetry checkpoint resume worker-cmd out", ""),
     ("worker", "exit-after only-worker", ""),
     ("report", "", "json"),
     ("replay", "", "json"),
@@ -213,6 +211,17 @@ fn platform_of(flags: &HashMap<String, String>) -> Result<Platform, String> {
     }
 }
 
+/// `--platform` for a command that simulates on it. A file the model
+/// cannot be built from (an Error-severity platform lint, such as RA104's
+/// zero-way cache) is refused with the lint's message instead of
+/// panicking in the simulator's constructors.
+fn simulated_platform_of(flags: &HashMap<String, String>) -> Result<Platform, String> {
+    let platform = platform_of(flags)?;
+    let path = flags.get("platform").map_or("a53", String::as_str);
+    lint_platform(&platform).map_err(|e| format!("{path}: {e}"))?;
+    Ok(platform)
+}
+
 fn all_workloads(scale: Scale) -> Vec<Workload> {
     let mut v = microbench_suite(scale);
     v.extend(spec_suite(scale));
@@ -251,7 +260,7 @@ fn cmd_list(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
-    let platform = platform_of(flags)?;
+    let platform = simulated_platform_of(flags)?;
     let w = find_workload(flags, scale)?;
     let trace = w.compact_trace().map_err(|e| e.to_string())?;
     let stats = Simulator::new(platform.clone())
@@ -378,11 +387,7 @@ fn cores() -> [(&'static str, CoreKind, Platform); 2] {
 }
 
 fn core_of(flags: &HashMap<String, String>) -> Result<CoreKind, String> {
-    match flags.get("core").map(String::as_str) {
-        Some("a53") | None => Ok(CoreKind::InOrder),
-        Some("a72") => Ok(CoreKind::OutOfOrder),
-        Some(v) => Err(format!("unknown core {v:?} (use a53 or a72)")),
-    }
+    core_kind(flags.get("core").map_or("a53", String::as_str))
 }
 
 /// `--key` parsed as a `T`; `None` when the flag is absent.
@@ -553,8 +558,6 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
         let mut pool_opts = racesim_dist::PoolOptions::new(spec.workers, init);
         // The workers build their stacks from this process's probes.
         pool_opts.estimates = Some(stack.estimates);
-        pool_opts.request_timeout =
-            Duration::from_millis(parse_u64(flags, "worker-timeout", 120_000)?);
         pool_opts.workloads = (0..n_instances)
             .map(|i| stack.cost.name(i).to_string())
             .collect();
@@ -609,529 +612,345 @@ fn cmd_tune(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Everything `racesim report` shows, digested from one journal. A
-/// journal may span several process segments (checkpoint → kill →
-/// resume): campaign totals come from the **last** `campaign_end`
-/// (those are cumulative across resumes), counters are summed across
-/// segments (each process restarts them at zero), and gauges /
-/// histograms keep the final segment's values.
-#[derive(Debug, Default)]
-struct CampaignSummary {
-    segments: usize,
-    resumes: usize,
-    /// core, scale divisor, fault profile, fault seed — from the first
-    /// `campaign_config` (journals predating replay support have none).
-    config: Option<(String, u64, String, u64)>,
-    /// Dimensions pinned before sampling, as (param, value code).
-    frozen: Vec<(String, String)>,
-    /// seed, budget, instances, params — from the first `campaign_start`.
-    start: Option<(u64, usize, usize, usize)>,
-    /// best_cost, evals, retries, failed, aborted — last `campaign_end`.
-    end: Option<(f64, usize, usize, usize, bool)>,
-    /// Wall time summed over every segment.
-    wall_us: u64,
-    /// iteration → configs entering the race (last occurrence wins: a
-    /// killed partial iteration is redone by the resumed segment).
-    iter_configs: BTreeMap<usize, usize>,
-    /// iteration → (survivors, best cost, evals, blocks, micros).
-    iterations: BTreeMap<usize, (usize, f64, usize, usize, u64)>,
-    /// workload → (count, cost sum, wall-time sum).
-    evals: BTreeMap<String, (u64, f64, u64)>,
-    meas_ok: u64,
-    meas_failed: u64,
-    faults: BTreeMap<String, u64>,
-    /// (kind, after_blocks, config) in journal order.
-    eliminations: Vec<(String, usize, String)>,
-    quarantines: Vec<(String, String)>,
-    /// Worker processes spawned (including respawns after failures).
-    worker_spawns: u64,
-    /// The slowest spawn's launch-to-`ready` time, in milliseconds.
-    worker_init_ms_max: u64,
-    worker_failures: Vec<(usize, String)>,
-    /// worker slot → failure count at quarantine time.
-    worker_quarantines: Vec<(usize, u64)>,
-    checkpoints: u64,
-    /// event name → number of journal entries of that kind.
-    events: BTreeMap<String, u64>,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    /// name → (count, sum, p50, p90, p99, max).
-    histograms: BTreeMap<String, (u64, u64, u64, u64, u64, u64)>,
-}
-
-impl CampaignSummary {
-    fn digest(entries: &[JournalEntry]) -> CampaignSummary {
-        let mut s = CampaignSummary::default();
-        for e in entries {
-            *s.events.entry(e.event.name().to_string()).or_default() += 1;
-            match &e.event {
-                Event::CampaignStart {
-                    seed,
-                    budget,
-                    n_instances,
-                    n_params,
-                } => {
-                    s.segments += 1;
-                    if s.start.is_none() {
-                        s.start = Some((*seed, *budget, *n_instances, *n_params));
-                    }
-                }
-                Event::CampaignConfig {
-                    core,
-                    scale,
-                    faults,
-                    fault_seed,
-                    ..
-                } => {
-                    if s.config.is_none() {
-                        s.config = Some((core.clone(), *scale, faults.clone(), *fault_seed));
-                    }
-                }
-                Event::Frozen { param, code } => {
-                    if !s.frozen.iter().any(|(p, _)| p == param) {
-                        s.frozen.push((param.clone(), code.clone()));
-                    }
-                }
-                Event::Resume { .. } => s.resumes += 1,
-                Event::IterationStart { iteration, configs } => {
-                    s.iter_configs.insert(*iteration, *configs);
-                }
-                Event::IterationEnd {
-                    iteration,
-                    survivors,
-                    best_cost,
-                    evals,
-                    blocks,
-                    micros,
-                } => {
-                    s.iterations.insert(
-                        *iteration,
-                        (*survivors, *best_cost, *evals, *blocks, *micros),
-                    );
-                }
-                Event::Evaluation {
-                    workload,
-                    micros,
-                    cost,
-                } => {
-                    let slot = s.evals.entry(workload.clone()).or_default();
-                    slot.0 += 1;
-                    slot.1 += cost;
-                    slot.2 += micros;
-                }
-                Event::Measurement { ok, .. } => {
-                    if *ok {
-                        s.meas_ok += 1;
-                    } else {
-                        s.meas_failed += 1;
-                    }
-                }
-                Event::Fault { kind, .. } => *s.faults.entry(kind.clone()).or_default() += 1,
-                Event::Elimination {
-                    config,
-                    kind,
-                    after_blocks,
-                    ..
-                } => s
-                    .eliminations
-                    .push((kind.clone(), *after_blocks, config.clone())),
-                Event::Quarantine { instance, reason } => {
-                    s.quarantines.push((instance.clone(), reason.clone()));
-                }
-                Event::WorkerSpawned { init_ms, .. } => {
-                    s.worker_spawns += 1;
-                    s.worker_init_ms_max = s.worker_init_ms_max.max(*init_ms);
-                }
-                Event::WorkerFailed { worker, reason } => {
-                    s.worker_failures.push((*worker, reason.clone()));
-                }
-                Event::WorkerQuarantined { worker, failures } => {
-                    s.worker_quarantines.push((*worker, *failures));
-                }
-                Event::Checkpoint { .. } => s.checkpoints += 1,
-                Event::CampaignEnd {
-                    best_cost,
-                    evals,
-                    retries,
-                    failed_configs,
-                    aborted,
-                    micros,
-                } => {
-                    s.end = Some((*best_cost, *evals, *retries, *failed_configs, *aborted));
-                    s.wall_us += micros;
-                }
-                Event::CounterFinal { name, value } => {
-                    *s.counters.entry(name.clone()).or_default() += value;
-                }
-                Event::GaugeFinal { name, value } => {
-                    s.gauges.insert(name.clone(), *value);
-                }
-                Event::HistogramFinal {
-                    name,
-                    count,
-                    sum,
-                    p50,
-                    p90,
-                    p99,
-                    max,
-                } => {
-                    s.histograms
-                        .insert(name.clone(), (*count, *sum, *p50, *p90, *p99, *max));
-                }
-            }
-        }
-        s
-    }
-
-    fn eliminations_by_kind(&self) -> BTreeMap<&str, u64> {
-        let mut m: BTreeMap<&str, u64> = BTreeMap::new();
-        for (kind, _, _) in &self.eliminations {
-            *m.entry(kind).or_default() += 1;
-        }
-        m
-    }
-
-    fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let kv = |k: &str, v: String| vec![k.to_string(), v];
-        let mut rows = Vec::new();
-        if let Some((core, scale, faults, fault_seed)) = &self.config {
-            rows.push(kv("core", core.clone()));
-            rows.push(kv("scale", format!("1/{scale}")));
-            rows.push(kv("faults", format!("{faults} (seed {fault_seed})")));
-            rows.push(kv("frozen dims", self.frozen.len().to_string()));
-        }
-        if let Some((seed, budget, instances, params)) = self.start {
-            rows.push(kv("seed", format!("{seed:#x}")));
-            rows.push(kv("budget", budget.to_string()));
-            rows.push(kv("instances", instances.to_string()));
-            rows.push(kv("parameters", params.to_string()));
-        }
-        rows.push(kv("segments", self.segments.to_string()));
-        rows.push(kv("resumes", self.resumes.to_string()));
-        rows.push(kv("iterations", self.iterations.len().to_string()));
-        rows.push(kv("checkpoints", self.checkpoints.to_string()));
-        if let Some((best, evals, retries, failed, aborted)) = self.end {
-            rows.push(kv("best cost", format!("{best:.4}")));
-            rows.push(kv("evaluations", evals.to_string()));
-            rows.push(kv("retries", retries.to_string()));
-            rows.push(kv("failed configs", failed.to_string()));
-            rows.push(kv("aborted", aborted.to_string()));
-        }
-        rows.push(kv("quarantined", self.quarantines.len().to_string()));
-        let hits = self.counters.get("cache.hits").copied().unwrap_or(0);
-        let misses = self.counters.get("cache.misses").copied().unwrap_or(0);
-        if hits + misses > 0 {
-            rows.push(kv(
-                "cache hit rate",
-                format!(
-                    "{:.1}% ({hits} of {} lookups)",
-                    100.0 * hits as f64 / (hits + misses) as f64,
-                    hits + misses
-                ),
-            ));
-        }
+/// `racesim report`'s text rendering of a digested journal.
+fn report_text(c: &RecordedCampaign) -> String {
+    use std::fmt::Write as _;
+    let t = &c.tallies;
+    let mut out = String::new();
+    let kv = |k: &str, v: String| vec![k.to_string(), v];
+    let mut rows = Vec::new();
+    if let Some(config) = &c.config {
+        rows.push(kv("core", config.core.clone()));
+        rows.push(kv("scale", format!("1/{}", config.scale)));
         rows.push(kv(
-            "wall time",
-            format!("{:.1} ms", self.wall_us as f64 / 1000.0),
+            "faults",
+            format!("{} (seed {})", config.faults, config.fault_seed),
         ));
+        rows.push(kv("frozen dims", c.frozen.len().to_string()));
+    }
+    if let Some(start) = c.start {
+        rows.push(kv("seed", format!("{:#x}", start.seed)));
+        rows.push(kv("budget", start.budget.to_string()));
+        rows.push(kv("instances", start.n_instances.to_string()));
+        rows.push(kv("parameters", start.n_params.to_string()));
+    }
+    rows.push(kv("segments", c.segments.to_string()));
+    rows.push(kv("resumes", c.resumes.to_string()));
+    rows.push(kv("iterations", c.iterations.len().to_string()));
+    rows.push(kv("checkpoints", t.checkpoints.to_string()));
+    if let Some(end) = &c.end {
+        let best = f64::from_bits(end.best_cost_bits);
+        rows.push(kv("best cost", format!("{best:.4}")));
+        rows.push(kv("evaluations", end.evals.to_string()));
+        rows.push(kv("retries", end.retries.to_string()));
+        rows.push(kv("failed configs", end.failed_configs.to_string()));
+        rows.push(kv("aborted", end.aborted.to_string()));
+    }
+    rows.push(kv("quarantined", c.quarantines.len().to_string()));
+    let hits = t.counters.get("cache.hits").copied().unwrap_or(0);
+    let misses = t.counters.get("cache.misses").copied().unwrap_or(0);
+    if hits + misses > 0 {
+        rows.push(kv(
+            "cache hit rate",
+            format!(
+                "{:.1}% ({hits} of {} lookups)",
+                100.0 * hits as f64 / (hits + misses) as f64,
+                hits + misses
+            ),
+        ));
+    }
+    rows.push(kv(
+        "wall time",
+        format!("{:.1} ms", t.wall_us as f64 / 1000.0),
+    ));
+    let _ = write!(
+        out,
+        "campaign\n{}",
+        report::table(&["field", "value"], &rows)
+    );
+
+    if !c.iterations.is_empty() {
+        let rows: Vec<Vec<String>> = c
+            .iterations
+            .iter()
+            .map(|(iter, it)| {
+                vec![
+                    iter.to_string(),
+                    it.configs.to_string(),
+                    it.survivors.to_string(),
+                    it.blocks.to_string(),
+                    it.evals.to_string(),
+                    format!("{:.4}", f64::from_bits(it.best_cost_bits)),
+                    format!("{:.1}", it.micros as f64 / 1000.0),
+                ]
+            })
+            .collect();
         let _ = write!(
             out,
-            "campaign\n{}",
-            report::table(&["field", "value"], &rows)
+            "\niterations\n{}",
+            report::table(
+                &[
+                    "iter",
+                    "configs",
+                    "survivors",
+                    "blocks",
+                    "evals",
+                    "best cost",
+                    "ms"
+                ],
+                &rows
+            )
         );
+    }
 
-        if !self.iterations.is_empty() {
-            let rows: Vec<Vec<String>> = self
-                .iterations
-                .iter()
-                .map(|(iter, (survivors, best, evals, blocks, micros))| {
-                    vec![
-                        iter.to_string(),
-                        self.iter_configs
-                            .get(iter)
-                            .map_or("?".to_string(), |c| c.to_string()),
-                        survivors.to_string(),
-                        blocks.to_string(),
-                        evals.to_string(),
-                        format!("{best:.4}"),
-                        format!("{:.1}", *micros as f64 / 1000.0),
-                    ]
-                })
-                .collect();
-            let _ = write!(
-                out,
-                "\niterations\n{}",
-                report::table(
-                    &[
-                        "iter",
-                        "configs",
-                        "survivors",
-                        "blocks",
-                        "evals",
-                        "best cost",
-                        "ms"
-                    ],
-                    &rows
-                )
-            );
-        }
+    let time_rows: Vec<(String, f64)> = t
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.ends_with("_us"))
+        .map(|(name, [_, sum, ..])| (name.clone(), *sum as f64 / 1000.0))
+        .collect();
+    if !time_rows.is_empty() {
+        let _ = write!(
+            out,
+            "\ntime spent (summed, ms)\n{}",
+            report::bar_chart(&time_rows, 40, " ms")
+        );
+    }
 
-        let time_rows: Vec<(String, f64)> = self
-            .histograms
+    if !t.evaluations.is_empty() {
+        let cost_rows: Vec<(String, f64)> = t
+            .evaluations
             .iter()
-            .filter(|(name, _)| name.ends_with("_us"))
-            .map(|(name, (_, sum, ..))| (name.clone(), *sum as f64 / 1000.0))
+            .map(|(w, (count, cost_sum, _))| {
+                (format!("{w} (x{count})"), cost_sum / (*count).max(1) as f64)
+            })
             .collect();
-        if !time_rows.is_empty() {
-            let _ = write!(
-                out,
-                "\ntime spent (summed, ms)\n{}",
-                report::bar_chart(&time_rows, 40, " ms")
-            );
-        }
-
-        if !self.evals.is_empty() {
-            let cost_rows: Vec<(String, f64)> = self
-                .evals
-                .iter()
-                .map(|(w, (count, cost_sum, _))| {
-                    (format!("{w} (x{count})"), cost_sum / (*count).max(1) as f64)
-                })
-                .collect();
-            let _ = write!(
-                out,
-                "\nmean evaluation cost per workload\n{}",
-                report::bar_chart(&cost_rows, 40, "")
-            );
-        }
-
-        if !self.faults.is_empty() || self.meas_failed > 0 {
-            let rows: Vec<Vec<String>> = self
-                .faults
-                .iter()
-                .map(|(kind, n)| vec![kind.clone(), n.to_string()])
-                .collect();
-            let _ = write!(
-                out,
-                "\nfaults\n{}",
-                report::table(&["kind", "count"], &rows)
-            );
-            let _ = writeln!(
-                out,
-                "measurements: {} ok, {} failed",
-                self.meas_ok, self.meas_failed
-            );
-        }
-
-        if !self.eliminations.is_empty() {
-            const SHOWN: usize = 15;
-            let rows: Vec<Vec<String>> = self
-                .eliminations
-                .iter()
-                .take(SHOWN)
-                .map(|(kind, blocks, config)| {
-                    vec![kind.clone(), blocks.to_string(), config.clone()]
-                })
-                .collect();
-            let _ = write!(
-                out,
-                "\neliminations (journal order)\n{}",
-                report::table(&["kind", "after blocks", "configuration"], &rows)
-            );
-            if self.eliminations.len() > SHOWN {
-                let _ = writeln!(out, "(+{} more)", self.eliminations.len() - SHOWN);
-            }
-        }
-
-        for (instance, reason) in &self.quarantines {
-            let _ = writeln!(out, "quarantined {instance}: {reason}");
-        }
-
-        if self.worker_spawns > 0 {
-            let _ = writeln!(
-                out,
-                "\nworkers: {} spawned (slowest init {} ms), {} failures, {} quarantined",
-                self.worker_spawns,
-                self.worker_init_ms_max,
-                self.worker_failures.len(),
-                self.worker_quarantines.len()
-            );
-            for (worker, reason) in &self.worker_failures {
-                let _ = writeln!(out, "worker {worker} failed: {reason}");
-            }
-            for (worker, failures) in &self.worker_quarantines {
-                let _ = writeln!(out, "worker {worker} quarantined after {failures} failures");
-            }
-        }
-
-        if !self.events.is_empty() {
-            let rows: Vec<Vec<String>> = self
-                .events
-                .iter()
-                .map(|(name, v)| vec![name.clone(), v.to_string()])
-                .collect();
-            let _ = write!(
-                out,
-                "\njournal events\n{}",
-                report::table(&["event", "count"], &rows)
-            );
-        }
-
-        if !self.counters.is_empty() {
-            let rows: Vec<Vec<String>> = self
-                .counters
-                .iter()
-                .map(|(name, v)| vec![name.clone(), v.to_string()])
-                .collect();
-            let _ = write!(
-                out,
-                "\ncounters (summed over segments)\n{}",
-                report::table(&["name", "value"], &rows)
-            );
-        }
-        if !self.histograms.is_empty() {
-            let rows: Vec<Vec<String>> = self
-                .histograms
-                .iter()
-                .map(|(name, (count, sum, p50, p90, p99, max))| {
-                    vec![
-                        name.clone(),
-                        count.to_string(),
-                        p50.to_string(),
-                        p90.to_string(),
-                        p99.to_string(),
-                        max.to_string(),
-                        sum.to_string(),
-                    ]
-                })
-                .collect();
-            let _ = write!(
-                out,
-                "\nhistograms (final segment)\n{}",
-                report::table(&["name", "count", "p50", "p90", "p99", "max", "sum"], &rows)
-            );
-        }
-        out
+        let _ = write!(
+            out,
+            "\nmean evaluation cost per workload\n{}",
+            report::bar_chart(&cost_rows, 40, "")
+        );
     }
 
-    fn render_json(&self) -> String {
-        fn map_u64(m: &BTreeMap<String, u64>) -> Value {
-            Value::obj(m.iter().map(|(k, v)| (k.as_str(), (*v).into())))
+    if !t.faults.is_empty() || t.measurements_failed > 0 {
+        let rows: Vec<Vec<String>> = t
+            .faults
+            .iter()
+            .map(|(kind, n)| vec![kind.clone(), n.to_string()])
+            .collect();
+        let _ = write!(
+            out,
+            "\nfaults\n{}",
+            report::table(&["kind", "count"], &rows)
+        );
+        let _ = writeln!(
+            out,
+            "measurements: {} ok, {} failed",
+            t.measurements_ok, t.measurements_failed
+        );
+    }
+
+    let eliminations: Vec<_> = c.eliminations().collect();
+    if !eliminations.is_empty() {
+        const SHOWN: usize = 15;
+        let rows: Vec<Vec<String>> = eliminations
+            .iter()
+            .take(SHOWN)
+            .map(|e| vec![e.kind.clone(), e.after_blocks.to_string(), e.config.clone()])
+            .collect();
+        let _ = write!(
+            out,
+            "\neliminations (journal order)\n{}",
+            report::table(&["kind", "after blocks", "configuration"], &rows)
+        );
+        if eliminations.len() > SHOWN {
+            let _ = writeln!(out, "(+{} more)", eliminations.len() - SHOWN);
         }
-        let mut fields: Vec<(&str, Value)> = Vec::new();
-        match &self.config {
-            Some((core, scale, faults, fault_seed)) => fields.extend([
-                ("core", core.into()),
-                ("scale", (*scale).into()),
-                ("faults", faults.into()),
-                ("fault_seed", (*fault_seed).into()),
-            ]),
-            None => fields.push(("core", Value::Null)),
+    }
+
+    for (instance, reason) in &c.quarantines {
+        let _ = writeln!(out, "quarantined {instance}: {reason}");
+    }
+
+    if t.worker_spawns > 0 {
+        let _ = writeln!(
+            out,
+            "\nworkers: {} spawned (slowest init {} ms), {} failures, {} quarantined",
+            t.worker_spawns,
+            t.worker_init_ms_max,
+            t.worker_failures.len(),
+            t.worker_quarantines.len()
+        );
+        for (worker, reason) in &t.worker_failures {
+            let _ = writeln!(out, "worker {worker} failed: {reason}");
         }
-        let frozen = self.frozen.iter().map(|(p, c)| (p.as_str(), c.into()));
-        fields.push(("frozen", Value::obj(frozen)));
-        match self.start {
-            Some((seed, budget, instances, params)) => fields.extend([
-                ("seed", seed.into()),
-                ("budget", budget.into()),
-                ("instances", instances.into()),
-                ("params", params.into()),
-            ]),
-            None => fields.push(("seed", Value::Null)),
+        for (worker, failures) in &t.worker_quarantines {
+            let _ = writeln!(out, "worker {worker} quarantined after {failures} failures");
         }
-        fields.extend([
-            ("segments", self.segments.into()),
-            ("resumes", self.resumes.into()),
-            ("iterations", self.iterations.len().into()),
-            ("checkpoints", self.checkpoints.into()),
-        ]);
-        match self.end {
-            Some((best, evals, retries, failed, aborted)) => fields.extend([
-                ("best_cost", best.into()),
-                ("evals", evals.into()),
-                ("retries", retries.into()),
-                ("failed_configs", failed.into()),
-                ("aborted", aborted.into()),
-            ]),
-            None => fields.push(("best_cost", Value::Null)),
-        }
-        let elim = self
-            .eliminations_by_kind()
-            .into_iter()
-            .map(|(k, v)| (k, v.into()));
-        let evals = self.evals.iter().map(|(w, (count, cost_sum, us))| {
-            let stats = Value::obj([
-                ("count", (*count).into()),
-                ("mean_cost", (cost_sum / (*count).max(1) as f64).into()),
-                ("total_us", (*us).into()),
-            ]);
-            (w.as_str(), stats)
-        });
-        let hists = self
+    }
+
+    let name_value = |m: &BTreeMap<String, u64>| -> Vec<Vec<String>> {
+        m.iter()
+            .map(|(name, v)| vec![name.clone(), v.to_string()])
+            .collect()
+    };
+    if !t.events.is_empty() {
+        let _ = write!(
+            out,
+            "\njournal events\n{}",
+            report::table(&["event", "count"], &name_value(&t.events))
+        );
+    }
+    if !t.counters.is_empty() {
+        let _ = write!(
+            out,
+            "\ncounters (summed over segments)\n{}",
+            report::table(&["name", "value"], &name_value(&t.counters))
+        );
+    }
+    if !t.histograms.is_empty() {
+        let rows: Vec<Vec<String>> = t
             .histograms
             .iter()
-            .map(|(name, &(count, sum, p50, p90, p99, max))| {
-                let stats = [
-                    ("count", count),
-                    ("sum", sum),
-                    ("p50", p50),
-                    ("p90", p90),
-                    ("p99", p99),
-                    ("max", max),
-                ];
-                (name.as_str(), Value::obj(stats.map(|(k, v)| (k, v.into()))))
-            });
-        fields.extend([
-            ("wall_us", self.wall_us.into()),
-            ("quarantined", self.quarantines.len().into()),
-            (
-                "workers",
-                Value::obj([
-                    ("spawned", self.worker_spawns.into()),
-                    ("max_init_ms", self.worker_init_ms_max.into()),
-                    ("failed", self.worker_failures.len().into()),
-                    ("quarantined", self.worker_quarantines.len().into()),
-                ]),
-            ),
-            ("eliminations", Value::obj(elim)),
-            ("faults", map_u64(&self.faults)),
-            (
-                "measurements",
-                Value::obj([
-                    ("ok", self.meas_ok.into()),
-                    ("failed", self.meas_failed.into()),
-                ]),
-            ),
-            ("evaluations", Value::obj(evals)),
-            ("events", map_u64(&self.events)),
-            ("counters", map_u64(&self.counters)),
-            ("gauges", map_u64(&self.gauges)),
-            ("histograms", Value::obj(hists)),
-        ]);
-        Value::obj(fields).to_string()
+            .map(|(name, [count, sum, p50, p90, p99, max])| {
+                let mut row = vec![name.clone()];
+                row.extend([count, p50, p90, p99, max, sum].map(u64::to_string));
+                row
+            })
+            .collect();
+        let _ = write!(
+            out,
+            "\nhistograms (final segment)\n{}",
+            report::table(&["name", "count", "p50", "p90", "p99", "max", "sum"], &rows)
+        );
     }
+    out
 }
 
-/// `racesim report`: render the campaign summary of a telemetry journal
-/// written by `tune --telemetry`. Torn lines (a crash mid-write) are
-/// reported as warnings; everything before them still renders.
-fn cmd_report(journal: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    let path = PathBuf::from(journal);
+/// `racesim report --json`: the same digest as one JSON document (stable
+/// schema).
+fn report_json(c: &RecordedCampaign) -> String {
+    fn map_u64(m: &BTreeMap<String, u64>) -> Value {
+        Value::obj(m.iter().map(|(k, v)| (k.as_str(), (*v).into())))
+    }
+    let t = &c.tallies;
+    let mut fields: Vec<(&str, Value)> = Vec::new();
+    match &c.config {
+        Some(config) => fields.extend([
+            ("core", config.core.as_str().into()),
+            ("scale", config.scale.into()),
+            ("faults", config.faults.as_str().into()),
+            ("fault_seed", config.fault_seed.into()),
+        ]),
+        None => fields.push(("core", Value::Null)),
+    }
+    let frozen = c.frozen.iter().map(|(p, code)| (p.as_str(), code.into()));
+    fields.push(("frozen", Value::obj(frozen)));
+    match c.start {
+        Some(start) => fields.extend([
+            ("seed", start.seed.into()),
+            ("budget", start.budget.into()),
+            ("instances", start.n_instances.into()),
+            ("params", start.n_params.into()),
+        ]),
+        None => fields.push(("seed", Value::Null)),
+    }
+    fields.extend([
+        ("segments", c.segments.into()),
+        ("resumes", c.resumes.into()),
+        ("iterations", c.iterations.len().into()),
+        ("checkpoints", t.checkpoints.into()),
+    ]);
+    match &c.end {
+        Some(end) => fields.extend([
+            ("best_cost", f64::from_bits(end.best_cost_bits).into()),
+            ("evals", end.evals.into()),
+            ("retries", end.retries.into()),
+            ("failed_configs", end.failed_configs.into()),
+            ("aborted", end.aborted.into()),
+        ]),
+        None => fields.push(("best_cost", Value::Null)),
+    }
+    let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in c.eliminations() {
+        *by_kind.entry(&e.kind).or_default() += 1;
+    }
+    let elim = by_kind.into_iter().map(|(k, v)| (k, v.into()));
+    let evals = t.evaluations.iter().map(|(w, (count, cost_sum, us))| {
+        let stats = Value::obj([
+            ("count", (*count).into()),
+            ("mean_cost", (cost_sum / (*count).max(1) as f64).into()),
+            ("total_us", (*us).into()),
+        ]);
+        (w.as_str(), stats)
+    });
+    let hists = t
+        .histograms
+        .iter()
+        .map(|(name, &[count, sum, p50, p90, p99, max])| {
+            let stats = [
+                ("count", count),
+                ("sum", sum),
+                ("p50", p50),
+                ("p90", p90),
+                ("p99", p99),
+                ("max", max),
+            ];
+            (name.as_str(), Value::obj(stats.map(|(k, v)| (k, v.into()))))
+        });
+    fields.extend([
+        ("wall_us", t.wall_us.into()),
+        ("quarantined", c.quarantines.len().into()),
+        (
+            "workers",
+            Value::obj([
+                ("spawned", t.worker_spawns.into()),
+                ("max_init_ms", t.worker_init_ms_max.into()),
+                ("failed", t.worker_failures.len().into()),
+                ("quarantined", t.worker_quarantines.len().into()),
+            ]),
+        ),
+        ("eliminations", Value::obj(elim)),
+        ("faults", map_u64(&t.faults)),
+        (
+            "measurements",
+            Value::obj([
+                ("ok", t.measurements_ok.into()),
+                ("failed", t.measurements_failed.into()),
+            ]),
+        ),
+        ("evaluations", Value::obj(evals)),
+        ("events", map_u64(&t.events)),
+        ("counters", map_u64(&t.counters)),
+        ("gauges", map_u64(&t.gauges)),
+        ("histograms", Value::obj(hists)),
+    ]);
+    Value::obj(fields).to_string()
+}
+
+/// Reads and digests the journal `report` and `replay` are given. Torn
+/// lines (a crash mid-write) are reported as warnings; everything before
+/// them still counts.
+fn digest_journal(journal: &str) -> Result<RecordedCampaign, String> {
     let (entries, warnings) =
-        read_journal(&path).map_err(|e| format!("cannot read {journal}: {e}"))?;
+        read_journal(&PathBuf::from(journal)).map_err(|e| format!("cannot read {journal}: {e}"))?;
     for w in &warnings {
         eprintln!("warning: {journal}: {w}");
     }
     if entries.is_empty() {
         return Err(format!("{journal}: no journal entries"));
     }
-    let summary = CampaignSummary::digest(&entries);
+    Ok(RecordedCampaign::digest(&entries))
+}
+
+/// `racesim report`: render the campaign summary of a telemetry journal
+/// written by `tune --telemetry`.
+fn cmd_report(journal: &str, flags: &HashMap<String, String>) -> Result<(), String> {
+    let campaign = digest_journal(journal)?;
     if flags.get("json").is_some() {
-        println!("{}", summary.render_json());
+        println!("{}", report_json(&campaign));
     } else {
-        print!("{}", summary.render_text());
+        print!("{}", report_text(&campaign));
     }
     Ok(())
 }
@@ -1143,17 +962,8 @@ fn cmd_report(journal: &str, flags: &HashMap<String, String>) -> Result<(), Stri
 /// costs as f64 bit patterns). Exit code 1 on divergence, with a report
 /// pinpointing the first mismatch.
 fn cmd_replay(journal: &str, flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    let path = PathBuf::from(journal);
-    let (entries, warnings) =
-        read_journal(&path).map_err(|e| format!("cannot read {journal}: {e}"))?;
-    for w in &warnings {
-        eprintln!("warning: {journal}: {w}");
-    }
-    if entries.is_empty() {
-        return Err(format!("{journal}: no journal entries"));
-    }
-    let recorded = RecordedCampaign::digest(&entries).map_err(|e| format!("{journal}: {e}"))?;
-    let spec = CampaignSpec::from_journal(&entries).map_err(|e| format!("{journal}: {e}"))?;
+    let recorded = digest_journal(journal)?;
+    let spec = CampaignSpec::from_journal(&recorded).map_err(|e| format!("{journal}: {e}"))?;
     eprintln!(
         "replaying the recorded {} campaign: scale 1/{}, budget {}, seed {:#x}, faults {} \
          (seed {}), {} frozen dimension(s) ...",
@@ -1177,7 +987,7 @@ fn cmd_replay(journal: &str, flags: &HashMap<String, String>) -> Result<ExitCode
             w.line, w.error
         ));
     }
-    let replayed = RecordedCampaign::digest(&fresh).map_err(|e| format!("replay journal: {e}"))?;
+    let replayed = RecordedCampaign::digest(&fresh);
 
     let report = compare(&recorded, &replayed);
     if flags.get("json").is_some() {
@@ -1218,6 +1028,7 @@ fn diff_side(
         let platform = config_text::from_text(&text).map_err(|e| {
             format!("{path} is neither a CPI baseline ({not_baseline}) nor a platform config ({e})")
         })?;
+        lint_platform(&platform).map_err(|e| format!("{path}: {e}"))?;
         let board = board_for(kind);
         let settings = ValidatorSettings {
             kind,
@@ -1319,7 +1130,7 @@ impl KernelProfile {
 /// `--folded FILE` for a flamegraph.pl-compatible folded-stack dump.
 fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
     let scale = scale_of(flags)?;
-    let platform = platform_of(flags)?;
+    let platform = simulated_platform_of(flags)?;
     let mut suite = match flags.get("suite").map(String::as_str) {
         None | Some("micro") => microbench_suite(scale),
         Some("spec") => spec_suite(scale),
@@ -1590,6 +1401,7 @@ fn run(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use racesim_telemetry::Event;
 
     #[test]
     fn flag_parsing() {

@@ -1,6 +1,7 @@
 //! End-to-end smoke tests of the `racesim` binary.
 
 use racesim_telemetry::json::{self, Value};
+use std::collections::BTreeMap;
 use std::process::Command;
 
 fn racesim(args: &[&str]) -> std::process::Output {
@@ -366,7 +367,7 @@ fn flags_a_command_never_reads_are_refused() {
     let _ = std::fs::remove_file(&out_cfg);
     let journal_arg = journal.display().to_string();
     let out_arg = out_cfg.display().to_string();
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 10] = [
         (
             &[
                 "validate", "--core", "a53", "--budget", "40", "--budjet", "3",
@@ -386,6 +387,11 @@ fn flags_a_command_never_reads_are_refused() {
         (
             &["report", "x.jsonl", "--suite"],
             "unknown flag --suite for report",
+        ),
+        // The pool's per-request deadline is fixed; no flag sets it.
+        (
+            &["tune", "--worker-timeout", "5000"],
+            "unknown flag --worker-timeout for tune",
         ),
         // Zero is no timeout and no scale divisor: refused, not reread
         // as "no watchdog" or as the unscaled suite.
@@ -454,4 +460,153 @@ fn diff_names_both_readings_of_a_file_that_is_neither() {
             && stderr.contains(") nor a platform config ("),
         "{stderr}"
     );
+}
+
+#[test]
+fn platforms_the_model_cannot_build_are_refused_not_panicked() {
+    let out = racesim(&["config", "--platform", "a53"]);
+    assert!(out.status.success());
+    let a53 = String::from_utf8(out.stdout).expect("UTF-8 config");
+    // Zero ways in the L1D (edited by section: every cache has `assoc`),
+    // and a zero-way BTB.
+    let l1d = a53.find("[l1d]").expect("l1d section");
+    let assoc = l1d + a53[l1d..].find("assoc = 4").expect("l1d assoc");
+    let broken = [
+        (
+            "l1d",
+            format!("{}assoc = 0{}", &a53[..assoc], &a53[assoc + 9..]),
+        ),
+        ("btb", a53.replace("btb_ways = 2", "btb_ways = 0")),
+    ];
+    for (name, text) in broken {
+        assert_ne!(text, a53, "{name}: the edit applied");
+        let path = std::env::temp_dir().join(format!(
+            "racesim_unbuildable_{name}_{}.cfg",
+            std::process::id()
+        ));
+        std::fs::write(&path, &text).expect("write config");
+        let f = path.display().to_string();
+        for args in [
+            &["simulate", "--platform", &f, "--workload", "ED1"][..],
+            &["profile", "--platform", &f, "--workload", "ED1"],
+            &["diff", "--scale", "65536", "--b", &f],
+        ] {
+            let out = racesim(args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("error: {f}: model failed static linting"))
+                    && stderr.contains("[RA104]")
+                    && !stderr.contains("panicked"),
+                "{args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?}");
+        }
+        // `lint` reports the file and `config` echoes it, as before.
+        let out = racesim(&["lint", "--platform", &f]);
+        assert_eq!(out.status.code(), Some(1), "lint {name}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("RA104"));
+        let out = racesim(&["config", "--platform", &f]);
+        assert!(out.status.success(), "config {name}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+fn golden(suffix: &str) -> String {
+    format!(
+        "{}/../../tests/fixtures/golden_campaign{suffix}",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+#[test]
+fn report_of_the_golden_journal_is_pinned() {
+    let journal = golden(".jsonl");
+    for (args, expected) in [
+        (vec!["report", &journal], golden(".report.txt")),
+        (vec!["report", "--json", &journal], golden(".report.json")),
+    ] {
+        let out = racesim(&args);
+        assert!(out.status.success(), "{args:?}");
+        let expected = std::fs::read_to_string(&expected).expect("expected output");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{args:?}");
+    }
+}
+
+#[test]
+fn report_and_replay_discard_a_killed_iteration_alike() {
+    let text = std::fs::read_to_string(golden(".jsonl")).expect("fixture");
+    let lines: Vec<&str> = text.lines().collect();
+    let find =
+        |pat: &str, from: usize| from + lines[from..].iter().position(|l| l.contains(pat)).unwrap();
+    // Kill the first segment's process inside iteration 1, after its
+    // checkpoint of iteration 0: what the resumed segment then redid.
+    let checkpoint = find("\"ev\":\"checkpoint\"", 0);
+    let resumed = find("\"ev\":\"campaign_config\"", 1);
+    let iter1 = find("\"ev\":\"iteration_start\",\"iteration\":1,", resumed);
+    let partial = &lines[iter1..iter1 + 25];
+    assert!(partial.iter().all(|l| !l.contains("iteration_end")));
+    let killed: Vec<&str> = [&lines[..=checkpoint], partial, &lines[resumed..]].concat();
+    let no_start: Vec<&str> = lines
+        .iter()
+        .copied()
+        .filter(|l| !l.contains("\"ev\":\"campaign_start\""))
+        .collect();
+    let tmp = |name: &str, lines: &[&str]| {
+        let p = std::env::temp_dir().join(format!("racesim_{name}_{}.jsonl", std::process::id()));
+        std::fs::write(&p, lines.join("\n") + "\n").expect("write journal");
+        p.display().to_string()
+    };
+    let (killed, no_start) = (tmp("killed", &killed), tmp("no_start", &no_start));
+
+    let report = json_output(&["report", "--json", &killed]);
+    let replay = json_output(&["replay", "--json", &killed]);
+    let full = json_output(&["report", "--json", &golden(".jsonl")]);
+    assert_eq!(replay.get("verdict"), Some(&Value::from("match")));
+    assert_eq!(report.get("iterations"), replay.get("iterations_recorded"));
+    assert_eq!(report.get("iterations"), full.get("iterations"));
+    let notes = replay.get("notes").expect("notes").to_string();
+    assert!(
+        notes.contains("iteration 1 has no iteration_end"),
+        "{notes}"
+    );
+    // The discarded iteration's evaluations still count per workload.
+    let count = |doc: &Value, w: &str| {
+        let e = doc.get("evaluations").and_then(|e| e.get(w));
+        e.and_then(|e| e.get("count"))
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0)
+    };
+    let mut discarded: BTreeMap<String, f64> = BTreeMap::new();
+    for l in partial
+        .iter()
+        .filter(|l| l.contains("\"ev\":\"evaluation\""))
+    {
+        let entry = json::parse(l).expect("journal entry");
+        let Some(Value::Str(w)) = entry.get("workload") else {
+            panic!("{l}")
+        };
+        *discarded.entry(w.clone()).or_default() += 1.0;
+    }
+    assert!(
+        !discarded.is_empty(),
+        "the killed iteration had evaluations"
+    );
+    for (w, n) in &discarded {
+        assert_eq!(count(&report, w), count(&full, w) + n, "{w}");
+    }
+
+    // No campaign_start: `report` still renders, `replay` refuses.
+    let report = json_output(&["report", "--json", &no_start]);
+    assert_eq!(report.get("seed"), Some(&Value::Null));
+    assert_eq!(report.get("segments").and_then(Value::as_f64), Some(0.0));
+    let out = racesim(&["replay", &no_start]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        format!("error: {no_start}: journal contains no campaign_start event")
+    );
+    for f in [killed, no_start] {
+        let _ = std::fs::remove_file(f);
+    }
 }

@@ -21,11 +21,12 @@ use crate::validator::{CostMetric, Validator, ValidatorSettings};
 use racesim_analyzer::coverage::CoverageMatrix;
 use racesim_hw::{FaultPlan, FaultyBoard, HardwarePlatform, ReferenceBoard};
 use racesim_kernels::{Scale, Workload};
+use racesim_race::replay::RecordedCampaign;
 use racesim_race::{
     ParamSpace, RacingTuner, TryCostFn, TuneResult, TunerSettings, Value, Watchdog,
 };
 use racesim_sim::Platform;
-use racesim_telemetry::{Event, JournalEntry, Telemetry};
+use racesim_telemetry::{Event, Telemetry};
 use racesim_uarch::CoreKind;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,6 +36,20 @@ pub fn board_for(kind: CoreKind) -> ReferenceBoard {
     match kind {
         CoreKind::InOrder => ReferenceBoard::firefly_a53(),
         CoreKind::OutOfOrder => ReferenceBoard::firefly_a72(),
+    }
+}
+
+/// The core a `--core` name denotes; [`CampaignSpec::core_name`] is its
+/// inverse.
+///
+/// # Errors
+///
+/// Any name other than `a53` and `a72`.
+pub fn core_kind(name: &str) -> Result<CoreKind, String> {
+    match name {
+        "a53" => Ok(CoreKind::InOrder),
+        "a72" => Ok(CoreKind::OutOfOrder),
+        other => Err(format!("unknown core {other:?} (use a53 or a72)")),
     }
 }
 
@@ -186,7 +201,8 @@ impl Default for CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// The `--core` spelling of the spec's core.
+    /// The `--core` spelling of the spec's core; [`core_kind`] reads it
+    /// back.
     pub fn core_name(&self) -> &'static str {
         match self.kind {
             CoreKind::InOrder => "a53",
@@ -227,81 +243,44 @@ impl CampaignSpec {
             .collect();
     }
 
-    /// Reconstructs the spec from a recorded journal: the first
-    /// `campaign_config` (stack shape), the first `campaign_start` (seed
-    /// and budget) and the `frozen` events.
+    /// Rebuilds the spec from a digested journal: its first
+    /// `campaign_config` (stack shape), first `campaign_start` (seed and
+    /// budget) and `frozen` pairs, merged as the
+    /// [`replay`](racesim_race::replay) module doc says.
     ///
     /// `max_iterations` is deliberately dropped — a staged recording is
     /// verified as a *prefix* of the full campaign the replay runs.
     ///
     /// # Errors
     ///
-    /// Fails when the journal predates `campaign_config` (there is not
-    /// enough information to rebuild the stack) or has no
-    /// `campaign_start`.
-    pub fn from_journal(entries: &[JournalEntry]) -> Result<CampaignSpec, String> {
-        let mut config = None;
-        let mut start = None;
-        let mut frozen: Vec<(String, String)> = Vec::new();
-        for e in entries {
-            match &e.event {
-                Event::CampaignConfig {
-                    core,
-                    scale,
-                    faults,
-                    fault_seed,
-                    timeout_ms,
-                    threads,
-                    workers,
-                    ..
-                } if config.is_none() => {
-                    let kind = match core.as_str() {
-                        "a53" => CoreKind::InOrder,
-                        "a72" => CoreKind::OutOfOrder,
-                        other => return Err(format!("campaign_config has unknown core {other:?}")),
-                    };
-                    config = Some((
-                        kind,
-                        Scale::divide_by(*scale),
-                        faults.clone(),
-                        *fault_seed,
-                        *timeout_ms,
-                        *threads,
-                        *workers,
-                    ));
-                }
-                Event::CampaignStart { seed, budget, .. } if start.is_none() => {
-                    start = Some((*seed, *budget));
-                }
-                Event::Frozen { param, code } if !frozen.iter().any(|(p, _)| p == param) => {
-                    frozen.push((param.clone(), code.clone()));
-                }
-                _ => {}
-            }
-        }
-        let (kind, scale, fault_profile, fault_seed, timeout_ms, threads, workers) = config
-            .ok_or_else(|| {
-                "journal has no campaign_config event (recorded before replay support?); \
-                 re-record it with a current `racesim tune --telemetry`"
-                    .to_string()
-            })?;
-        let (seed, budget) =
-            start.ok_or_else(|| "journal contains no campaign_start event".to_string())?;
+    /// Fails when the journal has no `campaign_start`, or predates
+    /// `campaign_config` (there is not enough information to rebuild the
+    /// stack), or names an unknown core or fault profile.
+    pub fn from_journal(journal: &RecordedCampaign) -> Result<CampaignSpec, String> {
+        let start = journal
+            .start
+            .ok_or_else(|| "journal contains no campaign_start event".to_string())?;
+        let config = journal.config.as_ref().ok_or_else(|| {
+            "journal has no campaign_config event (recorded before replay support?); \
+             re-record it with a current `racesim tune --telemetry`"
+                .to_string()
+        })?;
+        let kind = core_kind(&config.core).map_err(|e| format!("campaign_config: {e}"))?;
         // Validate the profile here so replay fails early and clearly.
-        FaultPlan::from_profile(&fault_profile, fault_seed)?;
+        FaultPlan::from_profile(&config.faults, config.fault_seed)?;
         Ok(CampaignSpec {
             kind,
-            scale,
-            budget: budget as u64,
-            seed,
-            threads: threads.max(1),
-            workers,
+            scale: Scale::divide_by(config.scale),
+            budget: start.budget as u64,
+            seed: start.seed,
+            threads: config.threads.max(1),
+            workers: config.workers,
             max_iterations: None,
             static_bounds: false,
-            timeout_ms: (timeout_ms != 0).then_some(timeout_ms),
-            fault_profile,
-            fault_seed,
-            frozen,
+            timeout_ms: (config.timeout_ms != 0).then_some(config.timeout_ms),
+            fault_profile: config.faults.clone(),
+            fault_seed: config.fault_seed,
+            frozen: journal.frozen.clone(),
         })
     }
 
@@ -480,6 +459,7 @@ impl CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use racesim_telemetry::JournalEntry;
 
     fn spec() -> CampaignSpec {
         CampaignSpec {
@@ -516,7 +496,8 @@ mod tests {
                 n_params: 4,
             },
         });
-        let back = CampaignSpec::from_journal(&entries).expect("reconstructs");
+        let back =
+            CampaignSpec::from_journal(&RecordedCampaign::digest(&entries)).expect("reconstructs");
         // Staged caps are segment-local: replay runs to completion.
         assert_eq!(back.max_iterations, None);
         assert_eq!(
@@ -525,6 +506,18 @@ mod tests {
                 ..s
             },
             back
+        );
+    }
+
+    #[test]
+    fn core_names_roundtrip_and_unknown_ones_are_refused() {
+        for kind in [CoreKind::InOrder, CoreKind::OutOfOrder] {
+            let s = CampaignSpec { kind, ..spec() };
+            assert_eq!(core_kind(s.core_name()), Ok(kind));
+        }
+        assert_eq!(
+            core_kind("a99").unwrap_err(),
+            "unknown core \"a99\" (use a53 or a72)"
         );
     }
 
@@ -578,7 +571,7 @@ mod tests {
                 n_params: 2,
             },
         }];
-        let err = CampaignSpec::from_journal(&entries).unwrap_err();
+        let err = CampaignSpec::from_journal(&RecordedCampaign::digest(&entries)).unwrap_err();
         assert!(err.contains("campaign_config"), "{err}");
     }
 }

@@ -37,7 +37,9 @@ pub mod pipeline;
 pub mod report;
 pub mod validator;
 
-pub use campaign::{board_for, unobserved_dimensions, CampaignSpec, CampaignStack, FrozenDim};
+pub use campaign::{
+    board_for, core_kind, unobserved_dimensions, CampaignSpec, CampaignStack, FrozenDim,
+};
 pub use diff::{diff_records, CpiDiff, DiffRow, KernelCpi};
 pub use fallible::LazySuiteCost;
 pub use params::Revision;

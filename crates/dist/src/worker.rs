@@ -28,12 +28,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use racesim_core::latency::LatencyEstimates;
-use racesim_core::{CampaignSpec, CampaignStack};
+use racesim_core::{core_kind, CampaignSpec, CampaignStack};
 use racesim_hw::FaultPlan;
 use racesim_kernels::Scale;
 use racesim_race::{eval_with_retry, Configuration, ParamSpace, TryCostFn};
 use racesim_telemetry::Telemetry;
-use racesim_uarch::CoreKind;
 
 use crate::wire::{read_request, write_response, InitSpec, Outcome, Request, Response, WireError};
 
@@ -195,13 +194,8 @@ pub fn campaign_stack(
     init: &InitSpec,
     estimates: Option<LatencyEstimates>,
 ) -> Result<CampaignStack, String> {
-    let kind = match init.core.as_str() {
-        "a53" => CoreKind::InOrder,
-        "a72" => CoreKind::OutOfOrder,
-        other => return Err(format!("unknown core {other:?} (use a53 or a72)")),
-    };
     let spec = CampaignSpec {
-        kind,
+        kind: core_kind(&init.core)?,
         scale: Scale::divide_by(init.scale),
         budget: 0,
         seed: 0,
@@ -504,12 +498,8 @@ mod tests {
         for core in ["a53", "a72"] {
             let init = init_spec(core, 1);
             // What the coordinator builds: it probes the board.
-            let kind = match core {
-                "a53" => CoreKind::InOrder,
-                _ => CoreKind::OutOfOrder,
-            };
             let coordinator = CampaignSpec {
-                kind,
+                kind: core_kind(core).unwrap(),
                 scale: Scale::divide_by(init.scale),
                 ..CampaignSpec::default()
             }

@@ -72,8 +72,8 @@ pub use race::{
     RaceSettings,
 };
 pub use replay::{
-    compare, Divergence, EliminationRecord, EndRecord, IterationRecord, RecordedCampaign,
-    ReplayReport, Verdict,
+    compare, ConfigRecord, Divergence, EliminationRecord, EndRecord, IterationRecord,
+    JournalTallies, RecordedCampaign, ReplayReport, StartRecord, Verdict,
 };
 pub use tuner::{
     CostFn, IterationSummary, RacingTuner, TryCostFn, TuneResult, Tuner, TunerSettings,

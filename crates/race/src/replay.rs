@@ -1,9 +1,41 @@
-//! Deterministic campaign replay: digest a recorded journal into the
-//! deterministic skeleton of the campaign, digest a fresh re-run the
-//! same way, and compare the two **bit for bit**.
+//! The one digest of a telemetry journal, and deterministic campaign
+//! replay on top of it.
 //!
-//! What is compared (all deterministic given seed, space, suite and
-//! fault plan; DESIGN.md §7 names the tests that hold this):
+//! [`RecordedCampaign::digest`] reads a journal once, for every reader:
+//! `racesim report` renders it, `CampaignSpec::from_journal` rebuilds the
+//! campaign's inputs from it, and `racesim replay` digests a fresh re-run
+//! the same way and [`compare`]s the two **bit for bit**.
+//!
+//! # Merge rules
+//!
+//! A journal may hold several process segments (checkpoint → kill →
+//! resume appends to the same file); a segment is one `campaign_start`.
+//! The digest merges them under these rules, stated here and nowhere
+//! else:
+//!
+//! * the **first** `campaign_config` and `campaign_start` win: every
+//!   segment re-records them, so a resume with drifted flags cannot
+//!   rewrite them. The campaign is *staged* when any `campaign_config`
+//!   carries an iteration cap;
+//! * `frozen` pairs are deduplicated by parameter, the first one winning;
+//! * an iteration counts once its `iteration_start` is followed by the
+//!   matching `iteration_end`, keyed by number with the **last**
+//!   occurrence winning (a killed partial iteration is redone by the
+//!   resumed segment). An `iteration_start` without a matching end is
+//!   discarded with a note, together with the eliminations that followed
+//!   it, as the tuner discards that work on resume;
+//! * quarantines are deduplicated by instance, in journal order;
+//! * the **last** `campaign_end` gives the totals (they are cumulative
+//!   across resumes); wall time is summed over every segment;
+//! * the report-only [`JournalTallies`] count every event as it stands,
+//!   discarded iterations included; counters are summed over segments
+//!   (each process restarts them at zero) and gauges and histograms keep
+//!   the last segment's values.
+//!
+//! # What replay compares
+//!
+//! All of it deterministic given seed, space, suite and fault plan
+//! (DESIGN.md §7 names the tests that hold this):
 //!
 //! * campaign setup: seed, budget, instance and parameter counts;
 //! * per iteration: candidate count, survivors, best cost (as f64
@@ -15,24 +47,49 @@
 //!   configurations.
 //!
 //! What is deliberately **not** compared: wall-clock fields (`micros`,
-//! `t`), the interleaving of `evaluation`/`measurement`/`fault` events
-//! (thread-schedule dependent), `checkpoint`/`resume` bookkeeping, and —
-//! for journals spanning multiple resumed segments — the `retries`
-//! total, because a resumed process re-measures instances whose
-//! measurements only lived in its predecessor's memory, repeating their
-//! transient-fault retries.
-//!
-//! A journal may contain several segments (checkpoint → kill → resume
-//! appends). The digest merges them: iterations are keyed by number with
-//! the **last** occurrence winning (a killed partial iteration is redone
-//! by the resumed segment), an `iteration_start` without a matching
-//! `iteration_end` is discarded (the tuner discards that work too), and
-//! quarantines are deduplicated by instance.
+//! `t`), the tallies (the interleaving of `evaluation`/`measurement`/
+//! `fault` events is thread-schedule dependent), `checkpoint`/`resume`
+//! bookkeeping, and — for journals spanning multiple resumed segments —
+//! the `retries` total, because a resumed process re-measures instances
+//! whose measurements only lived in its predecessor's memory, repeating
+//! their transient-fault retries.
 
 use racesim_telemetry::json;
 use racesim_telemetry::{Event, JournalEntry};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The first `campaign_config`: the evaluation stack a replay rebuilds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigRecord {
+    /// `--core` name.
+    pub core: String,
+    /// Dynamic-instruction scale divisor.
+    pub scale: u64,
+    /// Fault-injection profile name.
+    pub faults: String,
+    /// Fault-plan seed.
+    pub fault_seed: u64,
+    /// Per-evaluation watchdog timeout in milliseconds (0 = none).
+    pub timeout_ms: u64,
+    /// Evaluation threads.
+    pub threads: usize,
+    /// Evaluation worker processes (0 = in-process).
+    pub workers: usize,
+}
+
+/// The first `campaign_start`: the campaign setup replay compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StartRecord {
+    /// RNG seed.
+    pub seed: u64,
+    /// Evaluation budget.
+    pub budget: usize,
+    /// Benchmark instances in the suite.
+    pub n_instances: usize,
+    /// Tunable parameters.
+    pub n_params: usize,
+}
 
 /// One elimination, in journal order within its iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +104,7 @@ pub struct EliminationRecord {
     pub reason: String,
 }
 
-/// The deterministic skeleton of one completed iteration.
+/// One completed iteration: its deterministic skeleton and its wall time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationRecord {
     /// Candidate configurations entering the race.
@@ -60,6 +117,8 @@ pub struct IterationRecord {
     pub evals: usize,
     /// Instance blocks raced.
     pub blocks: usize,
+    /// Wall time of the iteration in microseconds (never compared).
+    pub micros: u64,
     /// Eliminations in journal order.
     pub eliminations: Vec<EliminationRecord>,
 }
@@ -79,45 +138,78 @@ pub struct EndRecord {
     pub aborted: bool,
 }
 
-/// A journal digested down to the deterministic skeleton replay
-/// verifies against.
-#[derive(Debug, Clone, PartialEq)]
+/// What `racesim report` shows beyond the campaign skeleton. Never
+/// compared by replay.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct JournalTallies {
+    /// Wall time summed over every segment's `campaign_end`, in µs.
+    pub wall_us: u64,
+    /// workload → (evaluations, cost sum, wall-time sum in µs).
+    pub evaluations: BTreeMap<String, (u64, f64, u64)>,
+    /// Measurements that succeeded.
+    pub measurements_ok: u64,
+    /// Measurements that failed.
+    pub measurements_failed: u64,
+    /// fault kind → injected faults seen.
+    pub faults: BTreeMap<String, u64>,
+    /// Worker processes spawned (including respawns after failures).
+    pub worker_spawns: u64,
+    /// The slowest spawn's launch-to-`ready` time, in milliseconds.
+    pub worker_init_ms_max: u64,
+    /// (worker slot, reason) per worker failure, in journal order.
+    pub worker_failures: Vec<(usize, String)>,
+    /// (worker slot, failures at quarantine time), in journal order.
+    pub worker_quarantines: Vec<(usize, u64)>,
+    /// Checkpoints written.
+    pub checkpoints: u64,
+    /// event name → journal entries of that kind.
+    pub events: BTreeMap<String, u64>,
+    /// Counters, summed over segments.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauges, from the last segment that reported each.
+    pub gauges: BTreeMap<String, u64>,
+    /// name → [count, sum, p50, p90, p99, max], from the last segment
+    /// that reported each.
+    pub histograms: BTreeMap<String, [u64; 6]>,
+}
+
+/// A journal digested under the module's merge rules: the campaign's
+/// inputs, its deterministic skeleton (what replay verifies) and the
+/// report-only tallies.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecordedCampaign {
-    /// RNG seed.
-    pub seed: u64,
-    /// Evaluation budget.
-    pub budget: usize,
-    /// Benchmark instances in the suite.
-    pub n_instances: usize,
-    /// Tunable parameters.
-    pub n_params: usize,
+    /// The first `campaign_config` (journals predating replay support
+    /// have none).
+    pub config: Option<ConfigRecord>,
+    /// Dimensions pinned before sampling, as (parameter, value code).
+    pub frozen: Vec<(String, String)>,
+    /// The first `campaign_start`, if any.
+    pub start: Option<StartRecord>,
     /// Process segments merged into this record.
     pub segments: usize,
+    /// `resume` events: segments that restored a checkpoint.
+    pub resumes: usize,
     /// True when any segment ran under an iteration cap (staged run) —
     /// such a journal may be a prefix of the full campaign.
     pub staged: bool,
     /// Completed iterations, keyed by iteration number.
     pub iterations: BTreeMap<usize, IterationRecord>,
-    /// Quarantined instances (instance → reason), deduplicated.
-    pub quarantines: BTreeMap<String, String>,
+    /// Quarantined instances as (instance, reason), deduplicated.
+    pub quarantines: Vec<(String, String)>,
     /// Totals from the last `campaign_end`, if any.
     pub end: Option<EndRecord>,
+    /// Report-only tallies.
+    pub tallies: JournalTallies,
     /// Digest-time observations (discarded partial iterations, ...).
     pub notes: Vec<String>,
 }
 
 impl RecordedCampaign {
-    /// Digests journal entries into the comparable skeleton, merging
-    /// resumed segments. Fails only when the journal contains no
-    /// `campaign_start` at all.
-    pub fn digest(entries: &[JournalEntry]) -> Result<RecordedCampaign, String> {
-        let mut setup: Option<(u64, usize, usize, usize)> = None;
-        let mut segments = 0usize;
-        let mut staged = false;
-        let mut iterations = BTreeMap::new();
-        let mut quarantines = BTreeMap::new();
-        let mut end = None;
-        let mut notes = Vec::new();
+    /// Digests journal entries in one pass, merging resumed segments
+    /// under the module's merge rules. Any journal digests; readers that
+    /// need a `campaign_start` or `campaign_config` check for it.
+    pub fn digest(entries: &[JournalEntry]) -> RecordedCampaign {
+        let mut c = RecordedCampaign::default();
         // The currently open iteration: (number, configs, eliminations).
         let mut open: Option<(usize, usize, Vec<EliminationRecord>)> = None;
         let discard_open = |open: &mut Option<(usize, usize, Vec<EliminationRecord>)>,
@@ -129,7 +221,9 @@ impl RecordedCampaign {
                 ));
             }
         };
+        let t = &mut c.tallies;
         for e in entries {
+            *t.events.entry(e.event.name().to_string()).or_default() += 1;
             match &e.event {
                 Event::CampaignStart {
                     seed,
@@ -137,17 +231,44 @@ impl RecordedCampaign {
                     n_instances,
                     n_params,
                 } => {
-                    discard_open(&mut open, &mut notes);
-                    segments += 1;
-                    if setup.is_none() {
-                        setup = Some((*seed, *budget, *n_instances, *n_params));
+                    discard_open(&mut open, &mut c.notes);
+                    c.segments += 1;
+                    c.start.get_or_insert(StartRecord {
+                        seed: *seed,
+                        budget: *budget,
+                        n_instances: *n_instances,
+                        n_params: *n_params,
+                    });
+                }
+                Event::CampaignConfig {
+                    core,
+                    scale,
+                    faults,
+                    fault_seed,
+                    timeout_ms,
+                    threads,
+                    workers,
+                    max_iterations,
+                } => {
+                    c.staged |= *max_iterations != 0;
+                    c.config.get_or_insert_with(|| ConfigRecord {
+                        core: core.clone(),
+                        scale: *scale,
+                        faults: faults.clone(),
+                        fault_seed: *fault_seed,
+                        timeout_ms: *timeout_ms,
+                        threads: *threads,
+                        workers: *workers,
+                    });
+                }
+                Event::Frozen { param, code } => {
+                    if !c.frozen.iter().any(|(p, _)| p == param) {
+                        c.frozen.push((param.clone(), code.clone()));
                     }
                 }
-                Event::CampaignConfig { max_iterations, .. } => {
-                    staged |= *max_iterations != 0;
-                }
+                Event::Resume { .. } => c.resumes += 1,
                 Event::IterationStart { iteration, configs } => {
-                    discard_open(&mut open, &mut notes);
+                    discard_open(&mut open, &mut c.notes);
                     open = Some((*iteration, *configs, Vec::new()));
                 }
                 Event::Elimination {
@@ -166,7 +287,10 @@ impl RecordedCampaign {
                     }
                 }
                 Event::Quarantine { instance, reason } => {
-                    quarantines.insert(instance.clone(), reason.clone());
+                    match c.quarantines.iter_mut().find(|(i, _)| i == instance) {
+                        Some((_, r)) => r.clone_from(reason),
+                        None => c.quarantines.push((instance.clone(), reason.clone())),
+                    }
                 }
                 Event::IterationEnd {
                     iteration,
@@ -174,10 +298,10 @@ impl RecordedCampaign {
                     best_cost,
                     evals,
                     blocks,
-                    ..
+                    micros,
                 } => match open.take() {
                     Some((n, configs, eliminations)) if n == *iteration => {
-                        iterations.insert(
+                        c.iterations.insert(
                             *iteration,
                             IterationRecord {
                                 configs,
@@ -185,14 +309,15 @@ impl RecordedCampaign {
                                 best_cost_bits: best_cost.to_bits(),
                                 evals: *evals,
                                 blocks: *blocks,
+                                micros: *micros,
                                 eliminations,
                             },
                         );
                     }
                     other => {
                         open = other;
-                        discard_open(&mut open, &mut notes);
-                        notes.push(format!(
+                        discard_open(&mut open, &mut c.notes);
+                        c.notes.push(format!(
                             "iteration_end {iteration} without a matching start; ignored"
                         ));
                     }
@@ -203,35 +328,69 @@ impl RecordedCampaign {
                     retries,
                     failed_configs,
                     aborted,
-                    ..
+                    micros,
                 } => {
-                    discard_open(&mut open, &mut notes);
-                    end = Some(EndRecord {
+                    discard_open(&mut open, &mut c.notes);
+                    c.end = Some(EndRecord {
                         best_cost_bits: best_cost.to_bits(),
                         evals: *evals,
                         retries: *retries,
                         failed_configs: *failed_configs,
                         aborted: *aborted,
                     });
+                    t.wall_us += micros;
                 }
-                _ => {}
+                Event::Evaluation {
+                    workload,
+                    micros,
+                    cost,
+                } => {
+                    let slot = t.evaluations.entry(workload.clone()).or_default();
+                    slot.0 += 1;
+                    slot.1 += cost;
+                    slot.2 += micros;
+                }
+                Event::Measurement { ok: true, .. } => t.measurements_ok += 1,
+                Event::Measurement { ok: false, .. } => t.measurements_failed += 1,
+                Event::Fault { kind, .. } => *t.faults.entry(kind.clone()).or_default() += 1,
+                Event::WorkerSpawned { init_ms, .. } => {
+                    t.worker_spawns += 1;
+                    t.worker_init_ms_max = t.worker_init_ms_max.max(*init_ms);
+                }
+                Event::WorkerFailed { worker, reason } => {
+                    t.worker_failures.push((*worker, reason.clone()));
+                }
+                Event::WorkerQuarantined { worker, failures } => {
+                    t.worker_quarantines.push((*worker, *failures));
+                }
+                Event::Checkpoint { .. } => t.checkpoints += 1,
+                Event::CounterFinal { name, value } => {
+                    *t.counters.entry(name.clone()).or_default() += value;
+                }
+                Event::GaugeFinal { name, value } => {
+                    t.gauges.insert(name.clone(), *value);
+                }
+                Event::HistogramFinal {
+                    name,
+                    count,
+                    sum,
+                    p50,
+                    p90,
+                    p99,
+                    max,
+                } => {
+                    t.histograms
+                        .insert(name.clone(), [*count, *sum, *p50, *p90, *p99, *max]);
+                }
             }
         }
-        discard_open(&mut open, &mut notes);
-        let (seed, budget, n_instances, n_params) =
-            setup.ok_or_else(|| "journal contains no campaign_start event".to_string())?;
-        Ok(RecordedCampaign {
-            seed,
-            budget,
-            n_instances,
-            n_params,
-            segments,
-            staged,
-            iterations,
-            quarantines,
-            end,
-            notes,
-        })
+        discard_open(&mut open, &mut c.notes);
+        c
+    }
+
+    /// Eliminations of the completed iterations, in iteration order.
+    pub fn eliminations(&self) -> impl Iterator<Item = &EliminationRecord> {
+        self.iterations.values().flat_map(|it| &it.eliminations)
     }
 }
 
@@ -339,22 +498,28 @@ pub fn compare(recorded: &RecordedCampaign, replayed: &RecordedCampaign) -> Repl
     };
 
     // Campaign setup must agree exactly.
-    for (field, rec, rep) in [
-        ("seed", recorded.seed, replayed.seed),
-        ("budget", recorded.budget as u64, replayed.budget as u64),
+    let (Some(rec), Some(rep)) = (recorded.start, replayed.start) else {
+        let has = |s: Option<StartRecord>| if s.is_some() { "yes" } else { "missing" };
+        let d = diverged(
+            "campaign_start",
+            "present",
+            has(recorded.start).into(),
+            has(replayed.start).into(),
+        );
+        return report(Verdict::Diverged, d, notes);
+    };
+    for (field, a, b) in [
+        ("seed", rec.seed, rep.seed),
+        ("budget", rec.budget as u64, rep.budget as u64),
         (
             "n_instances",
-            recorded.n_instances as u64,
-            replayed.n_instances as u64,
+            rec.n_instances as u64,
+            rep.n_instances as u64,
         ),
-        (
-            "n_params",
-            recorded.n_params as u64,
-            replayed.n_params as u64,
-        ),
+        ("n_params", rec.n_params as u64, rep.n_params as u64),
     ] {
-        if rec != rep {
-            let d = diverged("campaign_start", field, rec.to_string(), rep.to_string());
+        if a != b {
+            let d = diverged("campaign_start", field, a.to_string(), b.to_string());
             return report(Verdict::Diverged, d, notes);
         }
     }
@@ -424,12 +589,12 @@ pub fn compare(recorded: &RecordedCampaign, replayed: &RecordedCampaign) -> Repl
 
     // Every recorded quarantine must be reproduced.
     for (instance, reason) in &recorded.quarantines {
-        match replayed.quarantines.get(instance) {
+        match replayed.quarantines.iter().find(|(i, _)| i == instance) {
             None => {
                 let d = diverged("quarantine", instance, reason.clone(), "missing".into());
                 return report(Verdict::Diverged, d, notes);
             }
-            Some(r) if r != reason => {
+            Some((_, r)) if r != reason => {
                 let d = diverged("quarantine", instance, reason.clone(), r.clone());
                 return report(Verdict::Diverged, d, notes);
             }
@@ -629,8 +794,8 @@ mod tests {
             iter_pair(1, 2, 0.25),
             vec![end(0.25)],
         ]);
-        let a = RecordedCampaign::digest(&j).unwrap();
-        let b = RecordedCampaign::digest(&j).unwrap();
+        let a = RecordedCampaign::digest(&j);
+        let b = RecordedCampaign::digest(&j);
         let r = compare(&a, &b);
         assert_eq!(r.verdict, Verdict::Match, "{:?}", r.divergence);
         assert_eq!(r.iterations_checked, 2);
@@ -654,8 +819,8 @@ mod tests {
                 cost: 1.0,
             }),
         );
-        let ra = RecordedCampaign::digest(&a).unwrap();
-        let rb = RecordedCampaign::digest(&b).unwrap();
+        let ra = RecordedCampaign::digest(&a);
+        let rb = RecordedCampaign::digest(&b);
         assert_eq!(compare(&ra, &rb).verdict, Verdict::Match);
     }
 
@@ -680,14 +845,135 @@ mod tests {
             iter_pair(1, 2, 0.25),
             vec![end(0.25)],
         ]);
-        let a = RecordedCampaign::digest(&rec).unwrap();
+        let a = RecordedCampaign::digest(&rec);
         assert_eq!(a.segments, 2);
         assert!(!a.notes.is_empty(), "partial iteration was noted");
-        let b = RecordedCampaign::digest(&uninterrupted).unwrap();
+        let b = RecordedCampaign::digest(&uninterrupted);
         let r = compare(&a, &b);
         assert_eq!(r.verdict, Verdict::Match, "{:?}", r.divergence);
         // Two segments: retries are not comparable and must be noted.
         assert!(r.notes.iter().any(|n| n.contains("retries")));
+    }
+
+    #[test]
+    fn segments_merge_under_one_set_of_rules() {
+        let config = |core: &str, max_iterations| {
+            entry(Event::CampaignConfig {
+                core: core.to_string(),
+                scale: 2048,
+                faults: "none".to_string(),
+                fault_seed: 1,
+                timeout_ms: 0,
+                threads: 1,
+                workers: 0,
+                max_iterations,
+            })
+        };
+        let frozen = |param: &str, code: &str| {
+            entry(Event::Frozen {
+                param: param.to_string(),
+                code: code.to_string(),
+            })
+        };
+        let quarantine = |reason: &str| {
+            entry(Event::Quarantine {
+                instance: "instance 2".to_string(),
+                reason: reason.to_string(),
+            })
+        };
+        let metrics = |counter, gauge| {
+            vec![
+                entry(Event::CounterFinal {
+                    name: "c".to_string(),
+                    value: counter,
+                }),
+                entry(Event::GaugeFinal {
+                    name: "g".to_string(),
+                    value: gauge,
+                }),
+            ]
+        };
+        let resume = entry(Event::Resume {
+            next_iteration: 1,
+            budget_remaining: 80,
+        });
+        let drifted_start = entry(Event::CampaignStart {
+            seed: 8,
+            budget: 100,
+            n_instances: 4,
+            n_params: 3,
+        });
+        let j = journal(vec![
+            // Segment 1: staged, one iteration.
+            vec![config("a53", 1), frozen("x", "C0"), start()],
+            iter_pair(0, 4, 0.5),
+            vec![quarantine("first"), end(0.5)],
+            metrics(5, 1),
+            // Segment 2: resumed with drifted flags, killed in iteration 1.
+            vec![config("a72", 0), frozen("x", "C1"), frozen("y", "F1")],
+            vec![drifted_start.clone(), resume.clone()],
+            vec![
+                entry(Event::IterationStart {
+                    iteration: 1,
+                    configs: 8,
+                }),
+                entry(Event::Evaluation {
+                    workload: "MD".to_string(),
+                    micros: 3,
+                    cost: 1.0,
+                }),
+                entry(Event::Elimination {
+                    config: "torn".to_string(),
+                    kind: "statistical".to_string(),
+                    after_blocks: 1,
+                    reason: String::new(),
+                }),
+            ],
+            // Segment 3: resumed again, redoes iteration 1 and finishes.
+            vec![config("a72", 0), drifted_start, resume],
+            iter_pair(1, 2, 0.25),
+            vec![quarantine("second"), end(0.25)],
+            metrics(2, 3),
+        ]);
+        let c = RecordedCampaign::digest(&j);
+        assert_eq!(c.config.as_ref().map(|c| c.core.as_str()), Some("a53"));
+        assert!(c.staged);
+        let pair = |p: &str, v: &str| (p.to_string(), v.to_string());
+        assert_eq!(c.frozen, [pair("x", "C0"), pair("y", "F1")]);
+        assert_eq!(c.start.map(|s| s.seed), Some(7));
+        assert_eq!((c.segments, c.resumes), (3, 2));
+        assert_eq!(c.iterations.keys().copied().collect::<Vec<_>>(), [0, 1]);
+        let elims: Vec<&str> = c.eliminations().map(|e| e.config.as_str()).collect();
+        assert_eq!(
+            elims,
+            ["cfg0", "cfg1"],
+            "the killed iteration's are discarded"
+        );
+        assert!(c.notes.iter().any(|n| n.starts_with("iteration 1 has no")));
+        assert_eq!(c.quarantines, [pair("instance 2", "second")]);
+        assert_eq!(c.end.map(|e| e.best_cost_bits), Some(0.25f64.to_bits()));
+        let t = &c.tallies;
+        assert_eq!(t.evaluations["MD"].0, 1, "discarded work still counts");
+        assert_eq!((t.counters["c"], t.gauges["g"]), (7, 3));
+        assert_eq!((t.events["iteration_start"], t.wall_us), (3, 10));
+    }
+
+    #[test]
+    fn a_journal_without_campaign_start_digests_but_never_matches() {
+        let j = journal(vec![iter_pair(0, 4, 0.5), vec![end(0.5)]]);
+        let a = RecordedCampaign::digest(&j);
+        assert_eq!((a.start, a.segments), (None, 0));
+        assert_eq!(a.iterations.len(), 1);
+        let b = RecordedCampaign::digest(&journal(vec![vec![start()], j]));
+        let d = compare(&a, &b).divergence.expect("diverges");
+        assert_eq!(
+            (d.location.as_str(), d.field.as_str()),
+            ("campaign_start", "present")
+        );
+        assert_eq!(
+            (d.recorded.as_str(), d.replayed.as_str()),
+            ("missing", "yes")
+        );
     }
 
     #[test]
@@ -704,8 +990,8 @@ mod tests {
             iter_pair(1, 3, 0.25),
             vec![end(0.25)],
         ]);
-        let ra = RecordedCampaign::digest(&a).unwrap();
-        let rb = RecordedCampaign::digest(&b).unwrap();
+        let ra = RecordedCampaign::digest(&a);
+        let rb = RecordedCampaign::digest(&b);
         let r = compare(&ra, &rb);
         assert_eq!(r.verdict, Verdict::Diverged);
         let d = r.divergence.expect("has divergence");
@@ -723,7 +1009,7 @@ mod tests {
         } else {
             panic!("expected iteration_end at index 6");
         }
-        let rb = RecordedCampaign::digest(&b).unwrap();
+        let rb = RecordedCampaign::digest(&b);
         let r = compare(&ra, &rb);
         assert_eq!(r.verdict, Verdict::Diverged);
         assert_eq!(r.divergence.unwrap().field, "best_cost_bits");
@@ -754,15 +1040,15 @@ mod tests {
             iter_pair(1, 2, 0.25),
             vec![end(0.25)],
         ]);
-        let a = RecordedCampaign::digest(&staged).unwrap();
+        let a = RecordedCampaign::digest(&staged);
         assert!(a.staged);
-        let b = RecordedCampaign::digest(&full).unwrap();
+        let b = RecordedCampaign::digest(&full);
         let r = compare(&a, &b);
         assert_eq!(r.verdict, Verdict::PrefixMatch, "{:?}", r.divergence);
 
         // Without the staging marker the same shape is a divergence.
         let unstaged = journal(vec![vec![start()], iter_pair(0, 4, 0.5), vec![end(0.5)]]);
-        let a = RecordedCampaign::digest(&unstaged).unwrap();
+        let a = RecordedCampaign::digest(&unstaged);
         let r = compare(&a, &b);
         assert_eq!(r.verdict, Verdict::Diverged);
         assert_eq!(r.divergence.unwrap().location, "campaign_end");
@@ -771,7 +1057,7 @@ mod tests {
     #[test]
     fn json_report_has_the_stable_schema() {
         let j = journal(vec![vec![start()], iter_pair(0, 4, 0.5), vec![end(0.5)]]);
-        let a = RecordedCampaign::digest(&j).unwrap();
+        let a = RecordedCampaign::digest(&j);
         let r = compare(&a, &a.clone());
         let json = r.render_json();
         for key in [

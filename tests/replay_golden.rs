@@ -20,10 +20,10 @@ fn fixture() -> PathBuf {
 fn replay_golden() -> (RecordedCampaign, RecordedCampaign) {
     let (entries, warnings) = read_journal(&fixture()).expect("fixture readable");
     assert!(warnings.is_empty(), "golden journal is clean: {warnings:?}");
-    let recorded = RecordedCampaign::digest(&entries).expect("digestible");
+    let recorded = RecordedCampaign::digest(&entries);
     assert_eq!(recorded.segments, 2, "fixture spans a checkpoint resume");
 
-    let spec = CampaignSpec::from_journal(&entries).expect("spec reconstructible");
+    let spec = CampaignSpec::from_journal(&recorded).expect("spec reconstructible");
     assert_eq!(spec.fault_profile, "transient", "fixture is fault-injected");
     let t = Telemetry::in_memory();
     spec.run(&t).expect("replay runs");
@@ -31,7 +31,7 @@ fn replay_golden() -> (RecordedCampaign, RecordedCampaign) {
     let text = t.lines().join("\n");
     let (fresh, warnings) = parse_journal(&text);
     assert!(warnings.is_empty(), "replay journal parses: {warnings:?}");
-    let replayed = RecordedCampaign::digest(&fresh).expect("digestible");
+    let replayed = RecordedCampaign::digest(&fresh);
     (recorded, replayed)
 }
 
@@ -74,7 +74,7 @@ fn golden_campaign_replays_bit_for_bit() {
 #[test]
 fn golden_campaign_detects_a_one_ulp_perturbation() {
     let (entries, _) = read_journal(&fixture()).expect("fixture readable");
-    let recorded = RecordedCampaign::digest(&entries).expect("digestible");
+    let recorded = RecordedCampaign::digest(&entries);
 
     // Nudge one recorded iteration cost by one ulp — the smallest
     // possible change — and verify the comparator pinpoints it.
@@ -88,7 +88,7 @@ fn golden_campaign_detects_a_one_ulp_perturbation() {
         .expect("fixture has an iteration_end");
     *target = f64::from_bits(target.to_bits() ^ 1);
 
-    let perturbed = RecordedCampaign::digest(&nudged).expect("digestible");
+    let perturbed = RecordedCampaign::digest(&nudged);
     let report = compare(&recorded, &perturbed);
     assert_eq!(report.verdict, Verdict::Diverged);
     let d = report.divergence.expect("pinpointed");
