@@ -6,12 +6,13 @@ use crate::HardwarePlatform;
 use racesim_decoder::Decoder;
 use racesim_kernels::{emu::EmuError, Workload};
 use racesim_mem::{IndexHash, PrefetchWhere, PrefetcherConfig, TagAccess, TlbConfig};
-use racesim_sim::{Platform, SimError, SimOptions, Simulator};
-use racesim_telemetry::{Counter, Histogram, Telemetry};
+use racesim_sim::{Platform, SimError, SimOptions, SimStats, Simulator};
+use racesim_telemetry::{Counter, Histogram, Stopwatch, Telemetry};
 use racesim_trace::{CompactTrace, TraceBuffer};
 use racesim_uarch::branch::{DirPredictorConfig, IndirectPredictorConfig};
 use std::collections::HashSet;
 use std::fmt;
+use std::io;
 
 /// Errors from running a workload on the board.
 #[derive(Debug)]
@@ -238,16 +239,84 @@ impl ReferenceBoard {
     pub fn oracle_platform(&self) -> &Platform {
         &self.hidden
     }
+
+    /// The hidden core with the board's first-touch behaviour on
+    /// uninitialised arrays: the kernel's zero-fill leaves fresh pages
+    /// cache-warm on real hardware (the paper observed hits where the
+    /// simulator reported misses).
+    fn simulator(&self, uninit_data: bool) -> Simulator {
+        let options = SimOptions {
+            prefill_code: false,
+            prefill_data: false,
+            prefill_data_l2: uninit_data,
+        };
+        Simulator::with_decoder(self.hidden.clone(), Decoder::new(), options)
+    }
+
+    /// The counters a run reports, after the system effects: cycle
+    /// inflation, `fresh_pages` first-touch page faults, and noise.
+    fn counters(
+        &self,
+        name: &str,
+        stats: &SimStats,
+        fresh_pages: u64,
+        sw: Stopwatch,
+    ) -> PerfCounters {
+        let cycles = self.effects.inflate_cycles(stats.core.cycles)
+            + fresh_pages * self.effects.page_touch_cost;
+        let cycles = (cycles as f64 * self.effects.noise_factor(name)).round() as u64;
+        if self.metrics.telemetry.is_enabled() {
+            self.metrics.measurements.inc();
+            self.metrics.measure_us.record(sw.elapsed_us());
+        }
+        PerfCounters {
+            instructions: stats.core.instructions,
+            cycles,
+            loads: stats.core.loads,
+            branch_misses: stats.core.branch.mispredicts,
+            l1d_misses: stats.mem.l1d.misses,
+            l2_misses: stats.mem.l2.misses,
+        }
+    }
 }
+
+/// Records a streamed measurement holds at once (see
+/// [`ReferenceBoard`]'s [`HardwarePlatform::measure`]): a piece this size
+/// of even the 4 MiB latency chase is well under 1 MB, against 3 MB for
+/// its whole trace.
+const MEASURE_CHUNK: usize = 1 << 16;
 
 impl HardwarePlatform for ReferenceBoard {
     fn name(&self) -> &str {
         &self.name
     }
 
+    /// Runs the workload and measures it as it records: the trace is fed
+    /// to the hidden core `MEASURE_CHUNK` records at a time, so no whole
+    /// trace is stored. A workload reading uninitialised data is recorded
+    /// whole first, since its L2 warming and page-touch count need every
+    /// address up front.
     fn measure(&self, workload: &Workload) -> Result<PerfCounters, MeasureError> {
-        let trace = workload.compact_trace()?;
-        self.measure_compact(&workload.name, &trace, workload.uninit_data)
+        if workload.uninit_data {
+            let trace = workload.compact_trace()?;
+            return self.measure_compact(&workload.name, &trace, true);
+        }
+        let sw = self.metrics.telemetry.stopwatch();
+        let sim = self.simulator(false);
+        let mut replay = sim.replay();
+        let mut failed = None;
+        let recorded = workload.record_chunks(MEASURE_CHUNK, &mut |chunk| {
+            replay.feed(chunk).map_err(|e| {
+                let reason = io::Error::other(e.to_string());
+                failed = Some(e);
+                reason
+            })
+        });
+        if let Some(e) = failed {
+            return Err(MeasureError::Internal(e));
+        }
+        recorded?;
+        Ok(self.counters(&workload.name, &replay.finish(), 0, sw))
     }
 
     fn measure_trace(
@@ -268,47 +337,29 @@ impl HardwarePlatform for ReferenceBoard {
         uninit_data: bool,
     ) -> Result<PerfCounters, MeasureError> {
         let sw = self.metrics.telemetry.stopwatch();
-        // First-touch behaviour on uninitialised arrays: the kernel's
-        // zero-fill leaves fresh pages cache-warm on real hardware (the
-        // paper observed hits where the simulator reported misses), at the
-        // price of a page-fault cost per fresh page.
-        let options = SimOptions {
-            prefill_code: false,
-            prefill_data: false,
-            prefill_data_l2: uninit_data,
-        };
-        let sim = Simulator::with_decoder(self.hidden.clone(), Decoder::new(), options);
-        let stats = sim.run_compact(trace).map_err(MeasureError::Internal)?;
-
-        let mut cycles = self.effects.inflate_cycles(stats.core.cycles);
-        if uninit_data && self.effects.page_touch_cost > 0 {
+        let stats = self
+            .simulator(uninit_data)
+            .run_compact(trace)
+            .map_err(MeasureError::Internal)?;
+        // Each fresh page costs a first-touch fault.
+        let fresh_pages = if uninit_data && self.effects.page_touch_cost > 0 {
             let pages: HashSet<u64> = trace
                 .iter()
                 .filter_map(|r| r.ea())
                 .map(|ea| ea >> 12)
                 .collect();
-            cycles += pages.len() as u64 * self.effects.page_touch_cost;
-        }
-        cycles = (cycles as f64 * self.effects.noise_factor(name)).round() as u64;
-
-        if self.metrics.telemetry.is_enabled() {
-            self.metrics.measurements.inc();
-            self.metrics.measure_us.record(sw.elapsed_us());
-        }
-        Ok(PerfCounters {
-            instructions: stats.core.instructions,
-            cycles,
-            branch_misses: stats.core.branch.mispredicts,
-            l1d_misses: stats.mem.l1d.misses,
-            l2_misses: stats.mem.l2.misses,
-        })
+            pages.len() as u64
+        } else {
+            0
+        };
+        Ok(self.counters(name, &stats, fresh_pages, sw))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use racesim_kernels::{microbench_suite, microbench_suite_initialized, Scale};
+    use racesim_kernels::{microbench_suite, microbench_suite_initialized, probes, Scale};
 
     fn workload(name: &str, init: bool) -> Workload {
         let suite = if init {
@@ -399,6 +450,24 @@ mod tests {
         let ratio = c_with.cycles as f64 / c_without.cycles as f64;
         assert!(ratio != 1.0, "effects must do something");
         assert!(ratio > 0.9 && ratio < 1.1, "but stay small: {ratio}");
+    }
+
+    #[test]
+    fn streamed_measure_equals_record_then_measure_compact() {
+        let mut workloads: Vec<Workload> = [8, 128, 4096]
+            .into_iter()
+            .map(|kb| probes::lat_mem_rd(kb, 64))
+            .collect();
+        workloads.extend(microbench_suite_initialized(Scale::TINY));
+        for board in [ReferenceBoard::firefly_a53(), ReferenceBoard::firefly_a72()] {
+            for w in &workloads {
+                assert!(!w.uninit_data, "{} streams", w.name);
+                let trace = w.compact_trace().unwrap();
+                let recorded = board.measure_compact(&w.name, &trace, false).unwrap();
+                assert_eq!(board.measure(w).unwrap(), recorded, "{}", w.name);
+                assert_eq!(recorded.loads, trace.summary().loads, "{}", w.name);
+            }
+        }
     }
 
     #[test]

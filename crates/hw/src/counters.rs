@@ -10,6 +10,8 @@ pub struct PerfCounters {
     pub instructions: u64,
     /// Elapsed core cycles.
     pub cycles: u64,
+    /// Retired loads.
+    pub loads: u64,
     /// Branch mispredictions.
     pub branch_misses: u64,
     /// L1 data-cache misses.
@@ -48,6 +50,7 @@ mod tests {
         let c = PerfCounters {
             instructions: 1000,
             cycles: 1500,
+            loads: 0,
             branch_misses: 5,
             l1d_misses: 0,
             l2_misses: 0,
@@ -62,6 +65,7 @@ mod tests {
         let c = PerfCounters {
             instructions: 0,
             cycles: 1,
+            loads: 0,
             branch_misses: 0,
             l1d_misses: 0,
             l2_misses: 0,

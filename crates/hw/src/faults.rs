@@ -246,34 +246,14 @@ impl<B> FaultyBoard<B> {
         *n += 1;
         *n
     }
-}
 
-impl<B: HardwarePlatform> HardwarePlatform for FaultyBoard<B> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn measure(&self, workload: &Workload) -> Result<PerfCounters, MeasureError> {
-        let trace = workload.compact_trace()?;
-        self.measure_compact(&workload.name, &trace, workload.uninit_data)
-    }
-
-    fn measure_trace(
+    /// One measurement of `name` under the fault plan: a hang, drop or
+    /// transient fault may come first, then `measure` runs on the wrapped
+    /// board and a spike may inflate its cycles.
+    fn inject(
         &self,
         name: &str,
-        trace: &TraceBuffer,
-        uninit_data: bool,
-    ) -> Result<PerfCounters, MeasureError> {
-        let trace = CompactTrace::from_records(trace.records())
-            .map_err(|e| MeasureError::Internal(e.into()))?;
-        self.measure_compact(name, &trace, uninit_data)
-    }
-
-    fn measure_compact(
-        &self,
-        name: &str,
-        trace: &CompactTrace,
-        uninit_data: bool,
+        measure: impl FnOnce() -> Result<PerfCounters, MeasureError>,
     ) -> Result<PerfCounters, MeasureError> {
         let attempt = self.bump(name);
         if self.plan.hang_rate > 0.0 && self.plan.roll(b'h', name, attempt) < self.plan.hang_rate {
@@ -308,7 +288,7 @@ impl<B: HardwarePlatform> HardwarePlatform for FaultyBoard<B> {
             );
             return Err(MeasureError::Transient(reason));
         }
-        let mut counters = self.inner.measure_compact(name, trace, uninit_data)?;
+        let mut counters = measure()?;
         if self.plan.spike_rate > 0.0 && self.plan.roll(b's', name, attempt) < self.plan.spike_rate
         {
             counters.cycles = (counters.cycles as f64 * self.plan.spike_magnitude) as u64;
@@ -323,6 +303,38 @@ impl<B: HardwarePlatform> HardwarePlatform for FaultyBoard<B> {
             );
         }
         Ok(counters)
+    }
+}
+
+impl<B: HardwarePlatform> HardwarePlatform for FaultyBoard<B> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn measure(&self, workload: &Workload) -> Result<PerfCounters, MeasureError> {
+        self.inject(&workload.name, || self.inner.measure(workload))
+    }
+
+    fn measure_trace(
+        &self,
+        name: &str,
+        trace: &TraceBuffer,
+        uninit_data: bool,
+    ) -> Result<PerfCounters, MeasureError> {
+        let trace = CompactTrace::from_records(trace.records())
+            .map_err(|e| MeasureError::Internal(e.into()))?;
+        self.measure_compact(name, &trace, uninit_data)
+    }
+
+    fn measure_compact(
+        &self,
+        name: &str,
+        trace: &CompactTrace,
+        uninit_data: bool,
+    ) -> Result<PerfCounters, MeasureError> {
+        self.inject(name, || {
+            self.inner.measure_compact(name, trace, uninit_data)
+        })
     }
 }
 

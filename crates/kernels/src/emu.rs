@@ -12,6 +12,7 @@ use racesim_isa::{
 };
 use racesim_trace::{CompactTrace, IntMap, TraceBuffer, TraceRecord, TraceSink};
 use std::fmt;
+use std::io;
 
 const PAGE_BYTES: usize = 4096;
 
@@ -516,6 +517,52 @@ pub fn record_compact(program: &Program, limit: u64) -> Result<CompactTrace, Emu
     let mut trace: CompactTrace = record_into(program, limit)?;
     trace.shrink_to_fit();
     Ok(trace)
+}
+
+/// Runs `program` to completion, recording into one bounded compact
+/// trace: every `chunk` records, and once more at the end if any are
+/// left, the trace is handed to `consume` and its records cleared (the
+/// word table stays, see [`CompactTrace::clear_records`]). No more than
+/// `chunk` records are held at any time.
+///
+/// # Errors
+///
+/// See [`Machine::run`]; an error from `consume` stops the run and is an
+/// [`EmuError::Sink`].
+pub fn record_chunks(
+    program: &Program,
+    limit: u64,
+    chunk: usize,
+    consume: &mut dyn FnMut(&CompactTrace) -> io::Result<()>,
+) -> Result<(), EmuError> {
+    let mut sink = ChunkSink {
+        trace: CompactTrace::new(),
+        chunk: chunk.max(1),
+        consume,
+    };
+    Machine::new(program).run(limit, &mut sink)?;
+    if !sink.trace.is_empty() {
+        (sink.consume)(&sink.trace).map_err(|e| EmuError::Sink(e.to_string()))?;
+    }
+    Ok(())
+}
+
+/// The sink behind [`record_chunks`].
+struct ChunkSink<'c> {
+    trace: CompactTrace,
+    chunk: usize,
+    consume: &'c mut dyn FnMut(&CompactTrace) -> io::Result<()>,
+}
+
+impl TraceSink for ChunkSink<'_> {
+    fn push(&mut self, r: TraceRecord) -> io::Result<()> {
+        self.trace.push(r)?;
+        if self.trace.len() >= self.chunk {
+            (self.consume)(&self.trace)?;
+            self.trace.clear_records();
+        }
+        Ok(())
+    }
 }
 
 fn record_into<S: TraceSink + Default>(program: &Program, limit: u64) -> Result<S, EmuError> {

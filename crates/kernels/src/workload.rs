@@ -1,9 +1,10 @@
 //! Workload descriptors.
 
-use crate::emu::{record_compact, record_trace, EmuError};
+use crate::emu::{record_chunks, record_compact, record_trace, EmuError};
 use racesim_isa::Program;
 use racesim_trace::{CompactTrace, TraceBuffer};
 use std::fmt;
+use std::io;
 
 /// The five micro-benchmark categories of the paper's Table I, plus the
 /// SPEC proxies and latency probes this project adds.
@@ -147,6 +148,22 @@ impl Workload {
     /// Propagates emulation failures (which indicate a kernel bug).
     pub fn compact_trace(&self) -> Result<CompactTrace, EmuError> {
         record_compact(&self.program, self.inst_limit)
+    }
+
+    /// Executes the workload and hands its compact trace to `consume` a
+    /// piece at a time, at most `chunk` records each, so the whole trace
+    /// is never held; see [`crate::emu::record_chunks`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates emulation failures; an error from `consume` stops the
+    /// run as an [`EmuError::Sink`].
+    pub fn record_chunks(
+        &self,
+        chunk: usize,
+        consume: &mut dyn FnMut(&CompactTrace) -> io::Result<()>,
+    ) -> Result<(), EmuError> {
+        record_chunks(&self.program, self.inst_limit, chunk, consume)
     }
 }
 

@@ -119,6 +119,49 @@ fn staged_run_resumes_bit_identically() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// FNV-1a, to pin a checkpoint's bytes without storing them.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn resumed_checkpoint_bytes_are_pinned() {
+    // One iteration staged on four threads, a second one resumed: the
+    // checkpoint the resumed run leaves holds the cost memo of both, in
+    // whatever order the threads filled it. Its bytes are pinned, so a
+    // change to how the memo stores, orders or counts its entries shows.
+    let s = space();
+    let seed = 0x00C0_FFEE;
+    let path = tmp("pinned");
+    let _ = std::fs::remove_file(&path);
+    let staged = |iterations, resume| {
+        let tuner = RacingTuner::new(TunerSettings {
+            max_iterations: Some(iterations),
+            threads: 4,
+            ..settings(seed)
+        })
+        .with_checkpoint(&path);
+        let tuner = if resume {
+            tuner.with_resume(&path)
+        } else {
+            tuner
+        };
+        tuner.try_tune(&s, &Synthetic, 12)
+    };
+    staged(1, false);
+    let resumed = staged(2, true);
+    assert!(resumed.warnings.is_empty(), "{:?}", resumed.warnings);
+    assert_eq!(resumed.history.len(), 2);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(
+        (text.len(), fnv1a(text.as_bytes())),
+        (6403, 4830169200465234670)
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A cost function that trips a cancellation flag after a fixed number of
 /// evaluations — simulating a kill arriving mid-iteration.
 struct KillSwitch {

@@ -7,7 +7,8 @@
 //! (as Sniper caches decoded instructions), feeds the dynamic stream into
 //! a core timing model, and collects the statistics the validation
 //! methodology compares against hardware. [`Simulator::run`] accepts a
-//! record buffer and compacts it first.
+//! record buffer and compacts it first; a [`Replay`] takes a trace in
+//! pieces, so a producer can simulate a trace it never stores whole.
 //!
 //! # Example
 //!
@@ -39,4 +40,4 @@ mod platform;
 mod simulator;
 
 pub use platform::Platform;
-pub use simulator::{SimError, SimOptions, SimStats, Simulator};
+pub use simulator::{Replay, SimError, SimOptions, SimStats, Simulator};

@@ -4,7 +4,7 @@ use crate::platform::Platform;
 use racesim_decoder::{DecodeError, Decoder};
 use racesim_isa::{DynInst, StaticInst};
 use racesim_mem::{HierarchyStats, MemoryHierarchy};
-use racesim_telemetry::{Counter, Histogram, PhaseTimer, Profiler, Telemetry};
+use racesim_telemetry::{Counter, Histogram, PhaseTimer, Profiler, Stopwatch, Telemetry};
 use racesim_trace::{CompactTrace, TraceBuffer, TraceRecord};
 use racesim_uarch::{CoreConfig, CoreKind, CoreModel, CoreStats, InOrderCore, OooCore};
 use std::fmt;
@@ -266,15 +266,26 @@ impl Simulator {
         self.run_compact(&CompactTrace::from_records(records)?)
     }
 
-    /// Replays a compact trace through the timing model: the one replay
-    /// loop every simulation runs.
+    /// Replays a compact trace through the timing model: the simulator's
+    /// prefill passes, then one [`Replay`] fed the whole trace.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Decode`] if the trace contains an undecodable
     /// word, at the pc of that word's first occurrence.
     pub fn run_compact(&self, trace: &CompactTrace) -> Result<SimStats, SimError> {
-        let sw = self.metrics.telemetry.stopwatch();
+        let mut replay = self.replay();
+        replay.prefill(trace);
+        replay.feed(trace)?;
+        Ok(replay.finish())
+    }
+
+    /// Starts an incremental replay on fresh core and memory state. Feed
+    /// it a trace in pieces with [`Replay::feed`] and read the statistics
+    /// with [`Replay::finish`]; the simulator's prefill options are not
+    /// applied, since warming needs the whole trace up front (use
+    /// [`Simulator::run_compact`] for that).
+    pub fn replay(&self) -> Replay<'_> {
         let profiled = self.prof.on();
         let t_run = profiled.then(Instant::now);
         let mut core = build_core(&self.platform.core);
@@ -283,111 +294,163 @@ impl Simulator {
             core.set_phase_accounting(true);
             mem.attach_profiler(&self.prof.mem);
         }
+        Replay {
+            sim: self,
+            stopwatch: self.metrics.telemetry.stopwatch(),
+            t_run,
+            core,
+            mem,
+            table: Vec::new(),
+            dyn_insts: Vec::new(),
+        }
+    }
+}
 
-        if self.options.prefill_code || self.options.prefill_data || self.options.prefill_data_l2 {
-            self.prof.prefill.time(|| {
-                for r in trace {
-                    if self.options.prefill_code {
-                        mem.prefill_code(r.pc());
-                    }
-                    if let Some(ea) = r.ea() {
-                        if self.options.prefill_data {
-                            mem.prefill_data(ea);
-                        } else if self.options.prefill_data_l2 {
-                            mem.prefill_data_l2(ea);
-                        }
+/// One replay in progress: the core, the memory hierarchy and the decoded
+/// word table, fed a trace piece by piece — the one replay loop every
+/// simulation runs.
+///
+/// Each piece handed to [`Replay::feed`] is a [`CompactTrace`] whose word
+/// table extends the one of the piece before, as a trace that is
+/// recorded, fed and [cleared](CompactTrace::clear_records) in turn keeps
+/// it; words new to the table are decoded at their first pc. Feeding a
+/// trace whole or in pieces consumes the same records in the same order,
+/// so every counter is the same.
+#[derive(Debug)]
+pub struct Replay<'s> {
+    sim: &'s Simulator,
+    stopwatch: Stopwatch,
+    t_run: Option<Instant>,
+    core: Box<dyn CoreModel>,
+    mem: MemoryHierarchy,
+    /// `trace.words()[i]` decoded, for every word seen so far.
+    table: Vec<StaticInst>,
+    /// Reused per-chunk expansion buffer.
+    dyn_insts: Vec<DynInst>,
+}
+
+impl Replay<'_> {
+    /// Runs the simulator's cache-warming passes over `trace`.
+    fn prefill(&mut self, trace: &CompactTrace) {
+        let opts = self.sim.options;
+        if !(opts.prefill_code || opts.prefill_data || opts.prefill_data_l2) {
+            return;
+        }
+        let mem = &mut self.mem;
+        self.sim.prof.prefill.time(|| {
+            for r in trace {
+                if opts.prefill_code {
+                    mem.prefill_code(r.pc());
+                }
+                if let Some(ea) = r.ea() {
+                    if opts.prefill_data {
+                        mem.prefill_data(ea);
+                    } else if opts.prefill_data_l2 {
+                        mem.prefill_data_l2(ea);
                     }
                 }
-            });
-        }
+            }
+        });
+    }
 
-        self.replay(core.as_mut(), &mut mem, trace)?;
+    /// Decodes the words `trace` adds to the table, in first-occurrence
+    /// order, so the first word that fails is the one a record-by-record
+    /// decode would have failed on, reported at the pc of its first use.
+    fn decode_new_words(&mut self, trace: &CompactTrace) -> Result<(), SimError> {
+        debug_assert!(
+            trace.words().len() >= self.table.len(),
+            "a fed trace's word table extends the previous one's"
+        );
+        let sim = self.sim;
+        let start = self.table.len();
+        for (&word, &pc) in trace.words()[start..]
+            .iter()
+            .zip(&trace.first_pcs()[start..])
+        {
+            let stat = sim
+                .prof
+                .decode
+                .time(|| sim.decoder.decode(word))
+                .map_err(|source| SimError::Decode { pc, source })?;
+            self.table.push(stat);
+        }
+        Ok(())
+    }
+
+    /// Replays `trace`'s records. Its new words are decoded first
+    /// (fetch/decode); then each `REPLAY_CHUNK`-record chunk is
+    /// expanded into a reused `DynInst` buffer by indexing the table
+    /// (fetch), then consumed by the core (execute). The clock is read
+    /// only when a profiler is attached, twice per chunk.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Decode`] if `trace` brings an undecodable
+    /// word, at the pc of that word's first occurrence; no record of
+    /// `trace` is replayed then.
+    pub fn feed(&mut self, trace: &CompactTrace) -> Result<(), SimError> {
+        let profiled = self.sim.prof.on();
+        let clock = || profiled.then(Instant::now);
+        let t0 = clock();
+        self.decode_new_words(trace)?;
+        lap(&self.sim.prof.fetch, 0, t0);
+        let table = &self.table;
+        let mut records = trace.iter();
+        loop {
+            let t0 = clock();
+            self.dyn_insts.clear();
+            self.dyn_insts
+                .extend(records.by_ref().take(REPLAY_CHUNK).map(|r| DynInst {
+                    pc: r.pc(),
+                    stat: table[r.word_id()],
+                    ea: r.ea().unwrap_or(0),
+                    taken: r.taken(),
+                    target: r.target().unwrap_or(0),
+                }));
+            if self.dyn_insts.is_empty() {
+                break;
+            }
+            lap(&self.sim.prof.fetch, self.dyn_insts.len(), t0);
+            let t1 = clock();
+            for dyn_inst in &self.dyn_insts {
+                self.core.consume(dyn_inst, &mut self.mem);
+            }
+            lap(&self.sim.prof.execute, self.dyn_insts.len(), t1);
+        }
+        Ok(())
+    }
+
+    /// Drains the core and returns the run's statistics, recording them
+    /// in the simulator's telemetry and profiler.
+    pub fn finish(mut self) -> SimStats {
+        let prof = &self.sim.prof;
+        let t2 = prof.on().then(Instant::now);
+        self.core.finish(&mut self.mem);
+        lap(&prof.execute, 0, t2);
         let stats = SimStats {
-            core: core.stats(),
-            mem: mem.stats(),
+            core: self.core.stats(),
+            mem: self.mem.stats(),
         };
-        if let Some(t0) = t_run {
-            self.prof.simulate.record_ns(t0.elapsed().as_nanos() as u64);
-            self.prof.simulate.add_insts(stats.core.instructions);
-            self.prof.simulate.add_cycles(stats.core.cycles);
-            for (phase, cycles) in core.phase_cycles() {
-                self.prof.core.child(phase).add_cycles(cycles);
+        if let Some(t0) = self.t_run {
+            prof.simulate.record_ns(t0.elapsed().as_nanos() as u64);
+            prof.simulate.add_insts(stats.core.instructions);
+            prof.simulate.add_cycles(stats.core.cycles);
+            for (phase, cycles) in self.core.phase_cycles() {
+                prof.core.child(phase).add_cycles(cycles);
             }
         }
-        if self.metrics.telemetry.is_enabled() {
-            let us = sw.elapsed_us();
-            self.metrics.runs.inc();
-            self.metrics.instructions.add(stats.core.instructions);
-            self.metrics.cycles.add(stats.core.cycles);
-            self.metrics.run_us.record(us);
-            self.metrics
+        let metrics = &self.sim.metrics;
+        if metrics.telemetry.is_enabled() {
+            let us = self.stopwatch.elapsed_us();
+            metrics.runs.inc();
+            metrics.instructions.add(stats.core.instructions);
+            metrics.cycles.add(stats.core.cycles);
+            metrics.run_us.record(us);
+            metrics
                 .inst_per_ms
                 .record(stats.core.instructions * 1000 / us.max(1));
         }
-        Ok(stats)
-    }
-
-    /// Decodes a trace's word table, once per run. The table is in
-    /// first-occurrence order, so the first word that fails is the one a
-    /// record-by-record decode would have failed on, reported at the pc
-    /// of its first use.
-    fn decode_table(&self, trace: &CompactTrace) -> Result<Vec<StaticInst>, SimError> {
-        trace
-            .words()
-            .iter()
-            .zip(trace.first_pcs())
-            .map(|(&word, &pc)| {
-                self.prof
-                    .decode
-                    .time(|| self.decoder.decode(word))
-                    .map_err(|source| SimError::Decode { pc, source })
-            })
-            .collect()
-    }
-
-    /// The replay loop. The word table is decoded first (fetch/decode);
-    /// then each [`REPLAY_CHUNK`]-record chunk is expanded into a reused
-    /// `DynInst` buffer by indexing the table (fetch), then consumed by
-    /// the core (execute). The per-record consume order, and so every
-    /// counter, is the same as a record-at-a-time walk. The clock is read
-    /// only when a profiler is attached, twice per chunk.
-    fn replay(
-        &self,
-        core: &mut dyn CoreModel,
-        mem: &mut MemoryHierarchy,
-        trace: &CompactTrace,
-    ) -> Result<(), SimError> {
-        let profiled = self.prof.on();
-        let clock = || profiled.then(Instant::now);
-        let t0 = clock();
-        let table = self.decode_table(trace)?;
-        lap(&self.prof.fetch, 0, t0);
-        let mut records = trace.iter();
-        let mut dyn_insts: Vec<DynInst> = Vec::with_capacity(REPLAY_CHUNK.min(trace.len()));
-        loop {
-            let t0 = clock();
-            dyn_insts.clear();
-            dyn_insts.extend(records.by_ref().take(REPLAY_CHUNK).map(|r| DynInst {
-                pc: r.pc(),
-                stat: table[r.word_id()],
-                ea: r.ea().unwrap_or(0),
-                taken: r.taken(),
-                target: r.target().unwrap_or(0),
-            }));
-            if dyn_insts.is_empty() {
-                break;
-            }
-            lap(&self.prof.fetch, dyn_insts.len(), t0);
-            let t1 = clock();
-            for dyn_inst in &dyn_insts {
-                core.consume(dyn_inst, mem);
-            }
-            lap(&self.prof.execute, dyn_insts.len(), t1);
-        }
-        let t2 = clock();
-        core.finish(mem);
-        lap(&self.prof.execute, 0, t2);
-        Ok(())
+        stats
     }
 }
 

@@ -116,6 +116,18 @@ impl CompactTrace {
         self.escapes.shrink_to_fit();
     }
 
+    /// Drops every record (ops, payload and escapes) but keeps the word
+    /// table, its intern map and the pc control flow implies next, so
+    /// recording can go on into a trace whose word table extends the one
+    /// before — the pieces a streamed replay (`racesim_sim::Replay`) is
+    /// fed one after another. The next pushed record starts the trace
+    /// again, so its pc is stored as an escape.
+    pub fn clear_records(&mut self) {
+        self.ops.clear();
+        self.payload.clear();
+        self.escapes.clear();
+    }
+
     /// Iterates over the records with word ids in place of words.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -363,6 +375,22 @@ mod tests {
         assert_eq!(t.escapes(), &[(0, 0x40), (1, 0x80), (3, 0x20)]);
         assert_eq!(t.to_buffer().records(), recs.as_slice());
         assert_eq!(t.iter().len(), 4);
+    }
+
+    #[test]
+    fn cleared_records_keep_the_word_table() {
+        let recs = loop_records(10);
+        let mut t = CompactTrace::from_records(&recs[..21]).unwrap();
+        let words = t.words().to_vec();
+        t.clear_records();
+        assert!(t.is_empty());
+        assert_eq!(t.words(), words.as_slice());
+        for r in &recs[21..] {
+            t.push(*r).unwrap();
+        }
+        assert_eq!(t.records().collect::<Vec<_>>(), &recs[21..]);
+        assert_eq!(t.words(), words.as_slice(), "no word interned twice");
+        assert_eq!(t.escapes(), &[(0, recs[21].pc())], "the piece restarts");
     }
 
     #[test]
