@@ -5,7 +5,7 @@ use racesim_decoder::{DecodeError, Decoder};
 use racesim_isa::{DynInst, StaticInst};
 use racesim_mem::{HierarchyStats, MemoryHierarchy};
 use racesim_telemetry::{Counter, Histogram, PhaseTimer, Profiler, Stopwatch, Telemetry};
-use racesim_trace::{CompactTrace, TraceBuffer, TraceRecord};
+use racesim_trace::{CompactIter, CompactTrace, TraceBuffer, TraceRecord};
 use racesim_uarch::{CoreConfig, CoreKind, CoreModel, CoreStats, InOrderCore, OooCore};
 use std::fmt;
 use std::time::Instant;
@@ -87,10 +87,29 @@ impl SimStats {
     }
 }
 
-fn build_core(cfg: &CoreConfig) -> Box<dyn CoreModel> {
-    match cfg.kind {
-        CoreKind::InOrder => Box::new(InOrderCore::new(cfg)),
-        CoreKind::OutOfOrder => Box::new(OooCore::new(cfg)),
+/// The core model of a replay. A closed enum rather than a trait object,
+/// so [`Replay::feed`] matches once per piece and runs a loop compiled
+/// for the one model, with its per-record call inlined. (The models are
+/// over a kilobyte each, hence the boxes.)
+#[derive(Debug)]
+enum Core {
+    InOrder(Box<InOrderCore>),
+    OutOfOrder(Box<OooCore>),
+}
+
+impl Core {
+    fn new(cfg: &CoreConfig) -> Core {
+        match cfg.kind {
+            CoreKind::InOrder => Core::InOrder(Box::new(InOrderCore::new(cfg))),
+            CoreKind::OutOfOrder => Core::OutOfOrder(Box::new(OooCore::new(cfg))),
+        }
+    }
+
+    fn model(&mut self) -> &mut dyn CoreModel {
+        match self {
+            Core::InOrder(c) => &mut **c,
+            Core::OutOfOrder(c) => &mut **c,
+        }
     }
 }
 
@@ -114,9 +133,10 @@ pub struct Simulator {
 /// ```text
 /// simulate
 ///   prefill          cache warming passes
-///   fetch            compact trace → DynInst conversion
+///   fetch            records fetched; its time is the word decode
 ///     decode         one decoder call per distinct word, once per run
-///   execute          core model + memory hierarchy
+///   execute          compact trace → DynInst expansion, core model and
+///                    memory hierarchy, fused record by record
 ///     mem            l1 / l2 / dram / tlb (wall + latency cycles)
 ///     core           per-cause stall cycles from the core model
 /// ```
@@ -161,9 +181,9 @@ impl SimProf {
     }
 }
 
-/// Records expanded per replay chunk. When profiling, two clock reads
-/// per chunk keep the timing overhead amortised to well under a
-/// nanosecond per instruction.
+/// Records replayed between clock reads when profiling: two reads per
+/// chunk keep the timing overhead amortised to well under a nanosecond
+/// per instruction.
 const REPLAY_CHUNK: usize = 2048;
 
 /// Telemetry handles resolved once at attach time, so each run pays only
@@ -288,10 +308,10 @@ impl Simulator {
     pub fn replay(&self) -> Replay<'_> {
         let profiled = self.prof.on();
         let t_run = profiled.then(Instant::now);
-        let mut core = build_core(&self.platform.core);
+        let mut core = Core::new(&self.platform.core);
         let mut mem = MemoryHierarchy::new(&self.platform.mem);
         if profiled {
-            core.set_phase_accounting(true);
+            core.model().set_phase_accounting(true);
             mem.attach_profiler(&self.prof.mem);
         }
         Replay {
@@ -301,7 +321,6 @@ impl Simulator {
             core,
             mem,
             table: Vec::new(),
-            dyn_insts: Vec::new(),
         }
     }
 }
@@ -321,12 +340,10 @@ pub struct Replay<'s> {
     sim: &'s Simulator,
     stopwatch: Stopwatch,
     t_run: Option<Instant>,
-    core: Box<dyn CoreModel>,
+    core: Core,
     mem: MemoryHierarchy,
     /// `trace.words()[i]` decoded, for every word seen so far.
     table: Vec<StaticInst>,
-    /// Reused per-chunk expansion buffer.
-    dyn_insts: Vec<DynInst>,
 }
 
 impl Replay<'_> {
@@ -378,10 +395,10 @@ impl Replay<'_> {
     }
 
     /// Replays `trace`'s records. Its new words are decoded first
-    /// (fetch/decode); then each `REPLAY_CHUNK`-record chunk is
-    /// expanded into a reused `DynInst` buffer by indexing the table
-    /// (fetch), then consumed by the core (execute). The clock is read
-    /// only when a profiler is attached, twice per chunk.
+    /// (fetch/decode); then each record is expanded into a `DynInst` by
+    /// indexing the table and handed straight to the core (execute), so
+    /// no expanded record is stored. The clock is read only when a
+    /// profiler is attached, twice per `REPLAY_CHUNK` records.
     ///
     /// # Errors
     ///
@@ -389,33 +406,13 @@ impl Replay<'_> {
     /// word, at the pc of that word's first occurrence; no record of
     /// `trace` is replayed then.
     pub fn feed(&mut self, trace: &CompactTrace) -> Result<(), SimError> {
-        let profiled = self.sim.prof.on();
-        let clock = || profiled.then(Instant::now);
-        let t0 = clock();
+        let t0 = self.sim.prof.on().then(Instant::now);
         self.decode_new_words(trace)?;
         lap(&self.sim.prof.fetch, 0, t0);
-        let table = &self.table;
-        let mut records = trace.iter();
-        loop {
-            let t0 = clock();
-            self.dyn_insts.clear();
-            self.dyn_insts
-                .extend(records.by_ref().take(REPLAY_CHUNK).map(|r| DynInst {
-                    pc: r.pc(),
-                    stat: table[r.word_id()],
-                    ea: r.ea().unwrap_or(0),
-                    taken: r.taken(),
-                    target: r.target().unwrap_or(0),
-                }));
-            if self.dyn_insts.is_empty() {
-                break;
-            }
-            lap(&self.sim.prof.fetch, self.dyn_insts.len(), t0);
-            let t1 = clock();
-            for dyn_inst in &self.dyn_insts {
-                self.core.consume(dyn_inst, &mut self.mem);
-            }
-            lap(&self.sim.prof.execute, self.dyn_insts.len(), t1);
+        let (prof, table, mem) = (&self.sim.prof, &self.table[..], &mut self.mem);
+        match &mut self.core {
+            Core::InOrder(core) => replay_records(&mut **core, mem, table, trace.iter(), prof),
+            Core::OutOfOrder(core) => replay_records(&mut **core, mem, table, trace.iter(), prof),
         }
         Ok(())
     }
@@ -425,17 +422,18 @@ impl Replay<'_> {
     pub fn finish(mut self) -> SimStats {
         let prof = &self.sim.prof;
         let t2 = prof.on().then(Instant::now);
-        self.core.finish(&mut self.mem);
+        let core = self.core.model();
+        core.finish(&mut self.mem);
         lap(&prof.execute, 0, t2);
         let stats = SimStats {
-            core: self.core.stats(),
+            core: core.stats(),
             mem: self.mem.stats(),
         };
         if let Some(t0) = self.t_run {
             prof.simulate.record_ns(t0.elapsed().as_nanos() as u64);
             prof.simulate.add_insts(stats.core.instructions);
             prof.simulate.add_cycles(stats.core.cycles);
-            for (phase, cycles) in self.core.phase_cycles() {
+            for (phase, cycles) in core.phase_cycles() {
                 prof.core.child(phase).add_cycles(cycles);
             }
         }
@@ -451,6 +449,38 @@ impl Replay<'_> {
                 .record(stats.core.instructions * 1000 / us.max(1));
         }
         stats
+    }
+}
+
+/// The one replay loop: expands each record and times it on `core`. A
+/// profiled run reads the clock around each `REPLAY_CHUNK` records and
+/// charges the chunk to `execute`, and its record count to `fetch` too.
+#[inline]
+fn replay_records<C: CoreModel>(
+    core: &mut C,
+    mem: &mut MemoryHierarchy,
+    table: &[StaticInst],
+    mut records: CompactIter<'_>,
+    prof: &SimProf,
+) {
+    let profiled = prof.on();
+    while records.len() > 0 {
+        let t0 = profiled.then(Instant::now);
+        let n = records.len().min(REPLAY_CHUNK);
+        for r in records.by_ref().take(n) {
+            let inst = DynInst {
+                pc: r.pc(),
+                stat: table[r.word_id()],
+                ea: r.ea().unwrap_or(0),
+                taken: r.taken(),
+                target: r.target().unwrap_or(0),
+            };
+            core.consume(&inst, mem);
+        }
+        if profiled {
+            prof.fetch.add(n as u64, 0);
+        }
+        lap(&prof.execute, n, t0);
     }
 }
 

@@ -4,7 +4,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Folded-multiply hasher for integer keys: the compact-trace word intern
-/// map and the emulator's page map, both hit once per recorded record.
+/// map and the emulator's page map, both hit once per recorded record,
+/// and the board TLB's page map, hit once per translation.
 /// Their keys are trusted, and `std`'s SipHash costs several times more
 /// per lookup than one 64×64→128-bit multiply. Folding the product's high
 /// half onto its low half lets every key bit reach the low bits the table

@@ -3,7 +3,7 @@
 use racesim_isa::EncodedInst;
 
 pub(crate) const F_HAS_EA: u8 = 1 << 0;
-const F_IS_BRANCH: u8 = 1 << 1;
+pub(crate) const F_IS_BRANCH: u8 = 1 << 1;
 pub(crate) const F_TAKEN: u8 = 1 << 2;
 
 /// One dynamically executed instruction as observed by the front-end.
